@@ -9,16 +9,15 @@ morphisms into restriction and quotient pieces.
 """
 
 from .errors import (BadPrime, BudgetExceeded, DegreeMismatch,
-                     DimensionMismatch, IndeterminateResultant,
-                     InternalContradiction, InvalidBlock, NotAMorphism,
-                     NotASolution, NotSelfMap, ParseError, ProjstabError,
+                     DimensionMismatch, InternalContradiction, InvalidBlock,
+                     NotAMorphism, NotASolution, ParseError, ProjstabError,
                      SingularMatrix, SizeLimit, WrongDimension, ZeroMap)
 from .poly import (HomogeneousPoly, LinearChange, MultiIndex, ProjectiveMap,
                    apply_linear_change, compose, evaluate, identity_change,
                    iterate, make_linear_change, make_map,
                    maps_projectively_equal, normalize_projectively, support)
-from .weights import (OnePS, SimplexFace, WeightProfile, face_contains,
-                      vertex_coverage, weight, weight_profile)
+from .weights import (OnePS, WeightProfile, vertex_coverage, weight,
+                      weight_profile)
 from .resultant import (DEFAULT_PROBE_PRIMES, ProbeReport, ResultantValue,
                         ff_zero_probe, is_morphism, macaulay_resultant,
                         sylvester_resultant)
@@ -26,8 +25,7 @@ from .stability import (BlockAnalysis, BlockStructure, ClassificationReport,
                         HyperplanePartition, LimitResult, MorphismObstruction,
                         StabilizerSolution, StabilizerSpace,
                         block_from_stabilizer, block_to_1ps, classify,
-                        classify_random_frames, detect_blocks,
-                        hyperplane_partition, limit_map,
+                        detect_blocks, hyperplane_partition, limit_map,
                         morphism_obstructions, stabilizer_space)
 from .decompose import (DecompositionTree, SplitPair, decompose_fully,
                         split_once, splitting_types_all_blocks,

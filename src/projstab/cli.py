@@ -4,14 +4,16 @@ Subcommands:
 
     analyze <file> [--json] [--probe-primes LIST] [--seed N]
     limit <file> --c a0,...,an --b b0,...,bn
-    decompose <file> [--all-blocks] [--seed N]
+    decompose <file> [--all-blocks]
     verify --n N --m M --coeffs LIST [--sample K] [--seed N] [--override-budget]
     figure <file> --out PATH
 
 Reports go to standard out (canonical JSON except for analyze's default
 text view); diagnostics go to standard error.  Exit codes: 0 success,
-1 parse/usage error, 2 not a morphism, 3 indeterminate resultant,
-5 verification-law failures.
+1 bad input (an unreadable or invalid document, a bad option value, a
+modulus that is not a proven prime), 2 not a morphism, 5 verification-law
+failures.  Command-line syntax errors are reported by argparse, which
+exits with 2.
 """
 
 from __future__ import annotations
@@ -23,8 +25,7 @@ import time
 from . import documents, figures, verify as verify_mod
 from .decompose import decompose_fully, splitting_types_all_blocks
 from .errors import (BadPrime, BudgetExceeded, DimensionMismatch,
-                     IndeterminateResultant, NotAMorphism, ParseError,
-                     ProjstabError, WrongDimension)
+                     NotAMorphism, ParseError, ProjstabError, WrongDimension)
 from .resultant import DEFAULT_PROBE_PRIMES, ff_zero_probe
 from .stability import classify, limit_map
 from .weights import OnePS
@@ -32,7 +33,6 @@ from .weights import OnePS
 EXIT_OK = 0
 EXIT_PARSE = 1
 EXIT_NOT_MORPHISM = 2
-EXIT_INDETERMINATE = 3
 EXIT_LAW_FAILURES = 5
 
 
@@ -74,12 +74,7 @@ def _render_text(report_dict: dict) -> str:
 def cmd_analyze(args) -> int:
     f = documents.load_map_file(args.file)
     start = time.monotonic()
-    try:
-        report = classify(f, seed=args.seed)
-    except IndeterminateResultant as exc:
-        print(f"indeterminate resultant after {exc.retries} retries "
-              f"(seed {exc.seed})", file=sys.stderr)
-        return EXIT_INDETERMINATE
+    report = classify(f, seed=args.seed)
     out = documents.classification_to_dict(report)
     if args.probe_primes:
         primes = (list(DEFAULT_PROBE_PRIMES) if args.probe_primes == "default"
@@ -118,10 +113,6 @@ def cmd_decompose(args) -> int:
     except NotAMorphism:
         print("input is not a morphism; nothing to decompose", file=sys.stderr)
         return EXIT_NOT_MORPHISM
-    except IndeterminateResultant as exc:
-        print(f"indeterminate resultant after {exc.retries} retries",
-              file=sys.stderr)
-        return EXIT_INDETERMINATE
     out = {
         "tree": documents.tree_to_dict(tree),
         "splitting_type": list(tree.splitting_type()),
@@ -224,9 +215,6 @@ def main(argv=None) -> int:
     except FileNotFoundError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    except IndeterminateResultant as exc:
-        print(f"indeterminate resultant: {exc}", file=sys.stderr)
-        return EXIT_INDETERMINATE
     except ProjstabError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE

@@ -145,8 +145,7 @@ def limit_to_dict(lim) -> dict:
         "K": lim.K,
         "dropped_terms": lim.dropped_terms,
         "support_shrank": lim.support_shrank,
-        "limit_is_morphism": ("indeterminate" if lim.limit_is_morphism is None
-                              else lim.limit_is_morphism),
+        "limit_is_morphism": lim.limit_is_morphism,
     }
 
 

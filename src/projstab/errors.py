@@ -3,7 +3,7 @@
 Every error raised by the library is a subclass of ProjstabError, so callers
 can catch the whole family with one clause.  The concrete names mirror the
 failure they report; nothing here carries state beyond the message except
-IndeterminateResultant (retry count) and ParseError (input position).
+ParseError (input position).
 """
 
 from __future__ import annotations
@@ -29,10 +29,6 @@ class SingularMatrix(ProjstabError):
     """A matrix required to be invertible has determinant zero."""
 
 
-class NotSelfMap(ProjstabError):
-    """Reserved: source and target dimensions differ."""
-
-
 class WrongDimension(ProjstabError):
     """The operation is only defined for a specific projective dimension."""
 
@@ -41,17 +37,8 @@ class SizeLimit(ProjstabError):
     """A matrix construction exceeds the configured dimension bound."""
 
 
-class IndeterminateResultant(ProjstabError):
-    """The Macaulay quotient stayed 0/0 after all coordinate-change retries."""
-
-    def __init__(self, message: str, retries: int = 0, seed: int = 0):
-        super().__init__(message)
-        self.retries = retries
-        self.seed = seed
-
-
 class BadPrime(ProjstabError):
-    """A coefficient denominator vanishes modulo the chosen prime."""
+    """The modulus is not a proven prime, or a denominator vanishes mod it."""
 
 
 class NotASolution(ProjstabError):

@@ -5,6 +5,10 @@ chart x_0 = 1 (remaining coordinates in ascending lexicographic order),
 then x_0 = 0, x_1 = 1, and so on down to the single point (0,...,0,1).
 Every representative has first nonzero coordinate 1, so reports need no
 further normalization and carry no duplicates.
+
+Inverses modulo p come from Fermat's little theorem, which holds only for
+prime p, so every modulus is first proven prime by a deterministic
+Miller-Rabin test.
 """
 
 from __future__ import annotations
@@ -15,15 +19,49 @@ from typing import Iterator, Sequence
 from .errors import BadPrime
 from .poly import MultiIndex, ProjectiveMap
 
+# Miller-Rabin with the first 13 primes as bases decides primality of every
+# n below PRIMALITY_BOUND (Sorenson and Webster, Math. Comp. 2017; the bound
+# is the least strong pseudoprime to all 13 bases).
+_MILLER_RABIN_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+PRIMALITY_BOUND = 3317044064679887385961981
+
+
+def is_prime(p: int) -> bool:
+    """Deterministic primality test for 0 <= p < PRIMALITY_BOUND."""
+    if p < 2:
+        return False
+    for q in _MILLER_RABIN_BASES:
+        if p % q == 0:
+            return p == q
+    d, s = p - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _MILLER_RABIN_BASES:
+        x = pow(a, d, p)
+        if x == 1 or x == p - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
+            return False
+    return True
+
 
 def reduce_map_mod_p(f: ProjectiveMap, p: int) -> list[list[tuple[MultiIndex, int]]]:
     """Component term lists with coefficients reduced modulo p.
 
-    Raises BadPrime if some denominator vanishes mod p.  Terms whose
-    numerator reduces to zero are dropped.
+    Raises BadPrime unless p is a prime below PRIMALITY_BOUND, and if some
+    denominator vanishes mod p.  Terms whose numerator reduces to zero are
+    dropped.
     """
-    if p < 2:
-        raise BadPrime(f"prime must be >= 2, got {p}")
+    if not 2 <= p < PRIMALITY_BOUND:
+        raise BadPrime(f"modulus must satisfy 2 <= p < {PRIMALITY_BOUND}, "
+                       f"got {p}")
+    if not is_prime(p):
+        raise BadPrime(f"modulus {p} is not prime")
     reduced = []
     for comp in f.components:
         terms = []

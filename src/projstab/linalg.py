@@ -1,9 +1,9 @@
 """Exact linear algebra over the rationals (and modulo a prime).
 
-Matrices are plain lists of lists.  Determinants use fraction-free Bareiss
-elimination on integer matrices: a rational matrix is first scaled row by
-row to integers and the scale factors divided back out, so no floating
-point and no fraction blow-up inside the elimination.
+Matrices are plain lists of lists.  Determinants and exact ranks use
+fraction-free Bareiss elimination on integer matrices: a rational matrix is
+first scaled row by row to integers and the scale factors divided back out,
+so no floating point and no fraction blow-up inside the elimination.
 
 Nullspaces come from a reduced row echelon form over Fraction; the basis is
 canonical (one vector per free column, unit entry at that column), which
@@ -13,13 +13,9 @@ keeps every downstream consumer deterministic.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import lcm
 
 Matrix = list[list[Fraction]]
-
-
-def identity(size: int) -> Matrix:
-    return [[Fraction(int(i == j)) for j in range(size)] for i in range(size)]
 
 
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
@@ -135,11 +131,41 @@ def rank_mod_p(m: list[list[int]], p: int) -> int:
     return rank
 
 
-def rank_rational(m: Matrix) -> int:
-    """Exact rank over Q."""
-    if not m:
-        return 0
-    return len(rref(m)[1])
+def rank_rational(m: list[list[int]]) -> int:
+    """Exact rank over Q of an integer matrix, by Bareiss elimination.
+
+    Columns without a pivot are skipped.  After k pivots each entry below
+    the pivot rows equals the (k+1)-minor of the input on the pivot rows
+    and columns plus its own row and column, so every division by the
+    previous pivot is exact, also after a skipped column.
+    """
+    a = [list(row) for row in m]
+    rows = len(a)
+    cols = len(a[0]) if rows else 0
+    rank = 0
+    prev = 1
+    for c in range(cols):
+        piv = None
+        for r in range(rank, rows):
+            if a[r][c] != 0:
+                piv = r
+                break
+        if piv is None:
+            continue
+        a[rank], a[piv] = a[piv], a[rank]
+        row_k = a[rank]
+        pivot = row_k[c]
+        for i in range(rank + 1, rows):
+            row_i = a[i]
+            head = row_i[c]
+            for j in range(c + 1, cols):
+                row_i[j] = (row_i[j] * pivot - head * row_k[j]) // prev
+            row_i[c] = 0
+        prev = pivot
+        rank += 1
+        if rank == rows:
+            break
+    return rank
 
 
 def rref(m: Matrix) -> tuple[Matrix, list[int]]:
@@ -215,20 +241,3 @@ def mat_inverse(m: Matrix) -> Matrix:
                 f = a[r][k]
                 a[r] = [x - f * y for x, y in zip(a[r], a[k])]
     return [row[n:] for row in a]
-
-
-def clear_denominators(v: list[Fraction]) -> list[int]:
-    """Scale a rational vector by the lcm of denominators to integers."""
-    mult = lcm(*(x.denominator for x in v)) if v else 1
-    return [int(x * mult) for x in v]
-
-
-def primitive_integer_vector(v: list[Fraction]) -> list[int]:
-    """Integer vector with content 1 pointing the same way as v (0 stays 0)."""
-    ints = clear_denominators(v)
-    g = 0
-    for x in ints:
-        g = gcd(g, abs(x))
-    if g > 1:
-        ints = [x // g for x in ints]
-    return ints

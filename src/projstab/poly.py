@@ -309,14 +309,6 @@ def support(f: ProjectiveMap) -> tuple[frozenset[MultiIndex], ...]:
     return f.support()
 
 
-def scalar_multiple(f: ProjectiveMap, scalar: CoeffLike) -> ProjectiveMap:
-    s = Fraction(scalar)
-    if s == 0:
-        raise ZeroMap("scalar must be nonzero")
-    dicts = [{e: c * s for e, c in comp.terms} for comp in f.components]
-    return _map_from_dicts(f.n, f.m, dicts)
-
-
 def _leading_coefficient(f: ProjectiveMap) -> Fraction:
     for comp in f.components:
         if comp.terms:
@@ -326,7 +318,9 @@ def _leading_coefficient(f: ProjectiveMap) -> Fraction:
 
 def normalize_projectively(f: ProjectiveMap) -> ProjectiveMap:
     """Scale so the first nonzero coefficient (canonical scan order) is 1."""
-    return scalar_multiple(f, 1 / _leading_coefficient(f))
+    s = 1 / _leading_coefficient(f)
+    return _map_from_dicts(f.n, f.m, [{e: c * s for e, c in comp.terms}
+                                      for comp in f.components])
 
 
 def maps_projectively_equal(f: ProjectiveMap, g: ProjectiveMap) -> bool:

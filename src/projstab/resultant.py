@@ -1,8 +1,18 @@
-"""Morphism certification by exact resultants.
+"""Morphism certification and exact resultants.
 
 A degree-m tuple defines a morphism of projective spaces exactly when its
 components have no common zero besides the origin, i.e. when the resultant
-of the n+1 forms is nonzero.  Two constructions are provided:
+of the n+1 forms is nonzero.
+
+is_morphism decides this by one certificate at the critical degree
+t = (n+1)(m-1) + 1: the forms have no common zero exactly when every form
+of degree t is a polynomial combination of them, i.e. when the matrix of
+all products (monomial of degree t-m) * f_i has full column rank.  A zero
+component or an uncovered simplex vertex shows a common zero at once; full
+rank modulo one word-size prime implies full rank over Q; otherwise the
+exact rank, by fraction-free integer elimination, decides.
+
+The resultant's value comes from one of two constructions:
 
 * sylvester_resultant: the classical 2m x 2m determinant for n = 1;
 * macaulay_resultant: the general construction at the critical degree
@@ -22,7 +32,8 @@ by seeded unimodular triangular matrices (entries in -2..2) and the
 computation retried.  A unimodular change leaves the resultant fixed
 (a general source change g multiplies it by det(g)^(m^(n+1))), so no
 correction is needed; after max_retries failures the value is reported as
-Indeterminate rather than guessed.
+Indeterminate rather than guessed (is_morphism has then shown that it is
+nonzero).
 
 ff_zero_probe is the independent cross-check: an exhaustive scan for
 common zeros over a small prime field.  Any zero it finds forces the exact
@@ -40,15 +51,18 @@ from math import comb, lcm
 from . import ffield, linalg
 from .errors import SizeLimit, WrongDimension
 from .poly import (Fraction as _F, LinearChange, MultiIndex, ProjectiveMap,
-                   apply_linear_change, evaluate)
+                   apply_linear_change)
 from .weights import vertex_coverage
 
 DEFAULT_PROBE_PRIMES = (101, 103, 107)
 
-# Large primes for the modular fast path of is_morphism.  A nonzero
-# numerator and minor determinant modulo any single prime already certify
-# a nonzero resultant; these only ever shortcut the positive answer.
-_FAST_PRIMES = (1000003, 1000033, 1000037)
+# Full rank modulo any prime implies full rank over Q, so the modular rank
+# only ever shortcuts the positive answer of is_morphism.
+_CERTIFICATE_PRIME = 1000003
+
+# Bound on the column count of the critical-degree matrices (the Macaulay
+# matrix and the certificate's multiplication matrix).
+MATRIX_SIZE_LIMIT = 5000
 
 NORMALIZATION_NOTE = "resultant normalized to 1 on coordinate power maps"
 
@@ -59,15 +73,14 @@ class ResultantValue:
 
     value is None exactly in the Indeterminate state (minor determinant
     vanished in every tried coordinate frame); retries and seed document
-    the frames that were tried.  An indeterminate value can still be known
-    to be nonzero via the critical-degree rank test (known_nonzero).
+    the frames that were tried.  That state is only reached after
+    is_morphism has shown the resultant to be nonzero.
     """
 
     value: Fraction | None
     retries: int = 0
     seed: int = 0
     note: str = ""
-    known_nonzero: bool = False
 
     @property
     def is_indeterminate(self) -> bool:
@@ -216,8 +229,15 @@ def _int_map(f: ProjectiveMap, int_dicts: list[dict[MultiIndex, int]]
                                       for d in int_dicts])
 
 
-def macaulay_resultant(f: ProjectiveMap, seed: int = 0, max_retries: int = 8,
-                       size_limit: int = 5000) -> ResultantValue:
+def _check_matrix_size(n: int, m: int) -> None:
+    dim = comb((n + 1) * (m - 1) + 1 + n, n)
+    if dim > MATRIX_SIZE_LIMIT:
+        raise SizeLimit(f"critical-degree matrices would have {dim} columns, "
+                        f"above the {MATRIX_SIZE_LIMIT} bound")
+
+
+def macaulay_resultant(f: ProjectiveMap, seed: int = 0, max_retries: int = 8
+                       ) -> ResultantValue:
     """Exact resultant of the n+1 components via the Macaulay quotient.
 
     Returns 0 directly for the two situations where a common zero is
@@ -227,10 +247,7 @@ def macaulay_resultant(f: ProjectiveMap, seed: int = 0, max_retries: int = 8,
     minor degenerates, and reports Indeterminate after max_retries.
     """
     n, m = f.n, f.m
-    dim = comb((n + 1) * (m - 1) + 1 + n, n)
-    if dim > size_limit:
-        raise SizeLimit(
-            f"Macaulay matrix would be {dim}x{dim}, above the {size_limit} bound")
+    _check_matrix_size(n, m)
     if any(comp.is_zero() for comp in f.components):
         return ResultantValue(Fraction(0), seed=seed, note="zero component")
     if not all(vertex_coverage(f)):
@@ -257,15 +274,14 @@ def macaulay_resultant(f: ProjectiveMap, seed: int = 0, max_retries: int = 8,
             # factor det(g)^(m^(n+1)) is 1 here).
             return ResultantValue(Fraction(det_full, det_minor) / correction,
                                   retries=attempt, seed=seed)
-    # The quotient stayed 0/0, but a rank deficiency at the critical degree
-    # still decides vanishing exactly.
-    if not has_no_common_zero(f):
+    # The quotient stayed 0/0, but the morphism certificate still decides
+    # vanishing exactly.
+    if not is_morphism(f):
         return ResultantValue(Fraction(0), retries=max_retries, seed=seed,
                               note="rank deficient at critical degree")
     return ResultantValue(None, retries=max_retries, seed=seed,
                           note="nonzero (full critical-degree rank) but the "
-                               "minor determinant vanished in every frame",
-                          known_nonzero=True)
+                               "minor determinant vanished in every frame")
 
 
 def _critical_degree_rows(int_dicts: list[dict[MultiIndex, int]],
@@ -289,64 +305,27 @@ def _critical_degree_rows(int_dicts: list[dict[MultiIndex, int]],
     return rows, len(cols)
 
 
-def has_no_common_zero(f: ProjectiveMap) -> bool:
-    """Exact morphism decision by surjectivity at the critical degree.
+def is_morphism(f: ProjectiveMap) -> bool:
+    """True iff the components have no common zero in P^n.
 
-    The components have no common projective zero exactly when every form
-    of degree t = (n+1)(m-1)+1 is a polynomial combination of them, i.e.
-    when the critical-degree multiplication matrix has full column rank.
-    Unlike the determinant quotient this criterion never degenerates, at
-    the price of not producing the resultant's value.
+    The certificate is surjectivity at the critical degree: every form of
+    degree t = (n+1)(m-1)+1 is a polynomial combination of the components
+    exactly when the critical-degree multiplication matrix has full column
+    rank.  A zero component or an uncovered vertex gives False at once;
+    full rank modulo one prime gives True; otherwise the exact integer rank
+    decides.  Raises SizeLimit before building a matrix with more than
+    MATRIX_SIZE_LIMIT columns.
     """
-    int_dicts, _ = _scale_components_to_int(f)
-    rows, ncols = _critical_degree_rows(int_dicts, f.n, f.m)
-    for p in _FAST_PRIMES:
-        if linalg.rank_mod_p(rows, p) == ncols:
-            return True
-    frac_rows = [[Fraction(x) for x in row] for row in rows]
-    return linalg.rank_rational(frac_rows) == ncols
-
-
-def _has_small_rational_zero(f: ProjectiveMap) -> bool:
-    # Cheap exact disproof: common zero with coordinates in {-1, 0, 1}.
-    from itertools import product
-    for pt in product((0, 1, -1), repeat=f.num_vars):
-        if not any(pt):
-            continue
-        if all(v == 0 for v in evaluate(f, pt)):
-            return True
-    return False
-
-
-def is_morphism(f: ProjectiveMap, seed: int = 0, fast: bool = True) -> bool:
-    """True iff the resultant of the components is nonzero.
-
-    The fast path uses exact shortcuts only: explicit rational common
-    zeros for False, nonzero Macaulay determinants modulo a prime for
-    True.  When the determinant quotient degenerates, the surjectivity
-    rank test settles the decision exactly, so the answer never depends
-    on the luck of the retry frames.
-    """
+    _check_matrix_size(f.n, f.m)
     if any(comp.is_zero() for comp in f.components):
         return False
     if not all(vertex_coverage(f)):
         return False
-    if _components_linearly_dependent(f):
-        return False
-    if fast:
-        if _has_small_rational_zero(f):
-            return False
-        int_dicts, _ = _scale_components_to_int(f)
-        rows, minor = _macaulay_int_matrices(f.n, f.m, int_dicts)
-        for p in _FAST_PRIMES:
-            if linalg.det_mod_p(minor, p) != 0:
-                if linalg.det_mod_p(rows, p) != 0:
-                    return True
-                break
-    res = macaulay_resultant(f, seed=seed)
-    if not res.is_indeterminate:
-        return res.value != 0
-    return res.known_nonzero or has_no_common_zero(f)
+    int_dicts, _ = _scale_components_to_int(f)
+    rows, ncols = _critical_degree_rows(int_dicts, f.n, f.m)
+    if linalg.rank_mod_p(rows, _CERTIFICATE_PRIME) == ncols:
+        return True
+    return linalg.rank_rational(rows) == ncols
 
 
 def ff_zero_probe(f: ProjectiveMap, prime: int) -> ProbeReport:

@@ -23,7 +23,7 @@ from itertools import combinations
 from typing import Sequence
 
 from . import linalg
-from .errors import (IndeterminateResultant, InvalidBlock, NotASolution)
+from .errors import InvalidBlock, NotASolution
 from .poly import MultiIndex, ProjectiveMap, _map_from_dicts
 from .resultant import ResultantValue, is_morphism, macaulay_resultant
 from .weights import OnePS, weight, weight_profile
@@ -95,7 +95,7 @@ class LimitResult:
     limit: ProjectiveMap
     K: int
     dropped_terms: int
-    limit_is_morphism: bool | None  # None when the sub-check is indeterminate
+    limit_is_morphism: bool
 
     @property
     def support_shrank(self) -> bool:
@@ -306,15 +306,12 @@ def classify(f: ProjectiveMap, seed: int = 0) -> ClassificationReport:
     Precedence: a vanishing resultant wins (NotAMorphism); then a
     nontrivial stabilizer torus (InfiniteStabilizer); then a block with no
     torus (BlockUnstable); otherwise NoDiagonalDegeneration, a verdict
-    explicitly relative to the given coordinates.  When the resultant's
-    value is indeterminate its vanishing is still decided exactly by the
-    rank test, and the report carries the indeterminate value.
+    explicitly relative to the given coordinates.  An indeterminate
+    resultant value is nonzero (macaulay_resultant reaches that state only
+    after the morphism certificate), and the report carries it as it is.
     """
     res = macaulay_resultant(f, seed=seed)
-    if res.is_indeterminate:
-        morphism = res.known_nonzero
-    else:
-        morphism = res.value != 0
+    morphism = res.is_indeterminate or res.value != 0
     stab = stabilizer_space(f)
     blocks, obstructions = _scan_blocks(f)
     if morphism and stab.torus_rank >= 1:
@@ -342,35 +339,3 @@ def classify(f: ProjectiveMap, seed: int = 0) -> ClassificationReport:
     return ClassificationReport(label, morphism, res, f.m > f.n + 1,
                                 stab.torus_rank, stab, tuple(analyses),
                                 tuple(obstructions), _COORDINATE_NOTE)
-
-
-def classify_random_frames(f: ProjectiveMap, attempts: int, seed: int = 0
-                           ) -> list[str]:
-    """Heuristic: re-classify after random rational coordinate changes.
-
-    Returns the labels seen, one per frame.  Finding a degeneration in
-    some frame is meaningful; not finding one proves nothing.
-    """
-    import random as _random
-
-    from .poly import apply_linear_change, make_linear_change
-    from .errors import SingularMatrix
-
-    rng = _random.Random(seed)
-    labels = []
-    nv = f.num_vars
-    for _ in range(attempts):
-        while True:
-            g = [[rng.randint(-3, 3) for _ in range(nv)] for _ in range(nv)]
-            h = [[rng.randint(-3, 3) for _ in range(nv)] for _ in range(nv)]
-            try:
-                change = make_linear_change(g, h)
-                break
-            except SingularMatrix:
-                continue
-        moved = apply_linear_change(f, change)
-        try:
-            labels.append(classify(moved, seed=seed).label)
-        except IndeterminateResultant:
-            labels.append("Indeterminate")
-    return labels

@@ -26,8 +26,7 @@ from typing import Iterator, Sequence
 
 from .decompose import split_once
 from .documents import map_to_document
-from .errors import (BudgetExceeded, IndeterminateResultant,
-                     InternalContradiction, ZeroMap)
+from .errors import BudgetExceeded, InternalContradiction, ZeroMap
 from .poly import ProjectiveMap, make_map
 from .resultant import is_morphism, monomials_of_degree
 from .stability import (detect_blocks, block_to_1ps, hyperplane_partition,
@@ -93,7 +92,6 @@ class VerificationReport:
     candidates: int
     maps_checked: int = 0
     morphisms: int = 0
-    indeterminate: int = 0
     law_checks: dict = field(default_factory=lambda: {law: 0 for law in LAWS})
     failures: list = field(default_factory=list)
     elapsed_seconds: float = 0.0
@@ -111,7 +109,6 @@ class VerificationReport:
             "candidates": self.candidates,
             "maps_checked": self.maps_checked,
             "morphisms": self.morphisms,
-            "indeterminate_skipped": self.indeterminate,
             "law_checks": dict(self.law_checks),
             "failures": [{"law": law, "map": doc} for law, doc in self.failures],
             "zero_failures": self.zero_failures,
@@ -160,7 +157,7 @@ def check_morphism_laws(f: ProjectiveMap, report: VerificationReport) -> None:
         report.law_checks["split_morphisms"] += 1
         try:
             split_once(f, block, check_input=False)
-        except (InternalContradiction, IndeterminateResultant):
+        except InternalContradiction:
             _record(report, "split_morphisms", f)
 
 
@@ -185,11 +182,7 @@ def run_verification_suite(n: int, m: int, coeffs: Sequence,
     start = time.monotonic()
     for f in maps:
         report.maps_checked += 1
-        try:
-            if not is_morphism(f, seed=seed):
-                continue
-        except IndeterminateResultant:
-            report.indeterminate += 1
+        if not is_morphism(f):
             continue
         report.morphisms += 1
         check_morphism_laws(f, report)

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .errors import DimensionMismatch
 from .poly import MultiIndex, ProjectiveMap
@@ -62,18 +62,6 @@ class OnePS:
         mult = lcm(*denoms) if denoms else 1
         return OnePS(tuple(int(Fraction(x) * mult) for x in c),
                      tuple(int(Fraction(x) * mult) for x in b))
-
-
-@dataclass(frozen=True)
-class SimplexFace:
-    """The face Delta(V') spanned by the vertices m*e_i, i in V'."""
-
-    m: int
-    vertices: frozenset[int]
-
-    def __post_init__(self):
-        if not self.vertices:
-            raise ValueError("a simplex face needs at least one vertex")
 
 
 @dataclass(frozen=True)
@@ -128,10 +116,3 @@ def vertex_coverage(f: ProjectiveMap) -> tuple[bool, ...]:
                 if k == f.m:
                     covered[i] = True
     return tuple(covered)
-
-
-def face_contains(support_j: Iterable[MultiIndex], face: SimplexFace) -> bool:
-    """True iff every index is supported only on the face's vertex set."""
-    verts = face.vertices
-    return all(all(k == 0 or i in verts for i, k in enumerate(e))
-               for e in support_j)

@@ -126,15 +126,10 @@ class TestCLI:
         assert report["seed"] == 0
         assert "timing" in report
 
-    def test_analyze_indeterminate_exit(self, tmp_path, monkeypatch):
-        from projstab.errors import IndeterminateResultant
-
-        def boom(f, seed=0):
-            raise IndeterminateResultant("forced", retries=8, seed=seed)
-
-        monkeypatch.setattr(cli, "classify", boom)
+    def test_analyze_rejects_composite_probe_modulus(self, tmp_path, capsys):
         good = write_doc(tmp_path, CUBE)
-        assert cli.main(["analyze", good]) == 3
+        assert cli.main(["analyze", good, "--probe-primes", "4,9,15"]) == 1
+        assert "not prime" in capsys.readouterr().err
 
     def test_limit_command(self, tmp_path, capsys):
         path = write_doc(tmp_path, TRI)

@@ -4,11 +4,12 @@ from fractions import Fraction as F
 from random import Random
 
 import pytest
+import sympy
 
 from projstab import SingularMatrix
-from projstab.linalg import (clear_denominators, det_int_bareiss, det_mod_p,
-                             det_rational, mat_inverse, mat_mul, nullspace,
-                             primitive_integer_vector, rref)
+from projstab.linalg import (det_int_bareiss, det_mod_p, det_rational,
+                             mat_inverse, mat_mul, nullspace, rank_mod_p,
+                             rank_rational, rref)
 
 
 def test_det_int_known_values():
@@ -79,7 +80,23 @@ def test_mat_inverse():
         mat_inverse([[F(1), F(2)], [F(2), F(4)]])
 
 
-def test_integer_vector_helpers():
-    assert clear_denominators([F(1, 2), F(1, 3)]) == [3, 2]
-    assert primitive_integer_vector([F(2, 3), F(4, 3)]) == [1, 2]
-    assert primitive_integer_vector([F(0), F(0)]) == [0, 0]
+def test_rank_matches_sympy():
+    # Products of thin factors are rank deficient; zeroed columns make the
+    # elimination skip pivot columns before later exact divisions.
+    rng = Random(31)
+    for _ in range(60):
+        rows, cols = rng.randint(1, 9), rng.randint(1, 9)
+        inner = rng.randint(0, min(rows, cols))
+        a = [[rng.randint(-4, 4) for _ in range(inner)] for _ in range(rows)]
+        b = [[rng.randint(-4, 4) for _ in range(cols)] for _ in range(inner)]
+        m = [[sum(a[i][k] * b[k][j] for k in range(inner)) for j in range(cols)]
+             for i in range(rows)]
+        for j in rng.sample(range(cols), rng.randint(0, cols - 1)):
+            for row in m:
+                row[j] = 0
+        exact = rank_rational(m)
+        assert exact == sympy.Matrix(m).rank()
+        for p in (2, 3, 1000003):
+            assert rank_mod_p(m, p) <= exact
+    assert rank_rational([]) == 0
+    assert rank_rational([[0, 1, 2], [0, 2, 4], [0, 3, 7]]) == 2

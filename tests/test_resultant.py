@@ -5,11 +5,16 @@ from itertools import product
 from random import Random
 
 import pytest
+import sympy
+from hypothesis import assume, given, settings, strategies as st
 
-from projstab import (BadPrime, SizeLimit, WrongDimension, apply_linear_change,
-                      ff_zero_probe, is_morphism, macaulay_resultant,
-                      make_linear_change, make_map, sylvester_resultant)
+from projstab import (BadPrime, SizeLimit, WrongDimension, ZeroMap,
+                      apply_linear_change, ff_zero_probe, is_morphism,
+                      macaulay_resultant, make_linear_change, make_map,
+                      sylvester_resultant)
+from projstab.ffield import PRIMALITY_BOUND, is_prime, reduce_map_mod_p
 from projstab.linalg import det_rational
+from projstab.resultant import monomials_of_degree
 from helpers import random_map
 
 
@@ -93,6 +98,10 @@ class TestMacaulay:
     def test_size_limit(self):
         with pytest.raises(SizeLimit):
             macaulay_resultant(_power_map(4, 5))
+
+    def test_size_limit_is_morphism(self):
+        with pytest.raises(SizeLimit):
+            is_morphism(_power_map(4, 5))
 
     def test_determinism(self):
         f = make_map(2, 2, [[((0, 2, 0), 1)], [((2, 0, 0), 1)], [((0, 0, 2), 1)]])
@@ -202,12 +211,43 @@ class TestIsMorphism:
         assert is_morphism(make_map(1, 3, [[((3, 0), 1)],
                                            [((0, 3), 1), ((1, 2), 1)]]))
 
-    def test_fast_path_matches_exact(self):
+    def test_exact_rank_when_certificate_prime_divides(self):
+        # Modulo 1000003 the first component vanishes, so only the exact
+        # rank can show that this power map is a morphism.
+        f = make_map(1, 2, [[((2, 0), 1000003)], [((0, 2), 1)]])
+        assert is_morphism(f)
+
+    def test_matches_sylvester(self):
         rng = Random(113)
-        for _ in range(60):
-            n, m = rng.choice(((1, 2), (1, 3), (2, 2)))
-            f = random_map(rng, n, m)
-            assert is_morphism(f, fast=True) == is_morphism(f, fast=False)
+        seen = set()
+        for _ in range(90):
+            m = rng.choice((2, 3, 4))
+            coeffs = rng.choice(((F(-1), F(0), F(1)), (F(0), F(0), F(1))))
+            f = random_map(rng, 1, m, coeffs)
+            verdict = is_morphism(f)
+            assert verdict == (sylvester_resultant(f) != 0)
+            seen.add(verdict)
+        assert seen == {True, False}
+
+    @settings(max_examples=100, deadline=None, derandomize=True,
+              database=None)
+    @given(st.lists(st.sampled_from((-1, 0, 1)), min_size=18, max_size=18))
+    def test_matches_groebner_zero_dimensionality(self, flat):
+        # A homogeneous ideal has a finite affine zero set exactly when that
+        # set is the origin alone, i.e. when the forms share no projective
+        # zero.
+        monos = monomials_of_degree(3, 2)
+        comps = [[(e, c) for e, c in zip(monos, flat[6 * j:6 * j + 6]) if c]
+                 for j in range(3)]
+        try:
+            f = make_map(2, 2, comps)
+        except ZeroMap:
+            assume(False)
+        xs = sympy.symbols("x0:3")
+        polys = [sum((c * sympy.prod(x ** k for x, k in zip(xs, e))
+                      for e, c in comp), sympy.Integer(0)) for comp in comps]
+        basis = sympy.groebner(polys, *xs, order="grevlex")
+        assert is_morphism(f) == basis.is_zero_dimensional
 
 
 class TestProbe:
@@ -232,6 +272,23 @@ class TestProbe:
         f = make_map(1, 2, [[((2, 0), F(1, 5))], [((0, 2), 1)]])
         with pytest.raises(BadPrime):
             ff_zero_probe(f, 5)
+
+    # 561 is a Carmichael number; 318665857834031151167461 is a strong
+    # pseudoprime to the first twelve prime bases; PRIMALITY_BOUND is one to
+    # the first thirteen, so no modulus from there on is proven prime.  The
+    # check is called directly: a probe that wrongly accepted one of the
+    # large moduli would scan about p points.
+    @pytest.mark.parametrize("p", [1, 4, 9, 15, 561, 318665857834031151167461,
+                                   PRIMALITY_BOUND, PRIMALITY_BOUND + 2])
+    def test_modulus_not_proven_prime(self, p):
+        with pytest.raises(BadPrime):
+            reduce_map_mod_p(_power_map(1, 2), p)
+
+    def test_primality_matches_sympy(self):
+        for n in range(3000):
+            assert is_prime(n) == sympy.isprime(n), n
+        for n in (2 ** 61 - 1, 2 ** 61 + 1, 1000003 * 1000033):
+            assert is_prime(n) == sympy.isprime(n), n
 
     def test_soundness_link_sample(self):
         rng = Random(127)

@@ -7,8 +7,8 @@ import pytest
 
 from projstab import (InvalidBlock, NotASolution, OnePS, StabilizerSolution,
                       block_from_stabilizer, block_to_1ps, classify,
-                      classify_random_frames, detect_blocks,
-                      hyperplane_partition, is_morphism, limit_map, make_map,
+                      detect_blocks, hyperplane_partition, is_morphism,
+                      limit_map, make_map,
                       maps_projectively_equal, morphism_obstructions,
                       stabilizer_space, weight_profile)
 from projstab.stability import BlockStructure, solution_satisfies
@@ -271,13 +271,3 @@ class TestClassify:
             pairs = [(b.variables, b.components) for b in detect_blocks(f)]
             assert (derived.variables, derived.components) in pairs
             found += 1
-
-    def test_random_frames_smoke(self):
-        labels = classify_random_frames(FERMAT, attempts=3, seed=1)
-        assert len(labels) == 3
-        for lab in labels:
-            assert lab in ("NotAMorphism", "InfiniteStabilizer",
-                           "BlockUnstable", "NoDiagonalDegeneration",
-                           "Indeterminate")
-        # a coordinate change never destroys the morphism property
-        assert "NotAMorphism" not in labels

@@ -1,13 +1,12 @@
-"""Weight functions, vertex coverage, faces, subgroup canonicalization."""
+"""Weight functions, vertex coverage, subgroup canonicalization."""
 
 from fractions import Fraction as F
 from random import Random
 
 import pytest
 
-from projstab import (DimensionMismatch, OnePS, SimplexFace, face_contains,
-                      is_morphism, make_map, vertex_coverage, weight,
-                      weight_profile)
+from projstab import (DimensionMismatch, OnePS, is_morphism, make_map,
+                      vertex_coverage, weight, weight_profile)
 from projstab.verify import enumerate_maps
 from helpers import random_map
 
@@ -96,39 +95,6 @@ class TestVertexCoverage:
         for f in enumerate_maps(1, 2, (F(0), F(1))):
             if is_morphism(f):
                 assert all(vertex_coverage(f))
-
-
-class TestFaceContains:
-    def test_examples(self):
-        face0 = SimplexFace(3, frozenset({0}))
-        assert face_contains({(3, 0, 0)}, face0)
-        assert not face_contains({(2, 1, 0)}, face0)
-        face12 = SimplexFace(3, frozenset({1, 2}))
-        assert face_contains({(0, 3, 0), (0, 1, 2)}, face12)
-
-    def test_empty_face_rejected(self):
-        with pytest.raises(ValueError):
-            SimplexFace(2, frozenset())
-
-    def test_monotonicity(self):
-        rng = Random(43)
-        for _ in range(40):
-            nv = rng.randint(2, 4)
-            m = rng.randint(2, 3)
-            supp = set()
-            while not supp:
-                supp = {tuple(rng.choice(range(m + 1)) for _ in range(nv))
-                        for _ in range(rng.randint(1, 4))}
-                supp = {e for e in supp if sum(e) == m}
-            verts = frozenset(rng.sample(range(nv), rng.randint(1, nv)))
-            face = SimplexFace(m, verts)
-            if face_contains(supp, face):
-                # enlarging the face keeps containment
-                bigger = SimplexFace(m, verts | {rng.randrange(nv)})
-                assert face_contains(supp, bigger)
-                # shrinking the support keeps containment
-                smaller = set(list(supp)[:max(1, len(supp) - 1)])
-                assert face_contains(smaller, face)
 
 
 class TestOnePS:
