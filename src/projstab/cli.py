@@ -2,7 +2,7 @@
 
 Subcommands:
 
-    analyze <file> [--json] [--probe-primes LIST] [--seed N]
+    analyze <file> [--json] [--probe-primes LIST]
     limit <file> --c a0,...,an --b b0,...,bn
     decompose <file> [--all-blocks]
     verify --n N --m M --coeffs LIST [--sample K] [--seed N] [--override-budget]
@@ -74,7 +74,7 @@ def _render_text(report_dict: dict) -> str:
 def cmd_analyze(args) -> int:
     f = documents.load_map_file(args.file)
     start = time.monotonic()
-    report = classify(f, seed=args.seed)
+    report = classify(f)
     out = documents.classification_to_dict(report)
     if args.probe_primes:
         primes = (list(DEFAULT_PROBE_PRIMES) if args.probe_primes == "default"
@@ -85,7 +85,6 @@ def cmd_analyze(args) -> int:
             probes.append({"prime": pr.prime,
                            "zeros_found": [list(z) for z in pr.zeros_found]})
         out["probes"] = probes
-    out["seed"] = args.seed
     out["timing"] = {"elapsed_seconds": round(time.monotonic() - start, 3)}
     if args.json:
         sys.stdout.write(documents.dumps_canonical(out))
@@ -166,7 +165,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--probe-primes", default="",
                    help="comma list of primes for the finite-field zero probe "
                         "('default' = 101,103,107)")
-    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("limit", help="limit map under a diagonal subgroup")

@@ -148,12 +148,14 @@ def verify_preimage(f: ProjectiveMap, block: BlockStructure, prime: int,
 
     A point maps into {y_j = 0 : j in H'} iff it lies in
     {x_i = 0 : i in V'}; returns True iff both inclusions hold at every
-    point of P^n(F_prime).
+    point of P^n(F_prime).  Raises SizeLimit before scanning more than
+    ffield.POINT_LIMIT points.
     """
     if check_input and not is_morphism(f):
         raise NotAMorphism("preimage identity is only meaningful for morphisms")
     validate_block(f, block)
     reduced = ffield.reduce_map_mod_p(f, prime)
+    ffield.check_point_count(f.n, prime)
     table = ffield.power_table(prime, f.m)
     h_comps = sorted(block.components)
     v_vars = block.variables

@@ -135,10 +135,6 @@ def block_to_dict(block) -> dict:
     }
 
 
-def resultant_to_value(res) -> str:
-    return "indeterminate" if res.is_indeterminate else format_fraction(res.value)
-
-
 def limit_to_dict(lim) -> dict:
     return {
         "map": map_to_document(lim.limit),
@@ -167,8 +163,7 @@ def classification_to_dict(report: ClassificationReport) -> dict:
     return {
         "classification": report.label,
         "is_morphism": report.is_morphism,
-        "resultant": resultant_to_value(report.resultant),
-        "resultant_retries": report.resultant.retries,
+        "resultant": format_fraction(report.resultant.value),
         "resultant_normalization": "1 on coordinate power maps",
         "m_gt_n_plus_1": report.m_gt_n_plus_1,
         "torus_rank": report.torus_rank,

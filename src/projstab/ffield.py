@@ -16,7 +16,7 @@ from __future__ import annotations
 from itertools import product
 from typing import Iterator, Sequence
 
-from .errors import BadPrime
+from .errors import BadPrime, SizeLimit
 from .poly import MultiIndex, ProjectiveMap
 
 # Miller-Rabin with the first 13 primes as bases decides primality of every
@@ -24,6 +24,10 @@ from .poly import MultiIndex, ProjectiveMap
 # is the least strong pseudoprime to all 13 bases).
 _MILLER_RABIN_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 PRIMALITY_BOUND = 3317044064679887385961981
+
+# Bound on the points of one exhaustive scan of P^n(F_p).  Every scan in use
+# fits: P^3(F_31) has 30784 points, P^2(F_107) has 11557.
+POINT_LIMIT = 10 ** 6
 
 
 def is_prime(p: int) -> bool:
@@ -77,6 +81,14 @@ def reduce_map_mod_p(f: ProjectiveMap, p: int) -> list[list[tuple[MultiIndex, in
     return reduced
 
 
+def check_point_count(n: int, p: int) -> None:
+    """Raise SizeLimit before a scan of more than POINT_LIMIT points."""
+    count = (p ** (n + 1) - 1) // (p - 1)
+    if count > POINT_LIMIT:
+        raise SizeLimit(f"P^{n}(F_{p}) has {count} points, above the "
+                        f"{POINT_LIMIT} bound")
+
+
 def projective_points(n: int, p: int) -> Iterator[tuple[int, ...]]:
     """All points of P^n(F_p) in canonical order."""
     for lead in range(n + 1):
@@ -114,8 +126,12 @@ def power_table(p: int, max_exp: int) -> list[list[int]]:
 
 
 def common_zeros_mod_p(f: ProjectiveMap, p: int) -> list[tuple[int, ...]]:
-    """All points of P^n(F_p) where every component vanishes."""
+    """All points of P^n(F_p) where every component vanishes.
+
+    Raises SizeLimit before scanning more than POINT_LIMIT points.
+    """
     reduced = reduce_map_mod_p(f, p)
+    check_point_count(f.n, p)
     # Scan the sparsest component first; most points die on it.
     order = sorted(range(len(reduced)), key=lambda j: len(reduced[j]))
     table = power_table(p, f.m)

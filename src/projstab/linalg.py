@@ -1,9 +1,10 @@
 """Exact linear algebra over the rationals (and modulo a prime).
 
-Matrices are plain lists of lists.  Determinants and exact ranks use
-fraction-free Bareiss elimination on integer matrices: a rational matrix is
-first scaled row by row to integers and the scale factors divided back out,
-so no floating point and no fraction blow-up inside the elimination.
+Matrices are plain lists of lists.  Determinants, exact full-rank tests and
+the row choices of the resultant all come from one fraction-free Bareiss
+routine on integer matrices, pivot_rows: a rational matrix is first scaled
+row by row to integers and the scale factors divided back out, so no
+floating point and no fraction blow-up inside the elimination.
 
 Nullspaces come from a reduced row echelon form over Fraction; the basis is
 canonical (one vector per free column, unit entry at that column), which
@@ -28,79 +29,75 @@ def mat_vec(a: Matrix, v: list[Fraction]) -> list[Fraction]:
     return [sum((row[k] * v[k] for k in range(len(v))), Fraction(0)) for row in a]
 
 
-def det_int_bareiss(m: list[list[int]]) -> int:
-    """Determinant of an integer matrix by Bareiss elimination.
-
-    All intermediate divisions are exact; the matrix is consumed.
-    """
-    n = len(m)
-    if n == 0:
-        return 1
+def permutation_sign(seq) -> int:
+    """Sign of the permutation that sorts a sequence of distinct keys."""
+    order = sorted(range(len(seq)), key=seq.__getitem__)
     sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            for r in range(k + 1, n):
-                if m[r][k] != 0:
-                    m[k], m[r] = m[r], m[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        pivot = m[k][k]
-        for i in range(k + 1, n):
-            row_i, row_k = m[i], m[k]
-            head = row_i[k]
-            for j in range(k + 1, n):
-                row_i[j] = (row_i[j] * pivot - head * row_k[j]) // prev
-            row_i[k] = 0
-        prev = pivot
-    return sign * m[n - 1][n - 1]
+    seen = [False] * len(seq)
+    for i in range(len(seq)):
+        j = i
+        while not seen[j]:
+            seen[j] = True
+            j = order[j]
+            if j != i:
+                sign = -sign
+    return sign
+
+
+def pivot_rows(rows: list[list[int]], need: int) -> tuple[list[int], int]:
+    """First `need` independent integer rows, by one-row Bareiss steps.
+
+    Rows are taken in the given order.  Each new row is reduced by the
+    pivot rows found so far; after k pivots its entries are the
+    (k+1)-minors of the input on the pivot rows and columns plus its own
+    row and column (Sylvester's identity), so every division by the
+    previous pivot is exact.  Pivot rows never change once chosen, and each
+    stored row keeps only the columns that are not yet pivot columns.
+
+    Returns the chosen row positions (ascending) and the determinant of
+    those rows on their pivot columns in ascending order; the determinant
+    is 0 when fewer than `need` pivots exist, and the search stops as soon
+    as the remaining rows cannot supply them.
+    """
+    pivots: list[tuple[int, int, list[int]]] = []  # (position, pivot, row)
+    chosen: list[int] = []
+    live = list(range(len(rows[0]))) if rows else []
+    taken: list[int] = []
+    for r, row in enumerate(rows):
+        if len(chosen) == need or len(chosen) + len(rows) - r < need:
+            break
+        a = list(row)
+        prev = 1
+        for pos, pivot, pivot_row in pivots:
+            head = a.pop(pos)
+            if head:
+                a = [(x * pivot - head * y) // prev
+                     for x, y in zip(a, pivot_row)]
+            elif pivot != prev:
+                a = [x * pivot // prev for x in a]
+            prev = pivot
+        pos = next((j for j, x in enumerate(a) if x), None)
+        if pos is None:
+            continue
+        pivot = a.pop(pos)
+        pivots.append((pos, pivot, a))
+        chosen.append(r)
+        taken.append(live.pop(pos))
+    if len(chosen) < need:
+        return chosen, 0
+    det = pivots[-1][1] if pivots else 1
+    return chosen, permutation_sign(taken) * det
 
 
 def det_rational(m: Matrix) -> Fraction:
     """Exact determinant of a rational matrix."""
-    n = len(m)
-    if n == 0:
-        return Fraction(1)
     scaled: list[list[int]] = []
     scale = 1
     for row in m:
         denom = lcm(*(x.denominator for x in row)) if row else 1
         scale *= denom
         scaled.append([int(x * denom) for x in row])
-    return Fraction(det_int_bareiss(scaled), scale)
-
-
-def det_mod_p(m: list[list[int]], p: int) -> int:
-    """Determinant modulo a prime, by Gaussian elimination over F_p."""
-    n = len(m)
-    if n == 0:
-        return 1 % p
-    a = [[x % p for x in row] for row in m]
-    det = 1
-    for k in range(n):
-        piv = None
-        for r in range(k, n):
-            if a[r][k] != 0:
-                piv = r
-                break
-        if piv is None:
-            return 0
-        if piv != k:
-            a[k], a[piv] = a[piv], a[k]
-            det = (-det) % p
-        pivot = a[k][k]
-        det = (det * pivot) % p
-        inv = pow(pivot, p - 2, p)
-        for r in range(k + 1, n):
-            factor = (a[r][k] * inv) % p
-            if factor == 0:
-                continue
-            row_r, row_k = a[r], a[k]
-            for j in range(k, n):
-                row_r[j] = (row_r[j] - factor * row_k[j]) % p
-    return det
+    return Fraction(pivot_rows(scaled, len(m))[1], scale)
 
 
 def rank_mod_p(m: list[list[int]], p: int) -> int:
@@ -125,43 +122,6 @@ def rank_mod_p(m: list[list[int]], p: int) -> int:
                 row_r, row_k = a[r], a[rank]
                 for j in range(c, cols):
                     row_r[j] = (row_r[j] - factor * row_k[j]) % p
-        rank += 1
-        if rank == rows:
-            break
-    return rank
-
-
-def rank_rational(m: list[list[int]]) -> int:
-    """Exact rank over Q of an integer matrix, by Bareiss elimination.
-
-    Columns without a pivot are skipped.  After k pivots each entry below
-    the pivot rows equals the (k+1)-minor of the input on the pivot rows
-    and columns plus its own row and column, so every division by the
-    previous pivot is exact, also after a skipped column.
-    """
-    a = [list(row) for row in m]
-    rows = len(a)
-    cols = len(a[0]) if rows else 0
-    rank = 0
-    prev = 1
-    for c in range(cols):
-        piv = None
-        for r in range(rank, rows):
-            if a[r][c] != 0:
-                piv = r
-                break
-        if piv is None:
-            continue
-        a[rank], a[piv] = a[piv], a[rank]
-        row_k = a[rank]
-        pivot = row_k[c]
-        for i in range(rank + 1, rows):
-            row_i = a[i]
-            head = row_i[c]
-            for j in range(c + 1, cols):
-                row_i[j] = (row_i[j] * pivot - head * row_k[j]) // prev
-            row_i[c] = 0
-        prev = pivot
         rank += 1
         if rank == rows:
             break

@@ -4,36 +4,38 @@ A degree-m tuple defines a morphism of projective spaces exactly when its
 components have no common zero besides the origin, i.e. when the resultant
 of the n+1 forms is nonzero.
 
-is_morphism decides this by one certificate at the critical degree
-t = (n+1)(m-1) + 1: the forms have no common zero exactly when every form
-of degree t is a polynomial combination of them, i.e. when the matrix of
-all products (monomial of degree t-m) * f_i has full column rank.  A zero
-component or an uncovered simplex vertex shows a common zero at once; full
-rank modulo one word-size prime implies full rank over Q; otherwise the
-exact rank, by fraction-free integer elimination, decides.
+Both questions are read off the Koszul complex of the forms in the critical
+degree t = (n+1)(m-1) + 1.  Level k has the basis e_S (x) v, with S a
+k-subset of the components and v a monomial of degree t - k*m; the
+boundary sends e_S (x) v to sum_idx (-1)^idx * f_{S[idx]} * v (x)
+e_{S minus S[idx]}.  The complex is exact exactly when the forms have no
+common zero, and then its determinant (Cayley's, the torsion of the based
+complex) is the resultant up to a sign that depends only on (n, m)
+(Gelfand, Kapranov and Zelevinsky, Discriminants, Resultants and
+Multidimensional Determinants, 1994, ch. 3 and appendix A).
 
-The resultant's value comes from one of two constructions:
+* is_morphism tests exactness at the bottom: the level-1 matrix of all
+  products (monomial of degree t-m) * f_i has full column rank.  A zero
+  component or an uncovered simplex vertex shows a common zero at once;
+  full rank modulo one word-size prime implies full rank over Q; otherwise
+  the exact rank, by fraction-free integer elimination, decides.
+* macaulay_resultant computes the determinant.  Bottom up, each level k
+  picks rows R_k whose square block A_k on the columns that level k-1 left
+  unpicked is nonsingular; level 1 tries Macaulay's rows first (for each
+  degree-t monomial u, (u / x_i^m) * f_i with i the least index where
+  u_i >= m), so its block is Macaulay's matrix whenever that is
+  nonsingular.  The value is
 
-* sylvester_resultant: the classical 2m x 2m determinant for n = 1;
-* macaulay_resultant: the general construction at the critical degree
-  t = (n+1)(m-1) + 1.  Columns are indexed by the degree-t monomials in
-  descending lexicographic order; the row for a column monomial u is the
-  expansion of (u / x_i^m) * f_i, where i is the least index with
-  u_i >= m.  With rows aligned to columns the quotient
+      eps(n, m) * prod_k sigma_k * det(A_1) * det(A_2)^-1 * det(A_3) ...
 
-      det(numerator matrix) / det(minor on non-reduced monomials)
-
-  is the resultant normalized so coordinate power maps give exactly 1.
-  (A monomial is non-reduced when at least two of its exponents reach m.)
-
-The minor determinant can vanish for special coefficient values even when
-the resultant is defined; in that case the source coordinates are changed
-by seeded unimodular triangular matrices (entries in -2..2) and the
-computation retried.  A unimodular change leaves the resultant fixed
-(a general source change g multiplies it by det(g)^(m^(n+1))), so no
-correction is needed; after max_retries failures the value is reported as
-Indeterminate rather than guessed (is_morphism has then shown that it is
-nonzero).
+  with every A_k in ascending basis order, sigma_k the sign of the
+  permutation listing level k as (unpicked rows, R_k), each part
+  ascending, and eps(n, m) = +-1 the same expression on the coordinate
+  power map, so that power maps give exactly 1.  The product does not
+  depend on which rows are picked, so the value is exact in every frame.
+  If a level finds too few pivots the complex is not exact and the value
+  is 0.
+* sylvester_resultant is the classical 2m x 2m determinant for n = 1.
 
 ff_zero_probe is the independent cross-check: an exhaustive scan for
 common zeros over a small prime field.  Any zero it finds forces the exact
@@ -42,16 +44,15 @@ resultant to reduce to 0 modulo that prime.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import combinations
 from math import comb, lcm
 
 from . import ffield, linalg
 from .errors import SizeLimit, WrongDimension
-from .poly import (Fraction as _F, LinearChange, MultiIndex, ProjectiveMap,
-                   apply_linear_change)
+from .poly import Fraction as _F, MultiIndex, ProjectiveMap
 from .weights import vertex_coverage
 
 DEFAULT_PROBE_PRIMES = (101, 103, 107)
@@ -60,31 +61,30 @@ DEFAULT_PROBE_PRIMES = (101, 103, 107)
 # only ever shortcuts the positive answer of is_morphism.
 _CERTIFICATE_PRIME = 1000003
 
-# Bound on the column count of the critical-degree matrices (the Macaulay
-# matrix and the certificate's multiplication matrix).
+# Bound on the column count of the critical-degree matrices.
 MATRIX_SIZE_LIMIT = 5000
-
-NORMALIZATION_NOTE = "resultant normalized to 1 on coordinate power maps"
 
 
 @dataclass(frozen=True)
 class ResultantValue:
-    """Outcome of the Macaulay construction.
+    """The exact resultant of a map, from macaulay_resultant.
 
-    value is None exactly in the Indeterminate state (minor determinant
-    vanished in every tried coordinate frame); retries and seed document
-    the frames that were tried.  That state is only reached after
-    is_morphism has shown the resultant to be nonzero.
+    value is always a Fraction: Cayley's determinant of the Koszul complex
+    at the critical degree (Gelfand-Kapranov-Zelevinsky 1994), with each
+    level's sign sigma_k as in the module docstring and the overall sign
+    fixed so that coordinate power maps give exactly 1.  It is exact in
+    every frame, and 0 exactly when the components share a zero.  note
+    says which explicit common zero gave the value 0 without any
+    determinant, and is empty otherwise.
     """
 
-    value: Fraction | None
-    retries: int = 0
-    seed: int = 0
+    value: Fraction
     note: str = ""
 
     @property
     def is_indeterminate(self) -> bool:
-        return self.value is None
+        """Always False: the Koszul determinant is exact in every frame."""
+        return False
 
 
 @dataclass(frozen=True)
@@ -129,45 +129,6 @@ def sylvester_resultant(f: ProjectiveMap) -> Fraction:
     return linalg.det_rational(sylvester_matrix(f))
 
 
-@lru_cache(maxsize=None)
-def _macaulay_structure(n: int, m: int):
-    """Column monomials, per-row assigned component and multiplier, minor rows."""
-    t = (n + 1) * (m - 1) + 1
-    cols = monomials_of_degree(n + 1, t)
-    col_index = {u: k for k, u in enumerate(cols)}
-    assigned = []
-    multipliers = []
-    for u in cols:
-        i = next(k for k, e in enumerate(u) if e >= m)
-        assigned.append(i)
-        mult = list(u)
-        mult[i] -= m
-        multipliers.append(tuple(mult))
-    non_reduced = tuple(k for k, u in enumerate(cols)
-                        if sum(1 for e in u if e >= m) >= 2)
-    return cols, col_index, tuple(assigned), tuple(multipliers), non_reduced
-
-
-def _components_linearly_dependent(f: ProjectiveMap) -> bool:
-    """Rank test of the component coefficient vectors.
-
-    A dependence means the tuple spans at most n forms, whose common zero
-    locus in P^n is nonempty, so the resultant vanishes; no source
-    coordinate change can repair the Macaulay minor in that case.
-    """
-    union = sorted({e for comp in f.components for e, _ in comp.terms},
-                   reverse=True)
-    index = {e: i for i, e in enumerate(union)}
-    rows = []
-    for comp in f.components:
-        row = [_F(0)] * len(union)
-        for e, c in comp.terms:
-            row[index[e]] = c
-        rows.append(row)
-    _, pivots = linalg.rref(rows)
-    return len(pivots) < f.num_vars
-
-
 def _scale_components_to_int(f: ProjectiveMap) -> tuple[list[dict[MultiIndex, int]], Fraction]:
     """Integer copies of the components plus the resultant scale factor.
 
@@ -185,50 +146,6 @@ def _scale_components_to_int(f: ProjectiveMap) -> tuple[list[dict[MultiIndex, in
     return dicts, correction
 
 
-def _macaulay_int_matrices(n: int, m: int, int_dicts: list[dict[MultiIndex, int]]):
-    cols, col_index, assigned, multipliers, non_reduced = _macaulay_structure(n, m)
-    dim = len(cols)
-    rows = []
-    for r in range(dim):
-        row = [0] * dim
-        shift = multipliers[r]
-        for e, a in int_dicts[assigned[r]].items():
-            col = tuple(x + y for x, y in zip(e, shift))
-            row[col_index[col]] = a
-        rows.append(row)
-    minor = [[rows[r][c] for c in non_reduced] for r in non_reduced]
-    return rows, minor
-
-
-def _random_triangular_change(size: int, rng: random.Random, lower: bool
-                              ) -> LinearChange:
-    g = [[Fraction(int(i == j)) for j in range(size)] for i in range(size)]
-    for i in range(size):
-        for j in range(size):
-            if (j < i) if lower else (j > i):
-                g[i][j] = Fraction(rng.randint(-2, 2))
-    eye = tuple(tuple(Fraction(int(i == j)) for j in range(size))
-                for i in range(size))
-    return LinearChange(tuple(tuple(row) for row in g), eye)
-
-
-def _macaulay_determinants(f_int: list[dict[MultiIndex, int]], n: int, m: int
-                           ) -> tuple[int, int]:
-    rows, minor = _macaulay_int_matrices(n, m, f_int)
-    det_minor = linalg.det_int_bareiss([list(r) for r in minor])
-    if det_minor == 0:
-        return 0, 0
-    det_full = linalg.det_int_bareiss([list(r) for r in rows])
-    return det_full, det_minor
-
-
-def _int_map(f: ProjectiveMap, int_dicts: list[dict[MultiIndex, int]]
-             ) -> ProjectiveMap:
-    from .poly import _map_from_dicts
-    return _map_from_dicts(f.n, f.m, [{e: _F(a) for e, a in d.items()}
-                                      for d in int_dicts])
-
-
 def _check_matrix_size(n: int, m: int) -> None:
     dim = comb((n + 1) * (m - 1) + 1 + n, n)
     if dim > MATRIX_SIZE_LIMIT:
@@ -236,73 +153,133 @@ def _check_matrix_size(n: int, m: int) -> None:
                         f"above the {MATRIX_SIZE_LIMIT} bound")
 
 
-def macaulay_resultant(f: ProjectiveMap, seed: int = 0, max_retries: int = 8
-                       ) -> ResultantValue:
-    """Exact resultant of the n+1 components via the Macaulay quotient.
+def _explicit_zero(f: ProjectiveMap) -> str:
+    """Why a common zero is explicit in the support, or "" if it is not.
 
-    Returns 0 directly for the two situations where a common zero is
-    already explicit (a zero component; an uncovered simplex vertex, which
-    puts a common zero at that coordinate point).  Otherwise computes the
-    determinant quotient, retrying in random unimodular frames when the
-    minor degenerates, and reports Indeterminate after max_retries.
+    A zero component vanishes everywhere; an uncovered simplex vertex puts
+    a common zero at that coordinate point.
+    """
+    if any(comp.is_zero() for comp in f.components):
+        return "zero component"
+    if not all(vertex_coverage(f)):
+        return "uncovered simplex vertex"
+    return ""
+
+
+@lru_cache(maxsize=None)
+def _koszul_level(n: int, m: int, k: int) -> tuple[dict, dict]:
+    """Index of the basis e_S (x) v of level k at the critical degree.
+
+    S runs over the k-subsets of the components in lexicographic order and,
+    within each S, v over the monomials of degree t - k*m in descending
+    lexicographic order; e_S (x) v sits at offset[S] + position[v].
+    """
+    t = (n + 1) * (m - 1) + 1
+    monos = monomials_of_degree(n + 1, t - k * m)
+    offset = {s: i * len(monos)
+              for i, s in enumerate(combinations(range(n + 1), k))}
+    return offset, {v: i for i, v in enumerate(monos)}
+
+
+def _koszul_rows(int_dicts: list[dict[MultiIndex, int]], n: int, m: int,
+                 k: int) -> list[list[int]]:
+    """Matrix of the Koszul boundary from level k to level k-1.
+
+    The row of e_S (x) v is the expansion of
+    sum_idx (-1)^idx * f_{S[idx]} * v (x) e_{S minus S[idx]}.  Level 1 lists
+    every product (monomial of degree t-m) * f_i, component by component.
+    """
+    offset, position = _koszul_level(n, m, k)
+    col_offset, col_position = _koszul_level(n, m, k - 1)
+    ncols = len(col_offset) * len(col_position)
+    rows = []
+    for s in offset:
+        for v in position:
+            row = [0] * ncols
+            for idx, i in enumerate(s):
+                base = col_offset[s[:idx] + s[idx + 1:]]
+                sign = -1 if idx % 2 else 1
+                for e, a in int_dicts[i].items():
+                    row[base + col_position[tuple(x + y for x, y in
+                                                  zip(e, v))]] = sign * a
+            rows.append(row)
+    return rows
+
+
+@lru_cache(maxsize=None)
+def _level_one_order(n: int, m: int) -> tuple[int, ...]:
+    """Level-1 rows to try first: Macaulay's rows, then all others.
+
+    For each degree-t monomial u in column order, Macaulay's row is
+    (u / x_i^m) * f_i with i the least index where u_i >= m.
+    """
+    _, cols = _koszul_level(n, m, 0)
+    offset, position = _koszul_level(n, m, 1)
+    first = []
+    for u in cols:
+        i = next(j for j, e in enumerate(u) if e >= m)
+        first.append(offset[(i,)] + position[u[:i] + (u[i] - m,) + u[i + 1:]])
+    taken = set(first)
+    return tuple(first) + tuple(r for r in range(len(offset) * len(position))
+                                if r not in taken)
+
+
+def _koszul_determinant(int_dicts: list[dict[MultiIndex, int]], n: int,
+                        m: int) -> Fraction:
+    """Cayley determinant of the Koszul complex at the critical degree.
+
+    Bottom up, level k picks rows R_k whose block A_k on the columns left
+    over by level k-1 is nonsingular.  The value is the product of
+    sigma_k * det(A_k)^((-1)^(k+1)), where A_k has its rows and columns in
+    ascending basis order and sigma_k is the sign that lists level k as
+    (unpicked rows, R_k).  It is 0 when some level finds too few pivots,
+    i.e. when the complex is not exact.
+    """
+    value = Fraction(1)
+    live = list(range(len(_koszul_level(n, m, 0)[1])))
+    k = 1
+    while live:
+        rows = _koszul_rows(int_dicts, n, m, k)
+        order = _level_one_order(n, m) if k == 1 else range(len(rows))
+        positions, det = linalg.pivot_rows(
+            [[rows[r][c] for c in live] for r in order], len(live))
+        if det == 0:
+            return Fraction(0)
+        picked = [order[p] for p in positions]
+        taken = set(picked)
+        live = [r for r in range(len(rows)) if r not in taken]
+        # Sorting the picked rows and listing the level as (unpicked,
+        # picked) is one permutation.
+        det *= linalg.permutation_sign(live + picked)
+        value = value * det if k % 2 else value / det
+        k += 1
+    return value
+
+
+@lru_cache(maxsize=None)
+def _power_map_sign(n: int, m: int) -> Fraction:
+    """The Koszul determinant of the power map, +1 or -1."""
+    dicts = [{tuple(m * (i == j) for i in range(n + 1)): 1}
+             for j in range(n + 1)]
+    return _koszul_determinant(dicts, n, m)
+
+
+def macaulay_resultant(f: ProjectiveMap) -> ResultantValue:
+    """Exact resultant of the n+1 components, in the given frame.
+
+    Returns 0 at once when a common zero is explicit in the support (a zero
+    component or an uncovered simplex vertex).  Otherwise it is the
+    Koszul-complex determinant of the integer-scaled components, times the
+    sign that makes the power map give 1, divided by the scaling factor.
     """
     n, m = f.n, f.m
     _check_matrix_size(n, m)
-    if any(comp.is_zero() for comp in f.components):
-        return ResultantValue(Fraction(0), seed=seed, note="zero component")
-    if not all(vertex_coverage(f)):
-        return ResultantValue(Fraction(0), seed=seed,
-                              note="uncovered simplex vertex")
-    if _components_linearly_dependent(f):
-        return ResultantValue(Fraction(0), seed=seed,
-                              note="linearly dependent components")
+    note = _explicit_zero(f)
+    if note:
+        return ResultantValue(Fraction(0), note=note)
     int_dicts, correction = _scale_components_to_int(f)
-    det_full, det_minor = _macaulay_determinants(int_dicts, n, m)
-    if det_minor != 0:
-        return ResultantValue(Fraction(det_full, det_minor) / correction,
-                              seed=seed)
-    rng = random.Random(seed)
-    base = _int_map(f, int_dicts)
-    for attempt in range(1, max_retries + 1):
-        change = _random_triangular_change(n + 1, rng, lower=bool(attempt % 2))
-        moved = apply_linear_change(base, change)
-        moved_dicts = [{e: int(c) for e, c in comp.terms}
-                       for comp in moved.components]
-        det_full, det_minor = _macaulay_determinants(moved_dicts, n, m)
-        if det_minor != 0:
-            # Unimodular source change: resultant unchanged (the general
-            # factor det(g)^(m^(n+1)) is 1 here).
-            return ResultantValue(Fraction(det_full, det_minor) / correction,
-                                  retries=attempt, seed=seed)
-    # The quotient stayed 0/0, but the morphism certificate still decides
-    # vanishing exactly.
-    if not is_morphism(f):
-        return ResultantValue(Fraction(0), retries=max_retries, seed=seed,
-                              note="rank deficient at critical degree")
-    return ResultantValue(None, retries=max_retries, seed=seed,
-                          note="nonzero (full critical-degree rank) but the "
-                               "minor determinant vanished in every frame")
-
-
-def _critical_degree_rows(int_dicts: list[dict[MultiIndex, int]],
-                          n: int, m: int) -> tuple[list[list[int]], int]:
-    """All products (monomial of degree t-m) * f_i as coefficient rows.
-
-    Unlike the square Macaulay matrix this keeps every multiplier for every
-    component, so its column rank is full exactly when the components span
-    all forms of degree t.
-    """
-    t = (n + 1) * (m - 1) + 1
-    cols = monomials_of_degree(n + 1, t)
-    col_index = {u: k for k, u in enumerate(cols)}
-    rows = []
-    for d in int_dicts:
-        for v in monomials_of_degree(n + 1, t - m):
-            row = [0] * len(cols)
-            for e, a in d.items():
-                row[col_index[tuple(x + y for x, y in zip(e, v))]] = a
-            rows.append(row)
-    return rows, len(cols)
+    value = _koszul_determinant(int_dicts, n, m) * _power_map_sign(n, m)
+    return ResultantValue(value / correction)
 
 
 def is_morphism(f: ProjectiveMap) -> bool:
@@ -310,22 +287,21 @@ def is_morphism(f: ProjectiveMap) -> bool:
 
     The certificate is surjectivity at the critical degree: every form of
     degree t = (n+1)(m-1)+1 is a polynomial combination of the components
-    exactly when the critical-degree multiplication matrix has full column
-    rank.  A zero component or an uncovered vertex gives False at once;
-    full rank modulo one prime gives True; otherwise the exact integer rank
-    decides.  Raises SizeLimit before building a matrix with more than
-    MATRIX_SIZE_LIMIT columns.
+    exactly when the level-1 Koszul matrix of all products
+    (monomial of degree t-m) * f_i has full column rank.  An explicit zero
+    in the support gives False at once; full rank modulo one prime gives
+    True; otherwise the exact integer rank decides.  Raises SizeLimit
+    before building a matrix with more than MATRIX_SIZE_LIMIT columns.
     """
     _check_matrix_size(f.n, f.m)
-    if any(comp.is_zero() for comp in f.components):
-        return False
-    if not all(vertex_coverage(f)):
+    if _explicit_zero(f):
         return False
     int_dicts, _ = _scale_components_to_int(f)
-    rows, ncols = _critical_degree_rows(int_dicts, f.n, f.m)
+    rows = _koszul_rows(int_dicts, f.n, f.m, 1)
+    ncols = len(rows[0])
     if linalg.rank_mod_p(rows, _CERTIFICATE_PRIME) == ncols:
         return True
-    return linalg.rank_rational(rows) == ncols
+    return linalg.pivot_rows(rows, ncols)[1] != 0
 
 
 def ff_zero_probe(f: ProjectiveMap, prime: int) -> ProbeReport:

@@ -300,18 +300,19 @@ _COORDINATE_NOTE = ("verdicts refer to the diagonal torus in the given "
                     "coordinates; no search over general coordinate frames")
 
 
-def classify(f: ProjectiveMap, seed: int = 0) -> ClassificationReport:
+def classify(f: ProjectiveMap) -> ClassificationReport:
     """Full diagonal-degeneration analysis of one map.
 
     Precedence: a vanishing resultant wins (NotAMorphism); then a
     nontrivial stabilizer torus (InfiniteStabilizer); then a block with no
     torus (BlockUnstable); otherwise NoDiagonalDegeneration, a verdict
-    explicitly relative to the given coordinates.  An indeterminate
-    resultant value is nonzero (macaulay_resultant reaches that state only
-    after the morphism certificate), and the report carries it as it is.
+    explicitly relative to the given coordinates.  The resultant is
+    macaulay_resultant's Koszul-complex determinant, normalized to 1 on
+    power maps and exact in every frame, so the morphism verdict is its
+    being nonzero.
     """
-    res = macaulay_resultant(f, seed=seed)
-    morphism = res.is_indeterminate or res.value != 0
+    res = macaulay_resultant(f)
+    morphism = res.value != 0
     stab = stabilizer_space(f)
     blocks, obstructions = _scan_blocks(f)
     if morphism and stab.torus_rank >= 1:

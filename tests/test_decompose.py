@@ -5,8 +5,8 @@ from random import Random
 
 import pytest
 
-from projstab import (NotAMorphism, decompose_fully, detect_blocks,
-                      is_morphism, make_map, split_once,
+from projstab import (NotAMorphism, SizeLimit, decompose_fully,
+                      detect_blocks, is_morphism, make_map, split_once,
                       splitting_types_all_blocks, verify_preimage)
 from projstab.verify import enumerate_maps
 from helpers import random_triangular_map
@@ -119,6 +119,10 @@ class TestVerifyPreimage:
         f = make_map(1, 4, [[((4, 0), 1)], [((0, 4), 1)]])
         for block in detect_blocks(f):
             assert verify_preimage(f, block, 13)
+
+    def test_scan_size_limit(self):
+        with pytest.raises(SizeLimit):
+            verify_preimage(TRI, detect_blocks(TRI)[0], 1000003)
 
     def test_rejects_non_morphism(self):
         bad = make_map(1, 3, [[((3, 0), 1)], [((2, 1), 1)]])

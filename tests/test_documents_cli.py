@@ -123,8 +123,19 @@ class TestCLI:
         report = json.loads(capsys.readouterr().out)
         assert report["classification"] == "InfiniteStabilizer"
         assert [p["prime"] for p in report["probes"]] == [5, 7]
-        assert report["seed"] == 0
+        assert "seed" not in report and "resultant_retries" not in report
         assert "timing" in report
+
+    def test_analyze_has_no_seed(self, tmp_path):
+        good = write_doc(tmp_path, CUBE)
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["analyze", good, "--seed", "1"])
+        assert exc.value.code == 2
+
+    def test_analyze_rejects_oversized_probe(self, tmp_path, capsys):
+        good = write_doc(tmp_path, CUBE)
+        assert cli.main(["analyze", good, "--probe-primes", "1000003"]) == 1
+        assert "points" in capsys.readouterr().err
 
     def test_analyze_rejects_composite_probe_modulus(self, tmp_path, capsys):
         good = write_doc(tmp_path, CUBE)

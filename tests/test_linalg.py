@@ -7,36 +7,31 @@ import pytest
 import sympy
 
 from projstab import SingularMatrix
-from projstab.linalg import (det_int_bareiss, det_mod_p, det_rational,
-                             mat_inverse, mat_mul, nullspace, rank_mod_p,
-                             rank_rational, rref)
+from projstab.linalg import (det_rational, mat_inverse, mat_mul, nullspace,
+                             pivot_rows, rank_mod_p, rref)
+
+
+def _det(m):
+    return pivot_rows(m, len(m))[1]
 
 
 def test_det_int_known_values():
-    assert det_int_bareiss([[1, 2], [3, 4]]) == -2
-    assert det_int_bareiss([[2, 0, 0], [0, 3, 0], [0, 0, 5]]) == 30
-    assert det_int_bareiss([[1, 2], [2, 4]]) == 0
-    assert det_int_bareiss([]) == 1
+    assert _det([[1, 2], [3, 4]]) == -2
+    assert _det([[2, 0, 0], [0, 3, 0], [0, 0, 5]]) == 30
+    assert _det([[1, 2], [2, 4]]) == 0
+    assert _det([]) == 1
 
 
 def test_det_needs_row_swap():
-    assert det_int_bareiss([[0, 1], [1, 0]]) == -1
-    assert det_int_bareiss([[0, 2, 1], [1, 0, 0], [0, 0, 1]]) == -2
+    # The first row's pivot column is not the first column, so the block
+    # is read on its pivot columns in ascending order.
+    assert _det([[0, 1], [1, 0]]) == -1
+    assert _det([[0, 2, 1], [1, 0, 0], [0, 0, 1]]) == -2
 
 
 def test_det_rational():
     m = [[F(1, 2), F(1, 3)], [F(1, 4), F(1, 5)]]
     assert det_rational(m) == F(1, 10) - F(1, 12)
-
-
-def test_det_mod_p_matches_exact():
-    rng = Random(23)
-    for _ in range(30):
-        size = rng.randint(1, 5)
-        m = [[rng.randint(-9, 9) for _ in range(size)] for _ in range(size)]
-        exact = det_int_bareiss([row[:] for row in m])
-        for p in (101, 1000003):
-            assert det_mod_p(m, p) == exact % p
 
 
 def test_rref_and_nullspace():
@@ -82,7 +77,9 @@ def test_mat_inverse():
 
 def test_rank_matches_sympy():
     # Products of thin factors are rank deficient; zeroed columns make the
-    # elimination skip pivot columns before later exact divisions.
+    # elimination pass over pivotless columns before later exact divisions.
+    # The chosen rows are the greedy ones: each row that raises the rank of
+    # the rows chosen before it, until `need` are found.
     rng = Random(31)
     for _ in range(60):
         rows, cols = rng.randint(1, 9), rng.randint(1, 9)
@@ -94,9 +91,22 @@ def test_rank_matches_sympy():
         for j in rng.sample(range(cols), rng.randint(0, cols - 1)):
             for row in m:
                 row[j] = 0
-        exact = rank_rational(m)
-        assert exact == sympy.Matrix(m).rank()
+        rank = sympy.Matrix(m).rank()
         for p in (2, 3, 1000003):
-            assert rank_mod_p(m, p) <= exact
-    assert rank_rational([]) == 0
-    assert rank_rational([[0, 1, 2], [0, 2, 4], [0, 3, 7]]) == 2
+            assert rank_mod_p(m, p) <= rank
+        for need in range(min(rows, cols) + 1):
+            chosen, det = pivot_rows(m, need)
+            assert (det != 0) == (rank >= need)
+            if det == 0:
+                continue
+            greedy = []
+            for r in range(rows):
+                if (len(greedy) < need and sympy.Matrix(
+                        [m[i] for i in greedy + [r]]).rank() > len(greedy)):
+                    greedy.append(r)
+            assert chosen == greedy
+            if need == cols:
+                assert det == sympy.Matrix([m[i] for i in chosen]).det()
+    assert pivot_rows([], 0) == ([], 1)
+    assert pivot_rows([[0, 1, 2], [0, 2, 4], [0, 3, 7]], 2) == ([0, 2], 1)
+    assert pivot_rows([[0, 1, 2], [0, 2, 4], [0, 3, 7]], 3)[1] == 0
