@@ -18,7 +18,7 @@ from .poly import (HomogeneousPoly, LinearChange, MultiIndex, ProjectiveMap,
                    maps_projectively_equal, normalize_projectively, support)
 from .weights import (OnePS, WeightProfile, vertex_coverage, weight,
                       weight_profile)
-from .resultant import (DEFAULT_PROBE_PRIMES, ProbeReport, ResultantValue,
+from .resultant import (ProbeReport, ResultantValue, default_probe_primes,
                         ff_zero_probe, is_morphism, macaulay_resultant,
                         sylvester_resultant)
 from .stability import (BlockAnalysis, BlockStructure, ClassificationReport,

@@ -26,7 +26,7 @@ from . import documents, figures, verify as verify_mod
 from .decompose import decompose_fully, splitting_types_all_blocks
 from .errors import (BadPrime, BudgetExceeded, DimensionMismatch,
                      NotAMorphism, ParseError, ProjstabError, WrongDimension)
-from .resultant import DEFAULT_PROBE_PRIMES, ff_zero_probe
+from .resultant import default_probe_primes, ff_zero_probe
 from .stability import classify, limit_map
 from .weights import OnePS
 
@@ -77,7 +77,7 @@ def cmd_analyze(args) -> int:
     report = classify(f)
     out = documents.classification_to_dict(report)
     if args.probe_primes:
-        primes = (list(DEFAULT_PROBE_PRIMES) if args.probe_primes == "default"
+        primes = (default_probe_primes(f.n) if args.probe_primes == "default"
                   else _int_list(args.probe_primes, "--probe-primes"))
         probes = []
         for p in primes:
@@ -164,7 +164,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="emit the full canonical JSON report")
     p.add_argument("--probe-primes", default="",
                    help="comma list of primes for the finite-field zero probe "
-                        "('default' = 101,103,107)")
+                        "('default' = up to three of the largest primes "
+                        "<= 107 whose P^n(F_p) fits the point bound: "
+                        "101,103,107 for n <= 2, 83,89,97 for n = 3)")
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("limit", help="limit map under a diagonal subgroup")

@@ -148,8 +148,11 @@ def verify_preimage(f: ProjectiveMap, block: BlockStructure, prime: int,
 
     A point maps into {y_j = 0 : j in H'} iff it lies in
     {x_i = 0 : i in V'}; returns True iff both inclusions hold at every
-    point of P^n(F_prime).  Raises SizeLimit before scanning more than
-    ffield.POINT_LIMIT points.
+    point of P^n(F_prime).  The scan runs chart by chart in the canonical
+    order of ffield: on each slice of at most p^(n-1) points it compares
+    where the H' components all vanish with where the V' coordinate
+    functions x_i all vanish, both found by ffield.chart_zeros.
+    Raises SizeLimit before scanning more than ffield.POINT_LIMIT points.
     """
     if check_input and not is_morphism(f):
         raise NotAMorphism("preimage identity is only meaningful for morphisms")
@@ -157,13 +160,12 @@ def verify_preimage(f: ProjectiveMap, block: BlockStructure, prime: int,
     reduced = ffield.reduce_map_mod_p(f, prime)
     ffield.check_point_count(f.n, prime)
     table = ffield.power_table(prime, f.m)
-    h_comps = sorted(block.components)
-    v_vars = block.variables
-    for pt in ffield.projective_points(f.n, prime):
-        in_target = all(
-            ffield.eval_terms_mod_p(reduced[j], pt, prime, table) == 0
-            for j in h_comps)
-        in_source = all(pt[i] == 0 for i in v_vars)
-        if in_target != in_source:
-            return False
+    target = [reduced[j] for j in sorted(block.components)]
+    source = [[(tuple(int(k == i) for k in range(f.num_vars)), 1)]
+              for i in sorted(block.variables)]
+    for lead in range(f.n + 1):
+        for t, s in zip(ffield.chart_zeros(target, f.n, lead, prime, table),
+                        ffield.chart_zeros(source, f.n, lead, prime, table)):
+            if t != s:
+                return False
     return True

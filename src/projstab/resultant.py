@@ -55,7 +55,9 @@ from .errors import SizeLimit, WrongDimension
 from .poly import Fraction as _F, MultiIndex, ProjectiveMap
 from .weights import vertex_coverage
 
-DEFAULT_PROBE_PRIMES = (101, 103, 107)
+# The default probe uses up to three of the largest primes up to this bound
+# whose P^n(F_p) fits in ffield.POINT_LIMIT.
+_PROBE_PRIME_CEILING = 107
 
 # Full rank modulo any prime implies full rank over Q, so the modular rank
 # only ever shortcuts the positive answer of is_morphism.
@@ -302,6 +304,21 @@ def is_morphism(f: ProjectiveMap) -> bool:
     if linalg.rank_mod_p(rows, _CERTIFICATE_PRIME) == ncols:
         return True
     return linalg.pivot_rows(rows, ncols)[1] != 0
+
+
+def default_probe_primes(n: int) -> tuple[int, ...]:
+    """Up to three largest primes <= 107 whose P^n(F_p) scan fits, ascending.
+
+    Gives 101, 103, 107 for n <= 2 and 83, 89, 97 for n = 3.  Raises
+    SizeLimit when not even P^n(F_2) fits in ffield.POINT_LIMIT.
+    """
+    fits = [p for p in range(_PROBE_PRIME_CEILING, 1, -1)
+            if ffield.is_prime(p)
+            and ffield.point_count(n, p) <= ffield.POINT_LIMIT][:3]
+    if not fits:
+        raise SizeLimit(f"no prime up to {_PROBE_PRIME_CEILING} has P^{n}(F_p) "
+                        f"within the {ffield.POINT_LIMIT} point bound")
+    return tuple(sorted(fits))
 
 
 def ff_zero_probe(f: ProjectiveMap, prime: int) -> ProbeReport:

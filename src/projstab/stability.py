@@ -23,10 +23,13 @@ from itertools import combinations
 from typing import Sequence
 
 from . import linalg
-from .errors import InvalidBlock, NotASolution
+from .errors import InvalidBlock, NotASolution, SizeLimit
 from .poly import MultiIndex, ProjectiveMap, _map_from_dicts
 from .resultant import ResultantValue, is_morphism, macaulay_resultant
 from .weights import OnePS, weight, weight_profile
+
+# Bound on the 2^(n+1) variable subsets of one block scan.
+SUBSET_SCAN_LIMIT = 2 ** 16
 
 
 @dataclass(frozen=True)
@@ -165,6 +168,10 @@ def _face_components(f: ProjectiveMap, vset: frozenset[int]) -> frozenset[int]:
 
 
 def _scan_blocks(f: ProjectiveMap):
+    if 2 ** f.num_vars > SUBSET_SCAN_LIMIT:
+        raise SizeLimit(f"a block scan of {f.num_vars} variables would visit "
+                        f"2^{f.num_vars} subsets, above the "
+                        f"{SUBSET_SCAN_LIMIT} bound")
     blocks: list[BlockStructure] = []
     obstructions: list[MorphismObstruction] = []
     indices = range(f.num_vars)
@@ -183,7 +190,8 @@ def detect_blocks(f: ProjectiveMap) -> list[BlockStructure]:
     """All blocks (V', H') with |H'(V')| = |V'|, smallest V' first.
 
     Subsets are enumerated by size then lexicographically, which fixes the
-    block that recursive splitting consumes first.
+    block that recursive splitting consumes first.  Raises SizeLimit before
+    visiting more than SUBSET_SCAN_LIMIT subsets.
     """
     return _scan_blocks(f)[0]
 

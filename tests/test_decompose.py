@@ -124,6 +124,33 @@ class TestVerifyPreimage:
         with pytest.raises(SizeLimit):
             verify_preimage(TRI, detect_blocks(TRI)[0], 1000003)
 
+    def test_fails_where_reduction_degenerates(self):
+        # The quotient (x0^2 + x1^2, -4x0^2 + x1^2) has resultant 25 over Q;
+        # mod 5 both components vanish at (1, 2, 0), which is off x0 = x1 = 0.
+        f = make_map(2, 2, [[((2, 0, 0), 1), ((0, 2, 0), 1)],
+                            [((2, 0, 0), -4), ((0, 2, 0), 1)],
+                            [((0, 0, 2), 1)]])
+        block = [b for b in detect_blocks(f)
+                 if b.variables == b.components == frozenset({0, 1})][0]
+        assert f.components[0].evaluate([F(1), F(2), F(0)]) % 5 == 0
+        assert f.components[1].evaluate([F(1), F(2), F(0)]) % 5 == 0
+        assert not verify_preimage(f, block, 5)
+        assert verify_preimage(f, block, 7)
+
+    def test_fails_only_in_the_x0_zero_chart(self):
+        # Mod 5, x0*x1 + 5*x1^2 becomes x0*x1, so (x0^2, x0*x1) vanishes on
+        # the line x0 = 0: the failing points (0, 1, y) all lie past the
+        # first chart.
+        f = make_map(2, 2, [[((2, 0, 0), 1)],
+                            [((1, 1, 0), 1), ((0, 2, 0), 5)],
+                            [((0, 0, 2), 1)]])
+        blocks = {(tuple(sorted(b.variables)), tuple(sorted(b.components))): b
+                  for b in detect_blocks(f)}
+        block = blocks[((0, 1), (0, 1))]
+        assert not verify_preimage(f, block, 5)
+        assert verify_preimage(f, block, 7)
+        assert verify_preimage(f, blocks[((0,), (0,))], 5)
+
     def test_rejects_non_morphism(self):
         bad = make_map(1, 3, [[((3, 0), 1)], [((2, 1), 1)]])
         with pytest.raises(NotAMorphism):

@@ -137,6 +137,22 @@ class TestCLI:
         assert cli.main(["analyze", good, "--probe-primes", "1000003"]) == 1
         assert "points" in capsys.readouterr().err
 
+    def test_analyze_default_probe_primes_fit_the_dimension(self, tmp_path,
+                                                             capsys):
+        # P^3(F_101) is above the point bound, so n = 3 probes 83, 89, 97.
+        power = make_map(3, 2, [[(tuple(2 * (i == j) for i in range(4)), 1)]
+                                for j in range(4)])
+        path = write_doc(tmp_path, power)
+        assert cli.main(["analyze", path, "--json",
+                         "--probe-primes", "default"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert [p["prime"] for p in report["probes"]] == [83, 89, 97]
+        assert all(p["zeros_found"] == [] for p in report["probes"])
+        assert cli.main(["analyze", write_doc(tmp_path, CUBE, "cube.json"),
+                         "--json", "--probe-primes", "default"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert [p["prime"] for p in report["probes"]] == [101, 103, 107]
+
     def test_analyze_rejects_composite_probe_modulus(self, tmp_path, capsys):
         good = write_doc(tmp_path, CUBE)
         assert cli.main(["analyze", good, "--probe-primes", "4,9,15"]) == 1

@@ -9,7 +9,8 @@ import sympy
 from hypothesis import assume, given, settings, strategies as st
 
 from projstab import (BadPrime, SizeLimit, WrongDimension, ZeroMap,
-                      apply_linear_change, ff_zero_probe, is_morphism,
+                      apply_linear_change, detect_blocks, evaluate,
+                      ff_zero_probe, is_morphism, verify_preimage,
                       macaulay_resultant, make_linear_change, make_map,
                       sylvester_resultant)
 from projstab.ffield import PRIMALITY_BOUND, is_prime, reduce_map_mod_p
@@ -344,3 +345,70 @@ class TestProbe:
         assert zeros == ((1, 1), (1, 6))
         assert len(set(zeros)) == len(zeros)
         assert all(z[next(i for i, x in enumerate(z) if x)] == 1 for z in zeros)
+
+
+def _canonical_points(n, p):
+    """P^n(F_p) by brute force: every normalized tuple, sorted by the index
+    of its leading 1 and then lexicographically."""
+    pts = [pt for pt in product(range(p), repeat=n + 1)
+           if any(pt) and pt[next(i for i, x in enumerate(pt) if x)] == 1]
+    return sorted(pts, key=lambda pt: (next(i for i, x in enumerate(pt) if x),
+                                       pt))
+
+
+def _vanish_mod_p(values, p):
+    """Which exact values (denominators prime to p) reduce to 0 mod p."""
+    return [v.numerator * pow(v.denominator, -1, p) % p == 0 for v in values]
+
+
+@st.composite
+def _maps_mod_p(draw):
+    """A sparse map with n in {1, 2, 3} and a prime p in {2, 3, 5, 7}.
+
+    Coefficients are rationals with denominators prime to p.  Each
+    component only uses a drawn set of variables, which may be empty (a
+    zero component), so blocks and common zeros are frequent.
+    """
+    n = draw(st.integers(1, 3))
+    m = draw(st.integers(1, 3 if n < 3 else 2))
+    p = draw(st.sampled_from((2, 3, 5, 7)))
+    coeff = st.builds(F, st.integers(-3, 3),
+                      st.sampled_from([d for d in (1, 2, 3, 4, 5, 7) if d % p]))
+    comps = []
+    for _ in range(n + 1):
+        used = draw(st.one_of(st.sets(st.integers(0, n), max_size=n + 1),
+                              st.just(range(n + 1))))
+        comps.append([(e, draw(coeff)) for e in monomials_of_degree(n + 1, m)
+                      if all(k == 0 or i in used for i, k in enumerate(e))])
+    try:
+        return make_map(n, m, comps), p
+    except ZeroMap:
+        assume(False)
+
+
+class TestChartScanOracle:
+    """Both chart-wise scans against per-point exact evaluation."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True,
+              database=None)
+    @given(_maps_mod_p())
+    def test_probe_matches_pointwise_evaluation(self, case):
+        f, p = case
+        expected = tuple(pt for pt in _canonical_points(f.n, p)
+                         if all(_vanish_mod_p(evaluate(f, pt), p)))
+        assert ff_zero_probe(f, p).zeros_found == expected
+
+    @settings(max_examples=150, deadline=None, derandomize=True,
+              database=None)
+    @given(_maps_mod_p())
+    def test_preimage_matches_pointwise_definition(self, case):
+        f, p = case
+        points = _canonical_points(f.n, p)
+        vanish = [_vanish_mod_p(evaluate(f, pt), p) for pt in points]
+        for block in detect_blocks(f):
+            expected = all(
+                all(pt[i] == 0 for i in block.variables)
+                == all(z[j] for j in block.components)
+                for pt, z in zip(points, vanish))
+            assert verify_preimage(f, block, p, check_input=False) == expected
+

@@ -5,8 +5,9 @@ from random import Random
 
 import pytest
 
-from projstab import (InvalidBlock, NotASolution, OnePS, StabilizerSolution,
-                      block_from_stabilizer, block_to_1ps, classify,
+from projstab import (InvalidBlock, NotASolution, OnePS, SizeLimit,
+                      StabilizerSolution, block_from_stabilizer, block_to_1ps,
+                      classify,
                       detect_blocks, hyperplane_partition, is_morphism,
                       limit_map, make_map,
                       maps_projectively_equal, morphism_obstructions,
@@ -86,6 +87,16 @@ class TestHyperplanePartition:
 
 
 class TestDetectBlocks:
+    def test_subset_scan_bound(self):
+        # A 40-variable diagonal linear map passes the matrix bound, but its
+        # block scan would visit 2^40 subsets.
+        f = make_map(39, 1, [[(tuple(int(i == j) for i in range(40)), 1)]
+                             for j in range(40)])
+        with pytest.raises(SizeLimit):
+            detect_blocks(f)
+        with pytest.raises(SizeLimit):
+            classify(f)
+
     def test_triangular(self):
         blocks = detect_blocks(TRI)
         assert [(sorted(b.variables), sorted(b.components)) for b in blocks] \
