@@ -5,8 +5,11 @@ Subcommands:
     analyze <file> [--json] [--probe-primes LIST]
     limit <file> --c a0,...,an --b b0,...,bn
     decompose <file> [--all-blocks]
-    verify --n N --m M --coeffs LIST [--sample K] [--seed N] [--override-budget]
+    verify --n N --m M --coeffs=LIST [--sample K] [--seed N] [--override-budget]
     figure <file> --out PATH
+
+Give --coeffs with '=' (--coeffs=-1,0,1): argparse reads a separate value
+that starts with '-' as an option.
 
 Reports go to standard out (canonical JSON except for analyze's default
 text view); diagnostics go to standard error.  Exit codes: 0 success,
@@ -124,12 +127,8 @@ def cmd_decompose(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    coeffs = []
-    for part in args.coeffs.split(","):
-        part = part.strip()
-        if part:
-            from fractions import Fraction
-            coeffs.append(Fraction(part))
+    coeffs = [documents.parse_fraction(part.strip(), "--coeffs")
+              for part in args.coeffs.split(",") if part.strip()]
     report = verify_mod.run_verification_suite(
         args.n, args.m, coeffs, sample=args.sample, seed=args.seed,
         override_budget=args.override_budget)
@@ -185,7 +184,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--coeffs", required=True,
-                   help="comma list of rational coefficients, e.g. -1,0,1")
+                   help="comma list of rational coefficients, given as "
+                        "--coeffs=-1,0,1 (a separate value starting with '-' "
+                        "is read as an option)")
     p.add_argument("--sample", type=int, default=None,
                    help="seeded sample size instead of exhaustive enumeration")
     p.add_argument("--seed", type=int, default=0)

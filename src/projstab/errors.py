@@ -75,3 +75,7 @@ class ParseError(ProjstabError):
 
 class BudgetExceeded(ProjstabError):
     """An enumeration box exceeds the configured candidate budget."""
+
+
+class InvalidBox(ProjstabError):
+    """A verification box or its sample size can supply no valid map."""

@@ -6,15 +6,18 @@ routine on integer matrices, pivot_rows: a rational matrix is first scaled
 row by row to integers and the scale factors divided back out, so no
 floating point and no fraction blow-up inside the elimination.
 
-Nullspaces come from a reduced row echelon form over Fraction; the basis is
-canonical (one vector per free column, unit entry at that column), which
-keeps every downstream consumer deterministic.
+Nullspaces are solved the same way: the rows are scaled to integers,
+brought to echelon form by fraction-free steps, each pivot row divided by
+its content, and back-substituted to the reduced row echelon form, which is
+unique.  The basis is canonical (one vector per free column, unit entry at
+that column), which keeps every downstream consumer deterministic; only its
+entries are Fractions.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 Matrix = list[list[Fraction]]
 
@@ -128,52 +131,56 @@ def rank_mod_p(m: list[list[int]], p: int) -> int:
     return rank
 
 
-def rref(m: Matrix) -> tuple[Matrix, list[int]]:
-    """Reduced row echelon form; returns (rref, pivot column indices)."""
-    a = [list(row) for row in m]
-    rows = len(a)
-    cols = len(a[0]) if rows else 0
-    pivots: list[int] = []
-    r = 0
-    for c in range(cols):
-        piv = None
-        for i in range(r, rows):
-            if a[i][c] != 0:
-                piv = i
-                break
-        if piv is None:
-            continue
-        a[r], a[piv] = a[piv], a[r]
-        inv = Fraction(1) / a[r][c]
-        a[r] = [x * inv for x in a[r]]
-        for i in range(rows):
-            if i != r and a[i][c] != 0:
-                f = a[i][c]
-                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
-        pivots.append(c)
-        r += 1
-        if r == rows:
-            break
-    return a, pivots
-
-
 def nullspace(m: Matrix, cols: int) -> list[list[Fraction]]:
     """Canonical basis of {v : m v = 0} in Q^cols.
 
     One basis vector per free column, carrying a unit entry there; ordered
     by free column index.  An empty row list means the full space.
+
+    Each row is scaled to integers by the lcm of its denominators (int rows
+    pass unchanged) and reduced by the pivot rows found so far, in the
+    order they were found, with the fraction-free step x*pivot - head*y.
+    Every pivot row is zero on the pivot columns of the rows found before
+    it, so this clears them all.  A row that keeps a nonzero entry becomes
+    a pivot row, divided by its content (the gcd of its entries) so the
+    entries stay small.  Back-substitution, last pivot row first, then
+    clears every pivot column from the other pivot rows.  The reduced row
+    echelon form is unique, so the basis is the one Gauss-Jordan over Q
+    gives; Fractions are made only for its entries, -p[free] / p[pivot].
     """
-    if not m:
-        return [[Fraction(int(i == j)) for j in range(cols)] for i in range(cols)]
-    reduced, pivots = rref(m)
-    pivot_set = set(pivots)
-    free = [c for c in range(cols) if c not in pivot_set]
+    pivots: list[tuple[int, list[int]]] = []  # (pivot column, row)
+    for row in m:
+        denom = lcm(*(x.denominator for x in row))
+        a = [x.numerator * (denom // x.denominator) for x in row]
+        for pc, p in pivots:
+            head = a[pc]
+            if head:
+                pivot = p[pc]
+                a = [x * pivot - head * y for x, y in zip(a, p)]
+        pc = next((j for j, x in enumerate(a) if x), None)
+        if pc is None:
+            continue
+        g = gcd(*a)
+        pivots.append((pc, [x // g for x in a]))
+    for k in range(len(pivots) - 1, -1, -1):
+        pc, p = pivots[k]
+        pivot = p[pc]
+        for i in range(k):
+            qc, q = pivots[i]
+            head = q[pc]
+            if head:
+                q = [x * pivot - head * y for x, y in zip(q, p)]
+                g = gcd(*q)
+                pivots[i] = (qc, [x // g for x in q])
+    pivot_cols = {pc for pc, _ in pivots}
     basis = []
-    for fc in free:
+    for fc in range(cols):
+        if fc in pivot_cols:
+            continue
         v = [Fraction(0)] * cols
         v[fc] = Fraction(1)
-        for r, pc in enumerate(pivots):
-            v[pc] = -reduced[r][fc]
+        for pc, p in pivots:
+            v[pc] = Fraction(-p[fc], p[pc])
         basis.append(v)
     return basis
 

@@ -20,6 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from math import lcm
 from typing import Sequence
 
 from . import linalg
@@ -108,18 +109,19 @@ class LimitResult:
 def stabilizer_space(f: ProjectiveMap) -> StabilizerSpace:
     """Exact solution space of <c,I> - b_j = C over the support.
 
-    Unknowns are ordered (c_0..c_n, b_0..b_n, C).  The basis is the
-    canonical nullspace basis, so downstream consumers are deterministic.
+    Unknowns are ordered (c_0..c_n, b_0..b_n, C); each supported term gives
+    the integer row (I, -1 at b_j, -1 for C).  The basis is linalg.nullspace's
+    canonical basis of that system, so downstream consumers are
+    deterministic.
     """
     nv = f.num_vars
     cols = 2 * nv + 1
-    rows: list[list[Fraction]] = []
+    rows: list[list[int]] = []
     for j, comp in enumerate(f.components):
         for e, _ in comp.terms:
-            row = [Fraction(x) for x in e]
-            row += [Fraction(0)] * nv
-            row[nv + j] = Fraction(-1)
-            row.append(Fraction(-1))
+            row = list(e) + [0] * nv
+            row[nv + j] = -1
+            row.append(-1)
             rows.append(row)
     basis_vecs = linalg.nullspace(rows, cols)
     basis = tuple(StabilizerSolution(tuple(v[:nv]), tuple(v[nv:2 * nv]), v[-1])
@@ -129,10 +131,17 @@ def stabilizer_space(f: ProjectiveMap) -> StabilizerSpace:
 
 
 def solution_satisfies(f: ProjectiveMap, sol: StabilizerSolution) -> bool:
+    """Whether (c, b, C) meets <c,I> - b_j = C on every supported term.
+
+    The vector is scaled to integers by the lcm of all its denominators, so
+    each check is the integer equation <c',I> = (b_j + C)'.
+    """
+    scale = lcm(*(x.denominator for x in (*sol.c, *sol.b, sol.C)))
+    c = [x.numerator * (scale // x.denominator) for x in sol.c]
     for j, comp in enumerate(f.components):
+        level = int((sol.b[j] + sol.C) * scale)
         for e, _ in comp.terms:
-            lhs = sum((Fraction(x) * k for x, k in zip(sol.c, e)), Fraction(0))
-            if lhs - sol.b[j] != sol.C:
+            if sum(x * k for x, k in zip(c, e)) != level:
                 return False
     return True
 

@@ -26,7 +26,8 @@ from typing import Iterator, Sequence
 
 from .decompose import split_once
 from .documents import map_to_document
-from .errors import BudgetExceeded, InternalContradiction, ZeroMap
+from .errors import (BudgetExceeded, InternalContradiction, InvalidBox,
+                     ZeroMap)
 from .poly import ProjectiveMap, make_map
 from .resultant import is_morphism, monomials_of_degree
 from .stability import (detect_blocks, block_to_1ps, hyperplane_partition,
@@ -165,10 +166,23 @@ def run_verification_suite(n: int, m: int, coeffs: Sequence,
                            sample: int | None = None, seed: int = 0,
                            budget: int = DEFAULT_BUDGET,
                            override_budget: bool = False) -> VerificationReport:
-    """Enumerate (or sample) the box and check every law on every morphism."""
+    """Enumerate (or sample) the box and check every law on every morphism.
+
+    Raises InvalidBox, before anything is counted or drawn, for n < 0,
+    m < 1, a negative sample size, or a coefficient set with no nonzero
+    entry (every candidate would be the zero map, and sampling would redraw
+    forever).
+    """
     coeffs = tuple(coeffs)
-    if not coeffs:
-        raise ValueError("coefficient set must be nonempty")
+    if n < 0:
+        raise InvalidBox(f"n must be >= 0, got {n}")
+    if m < 1:
+        raise InvalidBox(f"degree must be >= 1, got {m}")
+    if sample is not None and sample < 0:
+        raise InvalidBox(f"sample size must be >= 0, got {sample}")
+    if not any(coeffs):
+        raise InvalidBox("the coefficient set needs a nonzero entry, "
+                         f"got {[str(c) for c in coeffs]}")
     total = count_candidates(n, m, coeffs)
     if sample is None and total > budget and not override_budget:
         raise BudgetExceeded(

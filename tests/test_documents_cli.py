@@ -2,11 +2,14 @@
 
 import json
 from fractions import Fraction as F
+from random import Random
 
 import pytest
 
 import projstab.cli as cli
-from projstab import (ParseError, classify, decompose_fully, make_map)
+import projstab.verify as verify
+from projstab import (InvalidBox, ParseError, classify, decompose_fully,
+                      make_map, run_verification_suite)
 from projstab.documents import (classification_to_dict, document_to_map,
                                 dumps_canonical, format_fraction, load_map_file,
                                 loads_map, map_to_document, parse_fraction,
@@ -14,6 +17,21 @@ from projstab.documents import (classification_to_dict, document_to_map,
 
 CUBE = make_map(1, 3, [[((3, 0), 1)], [((0, 3), 1)]])
 TRI = make_map(1, 3, [[((3, 0), 1)], [((0, 3), 1), ((1, 2), 1)]])
+
+
+class _BoundedRandom(Random):
+    """A sampler's generator that fails after 10^4 draws instead of hanging.
+
+    Every draw from the box {0} is the zero map, so a sampler that redraws
+    zero maps would never end on it.
+    """
+
+    draws = 0
+
+    def choice(self, seq):
+        self.draws += 1
+        assert self.draws < 10_000, "sampler kept redrawing"
+        return super().choice(seq)
 
 
 def write_doc(tmp_path, f, name="map.json"):
@@ -206,6 +224,31 @@ class TestCLI:
         # values starting with '-' need the --flag=value form
         assert cli.main(["verify", "--n", "2", "--m", "3",
                          "--coeffs=-1,0,1"]) == 1
+
+    @pytest.mark.parametrize("argv", [
+        ["--n", "1", "--m", "2", "--coeffs=0", "--sample", "3"],
+        ["--n", "1", "--m", "2", "--coeffs=0,1", "--sample", "-3"],
+        ["--n", "-1", "--m", "2", "--coeffs=0,1"],
+        ["--n", "1", "--m", "0", "--coeffs=0,1"],
+        ["--n", "1", "--m", "2", "--coeffs=,"],
+        ["--n", "1", "--m", "2", "--coeffs=1,x"],
+    ])
+    def test_verify_rejects_bad_box(self, argv, capsys, monkeypatch):
+        monkeypatch.setattr(verify, "Random", _BoundedRandom)
+        assert cli.main(["verify"] + argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and "error: " in lines[0]
+
+    def test_verify_zero_box_is_rejected_before_sampling(self, monkeypatch):
+        monkeypatch.setattr(verify, "Random", _BoundedRandom)
+        with pytest.raises(InvalidBox):
+            run_verification_suite(1, 2, [F(0)], sample=3)
+        with pytest.raises(InvalidBox):
+            run_verification_suite(1, 2, [F(0), F(0)])
+        report = run_verification_suite(1, 2, [F(0), F(1)], sample=3)
+        assert report.maps_checked == 3
 
     def test_figure_command(self, tmp_path, capsys):
         f = make_map(2, 2, [[((2, 0, 0), 1)], [((0, 2, 0), 1)],

@@ -8,11 +8,30 @@ import sympy
 
 from projstab import SingularMatrix
 from projstab.linalg import (det_rational, mat_inverse, mat_mul, nullspace,
-                             pivot_rows, rank_mod_p, rref)
+                             pivot_rows, rank_mod_p)
 
 
 def _det(m):
     return pivot_rows(m, len(m))[1]
+
+
+def _sympy_nullspace(m, cols):
+    """sympy's canonical basis: one vector per free column, unit there."""
+    basis = sympy.Matrix(len(m), cols, [x for row in m for x in row]).nullspace()
+    return [[F(int(x.p), int(x.q)) for x in v] for v in basis]
+
+
+def _rank_deficient(rng, rows, cols):
+    """A product of thin integer factors with some columns zeroed."""
+    inner = rng.randint(0, min(rows, cols))
+    a = [[rng.randint(-4, 4) for _ in range(inner)] for _ in range(rows)]
+    b = [[rng.randint(-4, 4) for _ in range(cols)] for _ in range(inner)]
+    m = [[sum(a[i][k] * b[k][j] for k in range(inner)) for j in range(cols)]
+         for i in range(rows)]
+    for j in rng.sample(range(cols), rng.randint(0, cols - 1)):
+        for row in m:
+            row[j] = 0
+    return m
 
 
 def test_det_int_known_values():
@@ -35,35 +54,46 @@ def test_det_rational():
 
 
 def test_rref_and_nullspace():
-    rows = [[F(1), F(2), F(3)], [F(2), F(4), F(6)]]
-    reduced, pivots = rref(rows)
-    assert pivots == [0]
+    # The canonical basis is the one read off the reduced row echelon form,
+    # which is what sympy's nullspace returns; int and Fraction rows agree.
+    rows = [[1, 2, 3], [2, 4, 6]]
     basis = nullspace(rows, 3)
-    assert len(basis) == 2
-    for v in basis:
-        for row in rows:
-            assert sum(a * b for a, b in zip(row, v)) == 0
-    # canonical: unit entry at the free column
-    assert basis[0][1] == 1 and basis[1][2] == 1
+    assert basis == [[F(-2), F(1), F(0)], [F(-3), F(0), F(1)]]
+    assert basis == _sympy_nullspace(rows, 3)
+    assert nullspace([[F(x) for x in row] for row in rows], 3) == basis
+    # A pivot column after a free one, and a pivot row that back-substitution
+    # has to clear: x0 + x1 + x3 = 0, x2 + 2 x3 = 0, halved rows.
+    rows = [[F(1, 2), F(1, 2), F(1, 2), F(3, 2)], [0, 0, 1, 2]]
+    assert nullspace(rows, 4) == [[F(-1), F(1), F(0), F(0)],
+                                  [F(-1), F(0), F(-2), F(1)]]
+    assert nullspace(rows, 4) == _sympy_nullspace(rows, 4)
 
 
 def test_nullspace_of_empty_system_is_full_space():
     basis = nullspace([], 3)
-    assert len(basis) == 3
-    assert basis[0][0] == 1
+    assert basis == [[F(1), F(0), F(0)], [F(0), F(1), F(0)],
+                     [F(0), F(0), F(1)]]
+    assert nullspace([], 0) == []
+    assert nullspace([[0, 0], [0, 0]], 2) == [[F(1), F(0)], [F(0), F(1)]]
 
 
 def test_nullspace_random_soundness():
+    # Rank-deficient products with zeroed columns, as int rows and as
+    # Fraction rows with a different denominator on each row; the basis
+    # must be sympy's entry for entry, and every vector must solve m.
     rng = Random(29)
-    for _ in range(20):
-        rows = rng.randint(1, 4)
-        cols = rng.randint(1, 5)
-        m = [[F(rng.randint(-5, 5)) for _ in range(cols)] for _ in range(rows)]
-        basis = nullspace(m, cols)
-        _, pivots = rref(m)
-        assert len(basis) == cols - len(pivots)
+    for _ in range(80):
+        rows, cols = rng.randint(1, 9), rng.randint(1, 7)
+        m = _rank_deficient(rng, rows, cols)
+        expected = _sympy_nullspace(m, cols)
+        assert nullspace(m, cols) == expected
+        scaled = [[F(x, d) for x in row]
+                  for row, d in zip(m, (rng.randint(1, 6) for _ in m))]
+        basis = nullspace(scaled, cols)
+        assert basis == expected
+        assert len(basis) == cols - sympy.Matrix(m).rank()
         for v in basis:
-            for row in m:
+            for row in scaled:
                 assert sum(a * b for a, b in zip(row, v)) == 0
 
 
@@ -83,14 +113,7 @@ def test_rank_matches_sympy():
     rng = Random(31)
     for _ in range(60):
         rows, cols = rng.randint(1, 9), rng.randint(1, 9)
-        inner = rng.randint(0, min(rows, cols))
-        a = [[rng.randint(-4, 4) for _ in range(inner)] for _ in range(rows)]
-        b = [[rng.randint(-4, 4) for _ in range(cols)] for _ in range(inner)]
-        m = [[sum(a[i][k] * b[k][j] for k in range(inner)) for j in range(cols)]
-             for i in range(rows)]
-        for j in rng.sample(range(cols), rng.randint(0, cols - 1)):
-            for row in m:
-                row[j] = 0
+        m = _rank_deficient(rng, rows, cols)
         rank = sympy.Matrix(m).rank()
         for p in (2, 3, 1000003):
             assert rank_mod_p(m, p) <= rank

@@ -4,10 +4,12 @@ from fractions import Fraction as F
 from random import Random
 
 import pytest
+import sympy
+from hypothesis import assume, given, settings, strategies as st
 
 from projstab import (InvalidBlock, NotASolution, OnePS, SizeLimit,
-                      StabilizerSolution, block_from_stabilizer, block_to_1ps,
-                      classify,
+                      StabilizerSolution, ZeroMap, block_from_stabilizer,
+                      block_to_1ps, classify,
                       detect_blocks, hyperplane_partition, is_morphism,
                       limit_map, make_map,
                       maps_projectively_equal, morphism_obstructions,
@@ -57,6 +59,47 @@ class TestStabilizerSpace:
         assert stabilizer_space(CUBE).nontrivial_solution() is not None
         assert stabilizer_space(FERMAT).nontrivial_solution() is None
 
+    @settings(max_examples=150)
+    @given(st.data())
+    def test_basis_matches_sympy_rref(self, data):
+        # The system <c,I> - b_j - C = 0, one row per supported term, built
+        # here in the column order (c, b, C); the expected basis is read off
+        # sympy's reduced row echelon form: one vector per free column, unit
+        # there, minus that column of the reduced rows at the pivots.
+        n = data.draw(st.integers(1, 3))
+        m = data.draw(st.integers(1, 4))
+        monos = monomials_of_degree(n + 1, m)
+        coeff = st.fractions(min_value=-3, max_value=3, max_denominator=5)
+        comps = [data.draw(st.dictionaries(st.sampled_from(monos), coeff,
+                                           max_size=len(monos)))
+                 for _ in range(n + 1)]
+        try:
+            f = make_map(n, m, comps)
+        except ZeroMap:
+            assume(False)
+        nv = n + 1
+        rows = []
+        for j, comp in enumerate(f.components):
+            for e, _ in comp.terms:
+                rows.append(list(e) + [-int(k == j) for k in range(nv)] + [-1])
+        cols = 2 * nv + 1
+        reduced, pivots = sympy.Matrix(len(rows), cols,
+                                       sum(rows, [])).rref()
+        expected = []
+        for fc in range(cols):
+            if fc in pivots:
+                continue
+            v = [F(0)] * cols
+            v[fc] = F(1)
+            for r, pc in enumerate(pivots):
+                entry = -reduced[r, fc]
+                v[pc] = F(int(entry.p), int(entry.q))
+            expected.append(v)
+        space = stabilizer_space(f)
+        assert [list(s.c + s.b + (s.C,)) for s in space.basis] == expected
+        assert space.dim == len(expected)
+        assert space.torus_rank == space.dim - 2
+
 
 class TestHyperplanePartition:
     def test_cube_partition(self):
@@ -84,6 +127,20 @@ class TestHyperplanePartition:
         sol = StabilizerSolution((F(1), F(0)), (F(2), F(2)), F(0))
         with pytest.raises(NotASolution):
             hyperplane_partition(CUBE, sol)
+
+    def test_solution_with_mixed_denominators(self):
+        # c, b and C carry the denominators 3, 2 and 2, so only their lcm 6
+        # brings the whole vector to integers.
+        sol = StabilizerSolution((F(1, 3), F(0)), (F(1, 2), F(-1, 2)),
+                                 F(1, 2))
+        assert solution_satisfies(CUBE, sol)
+        part = hyperplane_partition(CUBE, sol)
+        assert part.multisets_equal
+        assert part.hyperplane_classes == ((F(1), (0,)), (F(0), (1,)))
+        bad = StabilizerSolution(sol.c, (sol.b[0], sol.b[1] + F(1, 7)), sol.C)
+        assert not solution_satisfies(CUBE, bad)
+        with pytest.raises(NotASolution):
+            hyperplane_partition(CUBE, bad)
 
 
 class TestDetectBlocks:
