@@ -9,10 +9,9 @@ morphisms into restriction and quotient pieces.
 """
 
 from .errors import (BadPrime, BudgetExceeded, DegreeMismatch,
-                     DimensionMismatch, InternalContradiction, InvalidBlock,
-                     InvalidBox, NotAMorphism, NotASolution, ParseError,
-                     ProjstabError, SingularMatrix, SizeLimit, WrongDimension,
-                     ZeroMap)
+                     DimensionMismatch, InvalidBlock, InvalidBox,
+                     NotAMorphism, NotASolution, ParseError, ProjstabError,
+                     SingularMatrix, SizeLimit, WrongDimension, ZeroMap)
 from .poly import (HomogeneousPoly, LinearChange, MultiIndex, ProjectiveMap,
                    apply_linear_change, compose, evaluate, identity_change,
                    iterate, make_linear_change, make_map,

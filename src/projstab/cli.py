@@ -121,7 +121,7 @@ def cmd_decompose(args) -> int:
     }
     if args.all_blocks:
         out["all_block_splitting_types"] = sorted(
-            list(t) for t in splitting_types_all_blocks(f, check_input=False))
+            list(t) for t in splitting_types_all_blocks(f))
     sys.stdout.write(documents.dumps_canonical(out))
     return EXIT_OK
 

@@ -1,13 +1,19 @@
 """Recursive splitting of block-triangular morphisms.
 
-A block (V', H') of a morphism lets the map be read in two pieces: the
-quotient piece is the H' components viewed as a map in the V' variables
-alone, and the restriction piece is the remaining components restricted to
-the subspace where the V' variables vanish.  Both pieces are again
-morphisms of the same degree (a failure here is an internal contradiction,
-not an input error), so the splitting recurses until every leaf either has
-a single variable or admits no block.  The multiset of leaf ranks is the
-splitting type.
+A block (V', H') of a map lets it be read in two pieces: the quotient piece
+is the H' components viewed as a map in the V' variables alone, and the
+restriction piece is the remaining components restricted to the subspace
+where the V' variables vanish.  By the reduction formula for the resultant
+(Jouanolou, "Le formalisme du resultant", Adv. Math. 90, 1991), with k = |V'|,
+
+    Res(f) = +-Res(Q)^(m^(n+1-k)) * Res(R)^(m^k),
+
+so f is a morphism exactly when both pieces are.  The public entry points
+therefore certify the root once and recurse on pieces that need no
+certificate of their own; the law itself is checked by the verify suite's
+split_morphisms law and by a property test against the direct resultant.
+The splitting recurses until every leaf either has a single variable or
+admits no block.  The multiset of leaf ranks is the splitting type.
 """
 
 from __future__ import annotations
@@ -15,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import ffield
-from .errors import InternalContradiction, NotAMorphism
+from .errors import NotAMorphism
 from .poly import Fraction, MultiIndex, ProjectiveMap, _map_from_dicts
 from .resultant import is_morphism
 from .stability import BlockStructure, detect_blocks, validate_block
@@ -61,18 +67,16 @@ def _project_terms(comp_terms, positions: tuple[int, ...]):
     return out
 
 
-def split_once(f: ProjectiveMap, block: BlockStructure,
-               check_input: bool = True) -> SplitPair:
-    """Split a morphism along one block.
+def split_once(f: ProjectiveMap, block: BlockStructure) -> SplitPair:
+    """Split a map along one block.
 
     The quotient reads the H' components in the V' variables; the
     restriction sets the V' variables to zero in the other components and
-    reads them in the remaining variables.  Both pieces are certified as
-    morphisms; theory guarantees this for morphism inputs, so a failed
-    certificate raises InternalContradiction.
+    reads them in the remaining variables.  Nothing is certified here: f is
+    a morphism iff both pieces are (see the module docstring), which the
+    verify suite's split_morphisms law checks.  Raises InvalidBlock if the
+    block does not fit f.
     """
-    if check_input and not is_morphism(f):
-        raise NotAMorphism("cannot split a non-morphism")
     validate_block(f, block)
     q_vars = tuple(sorted(block.variables))
     q_comps = tuple(sorted(block.components))
@@ -88,46 +92,46 @@ def split_once(f: ProjectiveMap, block: BlockStructure,
                 if all(e[i] == 0 for i in q_vars)]
         r_dicts.append(_project_terms(kept, r_vars))
     restriction = _map_from_dicts(len(r_vars) - 1, f.m, r_dicts)
-
-    for name, piece in (("quotient", quotient), ("restriction", restriction)):
-        if not is_morphism(piece):
-            raise InternalContradiction(
-                f"{name} piece of a morphism failed its morphism check")
     return SplitPair(restriction, quotient, r_vars, r_comps, q_vars, q_comps)
 
 
-def decompose_fully(f: ProjectiveMap, check_input: bool = True
-                    ) -> DecompositionTree:
-    """Recursively split along the first block in canonical order.
+def decompose_fully(f: ProjectiveMap) -> DecompositionTree:
+    """Recursively split a morphism along the first block in canonical order.
 
     Leaves are single-variable maps (RankOne) or maps without blocks
     (NoBlocks, irreducible at the diagonal level in the given coordinates).
-    Leaf ranks always sum to the number of variables of the root.
+    Leaf ranks always sum to the number of variables of the root.  Raises
+    NotAMorphism after one certificate on f; the pieces inherit it.
     """
-    if check_input and not is_morphism(f):
+    if not is_morphism(f):
         raise NotAMorphism("cannot decompose a non-morphism")
+    return _decompose(f)
+
+
+def _decompose(f: ProjectiveMap) -> DecompositionTree:
     if f.num_vars == 1:
         return DecompositionTree(f, None, None, None, "RankOne")
     blocks = detect_blocks(f)
     if not blocks:
         return DecompositionTree(f, None, None, None, "NoBlocks")
-    pair = split_once(f, blocks[0], check_input=False)
-    return DecompositionTree(
-        f, pair,
-        decompose_fully(pair.restriction, check_input=False),
-        decompose_fully(pair.quotient, check_input=False),
-        None)
+    pair = split_once(f, blocks[0])
+    return DecompositionTree(f, pair, _decompose(pair.restriction),
+                             _decompose(pair.quotient), None)
 
 
-def splitting_types_all_blocks(f: ProjectiveMap, check_input: bool = True
-                               ) -> set[tuple[int, ...]]:
-    """Splitting types over every block choice at every level.
+def splitting_types_all_blocks(f: ProjectiveMap) -> set[tuple[int, ...]]:
+    """Splitting types of a morphism over every block choice at every level.
 
     Exhaustive-mode companion to decompose_fully for small ranks, used to
-    compare the canonical choice against all others.
+    compare the canonical choice against all others.  Raises NotAMorphism
+    after one certificate on f; the pieces inherit it.
     """
-    if check_input and not is_morphism(f):
+    if not is_morphism(f):
         raise NotAMorphism("cannot decompose a non-morphism")
+    return _splitting_types(f)
+
+
+def _splitting_types(f: ProjectiveMap) -> set[tuple[int, ...]]:
     if f.num_vars == 1:
         return {(1,)}
     blocks = detect_blocks(f)
@@ -135,27 +139,30 @@ def splitting_types_all_blocks(f: ProjectiveMap, check_input: bool = True
         return {(f.num_vars,)}
     types: set[tuple[int, ...]] = set()
     for block in blocks:
-        pair = split_once(f, block, check_input=False)
-        for rt in splitting_types_all_blocks(pair.restriction, check_input=False):
-            for qt in splitting_types_all_blocks(pair.quotient, check_input=False):
+        pair = split_once(f, block)
+        for rt in _splitting_types(pair.restriction):
+            for qt in _splitting_types(pair.quotient):
                 types.add(tuple(sorted(rt + qt)))
     return types
 
 
-def verify_preimage(f: ProjectiveMap, block: BlockStructure, prime: int,
-                    check_input: bool = True) -> bool:
+def verify_preimage(f: ProjectiveMap, block: BlockStructure, prime: int
+                    ) -> bool:
     """Exhaustive check over F_prime of the preimage identity of a block.
 
     A point maps into {y_j = 0 : j in H'} iff it lies in
     {x_i = 0 : i in V'}; returns True iff both inclusions hold at every
-    point of P^n(F_prime).  The scan runs chart by chart in the canonical
-    order of ffield: on each slice of at most p^(n-1) points it compares
-    where the H' components all vanish with where the V' coordinate
-    functions x_i all vanish, both found by ffield.chart_zeros.
-    Raises SizeLimit before scanning more than ffield.POINT_LIMIT points.
+    point of P^n(F_prime).  The answer is defined for every map with a
+    valid block, morphism or not: the H' components involve only the V'
+    variables, so the identity holds exactly when the quotient piece has
+    no zero over F_prime off the origin.  The scan runs chart by chart in
+    the canonical order of ffield: on each slice of at most p^(n-1) points
+    it compares where the H' components all vanish with where the V'
+    coordinate functions x_i all vanish, both found by ffield.chart_zeros.
+    Raises InvalidBlock for a block that does not fit f, BadPrime for a
+    bad modulus, and SizeLimit before scanning more than
+    ffield.POINT_LIMIT points.
     """
-    if check_input and not is_morphism(f):
-        raise NotAMorphism("preimage identity is only meaningful for morphisms")
     validate_block(f, block)
     reduced = ffield.reduce_map_mod_p(f, prime)
     ffield.check_point_count(f.n, prime)

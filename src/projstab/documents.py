@@ -67,6 +67,11 @@ def map_to_document(f: ProjectiveMap) -> dict:
     }
 
 
+def _is_int(value: Any) -> bool:
+    # JSON true/false load as bool, a subclass of int; they are not numbers.
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def document_to_map(doc: Any) -> ProjectiveMap:
     if not isinstance(doc, dict):
         raise ParseError("document root must be an object")
@@ -74,7 +79,7 @@ def document_to_map(doc: Any) -> ProjectiveMap:
         if key not in doc:
             raise ParseError(f"missing required key {key!r}")
     n, m = doc["n"], doc["m"]
-    if not isinstance(n, int) or not isinstance(m, int):
+    if not _is_int(n) or not _is_int(m):
         raise ParseError("'n' and 'm' must be integers")
     comps = doc["components"]
     if not isinstance(comps, list):
@@ -90,7 +95,7 @@ def document_to_map(doc: Any) -> ProjectiveMap:
                 raise ParseError(f"{where}: term needs 'exp' and 'coeff'")
             exp = term["exp"]
             if (not isinstance(exp, list)
-                    or not all(isinstance(x, int) for x in exp)):
+                    or not all(_is_int(x) for x in exp)):
                 raise ParseError(f"{where}.exp: expected a list of integers")
             terms.append((tuple(exp), parse_fraction(term["coeff"],
                                                      f"{where}.coeff")))

@@ -53,10 +53,6 @@ class NotAMorphism(ProjstabError):
     """The operation requires a morphism (nonvanishing resultant)."""
 
 
-class InternalContradiction(ProjstabError):
-    """A consequence guaranteed by theory failed; indicates a bug upstream."""
-
-
 class ParseError(ProjstabError):
     """A map document failed to parse or validate."""
 

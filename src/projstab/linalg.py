@@ -11,7 +11,7 @@ brought to echelon form by fraction-free steps, each pivot row divided by
 its content, and back-substituted to the reduced row echelon form, which is
 unique.  The basis is canonical (one vector per free column, unit entry at
 that column), which keeps every downstream consumer deterministic; only its
-entries are Fractions.
+entries are Fractions.  Inverses are read off the same nullspace routine.
 """
 
 from __future__ import annotations
@@ -19,17 +19,9 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm
 
+from .errors import SingularMatrix
+
 Matrix = list[list[Fraction]]
-
-
-def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    rows, inner, cols = len(a), len(b), len(b[0])
-    return [[sum((a[i][k] * b[k][j] for k in range(inner)), Fraction(0))
-             for j in range(cols)] for i in range(rows)]
-
-
-def mat_vec(a: Matrix, v: list[Fraction]) -> list[Fraction]:
-    return [sum((row[k] * v[k] for k in range(len(v))), Fraction(0)) for row in a]
 
 
 def permutation_sign(seq) -> int:
@@ -186,25 +178,15 @@ def nullspace(m: Matrix, cols: int) -> list[list[Fraction]]:
 
 
 def mat_inverse(m: Matrix) -> Matrix:
-    """Inverse via Gauss-Jordan; raises SingularMatrix if not invertible."""
-    from .errors import SingularMatrix
+    """Exact inverse; raises SingularMatrix if not invertible.
 
+    The reduced row echelon form of [m | -I] is [I | -m^-1], so the
+    nullspace basis vector of free column n+j carries column j of m^-1 in
+    its first n entries.
+    """
+    if det_rational(m) == 0:
+        raise SingularMatrix("matrix is singular")
     n = len(m)
-    a = [list(row) + [Fraction(int(i == j)) for j in range(n)]
-         for i, row in enumerate(m)]
-    for k in range(n):
-        piv = None
-        for r in range(k, n):
-            if a[r][k] != 0:
-                piv = r
-                break
-        if piv is None:
-            raise SingularMatrix("matrix is singular")
-        a[k], a[piv] = a[piv], a[k]
-        inv = Fraction(1) / a[k][k]
-        a[k] = [x * inv for x in a[k]]
-        for r in range(n):
-            if r != k and a[r][k] != 0:
-                f = a[r][k]
-                a[r] = [x - f * y for x, y in zip(a[r], a[k])]
-    return [row[n:] for row in a]
+    basis = nullspace([list(row) + [Fraction(-int(i == j)) for j in range(n)]
+                       for i, row in enumerate(m)], 2 * n)
+    return [[basis[j][i] for j in range(n)] for i in range(n)]

@@ -221,7 +221,8 @@ def make_map(n: int, m: int,
 
 
 def _map_from_dicts(n: int, m: int, dicts: Sequence[TermDict]) -> ProjectiveMap:
-    # Internal: trusts exponents, allows all-zero components (not all at once).
+    # Internal: trusts exponents and allows zero components; a split piece
+    # of a non-morphism may even be the zero map.
     comps = tuple(HomogeneousPoly(m, n + 1, _sorted_terms(d)) for d in dicts)
     return ProjectiveMap(n, m, comps)
 

@@ -41,9 +41,6 @@ class StabilizerSolution:
     b: tuple[Fraction, ...]
     C: Fraction
 
-    def to_one_ps(self) -> OnePS:
-        return OnePS.from_rational(self.c, self.b)
-
 
 @dataclass(frozen=True)
 class StabilizerSpace:

@@ -11,8 +11,7 @@ sets, never on explicit convex hulls.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 from typing import Sequence
 
 from .errors import DimensionMismatch
@@ -53,15 +52,6 @@ class OnePS:
             c = tuple(x // g for x in c)
             b = tuple(x // g for x in b)
         return OnePS(c, b)
-
-    @staticmethod
-    def from_rational(c: Sequence[Fraction], b: Sequence[Fraction]) -> "OnePS":
-        """Clear denominators jointly; weights are characters of G_m."""
-        denoms = [Fraction(x).denominator for x in c] + \
-                 [Fraction(x).denominator for x in b]
-        mult = lcm(*denoms) if denoms else 1
-        return OnePS(tuple(int(Fraction(x) * mult) for x in c),
-                     tuple(int(Fraction(x) * mult) for x in b))
 
 
 @dataclass(frozen=True)

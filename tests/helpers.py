@@ -46,6 +46,17 @@ def random_triangular_map(rng: Random, n: int, m: int, coeffs=DEFAULT_COEFFS):
     return make_map(n, m, comps)
 
 
+def mat_mul(a, b):
+    rows, inner, cols = len(a), len(b), len(b[0])
+    return [[sum((a[i][k] * b[k][j] for k in range(inner)), Fraction(0))
+             for j in range(cols)] for i in range(rows)]
+
+
+def mat_vec(a, v):
+    return [sum((row[k] * v[k] for k in range(len(v))), Fraction(0))
+            for row in a]
+
+
 def random_invertible(rng: Random, size: int, lo: int = -3, hi: int = 3):
     from projstab.linalg import det_rational
     while True:

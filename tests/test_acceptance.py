@@ -218,7 +218,7 @@ def test_criterion_7_splitting_pipeline():
             if t.is_leaf():
                 return
             block = detect_blocks(t.node)[0]
-            assert verify_preimage(t.node, block, 101, check_input=False)
+            assert verify_preimage(t.node, block, 101)
             walk(t.restriction_child)
             walk(t.quotient_child)
 

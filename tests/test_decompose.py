@@ -4,10 +4,13 @@ from fractions import Fraction as F
 from random import Random
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
-from projstab import (NotAMorphism, SizeLimit, decompose_fully,
-                      detect_blocks, is_morphism, make_map, split_once,
-                      splitting_types_all_blocks, verify_preimage)
+from projstab import (NotAMorphism, SizeLimit, ZeroMap, decompose_fully,
+                      detect_blocks, is_morphism, macaulay_resultant, make_map,
+                      split_once, splitting_types_all_blocks, verify_preimage)
+from projstab.linalg import permutation_sign
+from projstab.resultant import monomials_of_degree
 from projstab.verify import enumerate_maps
 from helpers import random_triangular_map
 
@@ -48,11 +51,13 @@ class TestSplitOnce:
         pair = split_once(f, detect_blocks(f)[0])
         assert pair.restriction == make_map(0, 3, [[((3,), 2)]])
 
-    def test_rejects_non_morphism(self):
+    def test_non_morphism_splits_into_a_non_morphism_piece(self):
+        # (x0^3, x0^2 x1) is not a morphism, so by the reduction formula one
+        # piece is not either: setting x0 = 0 kills component 1 entirely.
         bad = make_map(1, 3, [[((3, 0), 1)], [((2, 1), 1)]])
-        block = detect_blocks(bad)[0]
-        with pytest.raises(NotAMorphism):
-            split_once(bad, block)
+        pair = split_once(bad, detect_blocks(bad)[0])
+        assert is_morphism(pair.quotient)
+        assert not is_morphism(pair.restriction)
 
     def test_degree_preserved(self):
         pair = split_once(TRI, detect_blocks(TRI)[0])
@@ -110,6 +115,11 @@ class TestDecomposeFully:
         assert types == {(1, 1, 1)}
         assert splitting_types_all_blocks(FERMAT) == {(2,)}
 
+    def test_all_blocks_rejects_non_morphism(self):
+        with pytest.raises(NotAMorphism):
+            splitting_types_all_blocks(
+                make_map(1, 3, [[((3, 0), 1)], [((2, 1), 1)]]))
+
 
 class TestVerifyPreimage:
     def test_triangular(self):
@@ -151,17 +161,77 @@ class TestVerifyPreimage:
         assert verify_preimage(f, block, 7)
         assert verify_preimage(f, blocks[((0,), (0,))], 5)
 
-    def test_rejects_non_morphism(self):
+    def test_defined_on_non_morphism(self):
+        # (x0^3, x0^2 x1): y0 = 0 exactly where x0 = 0, at every point of
+        # P^1(F_101), although the map is not a morphism.
         bad = make_map(1, 3, [[((3, 0), 1)], [((2, 1), 1)]])
-        with pytest.raises(NotAMorphism):
-            verify_preimage(bad, detect_blocks(bad)[0], 101)
+        assert verify_preimage(bad, detect_blocks(bad)[0], 101)
 
     def test_all_enumerated_morphism_blocks(self):
         for f in enumerate_maps(1, 2, (F(0), F(1))):
             if not is_morphism(f):
                 continue
             for block in detect_blocks(f):
-                assert verify_preimage(f, block, 11, check_input=False)
-                pair = split_once(f, block, check_input=False)
+                assert verify_preimage(f, block, 11)
+                pair = split_once(f, block)
                 assert is_morphism(pair.quotient)
                 assert is_morphism(pair.restriction)
+
+
+@st.composite
+def _maps_with_a_block(draw):
+    """A map whose components H' involve only the variables V', |V'| = |H'|.
+
+    V' and H' are drawn at arbitrary positions; zero coefficients are
+    frequent, so many draws are not morphisms.
+    """
+    n, m = draw(st.sampled_from(((1, 1), (1, 2), (1, 3), (2, 1), (2, 2),
+                                 (2, 3), (3, 1), (3, 2))))
+    k = draw(st.integers(1, n))
+    variables = set(draw(st.permutations(range(n + 1)))[:k])
+    components = set(draw(st.permutations(range(n + 1)))[:k])
+    coeff = st.sampled_from((0, 0, 1, -1, 2))
+    comps = []
+    for j in range(n + 1):
+        comps.append([(e, draw(coeff)) for e in monomials_of_degree(n + 1, m)
+                      if j not in components
+                      or all(e[i] == 0 for i in range(n + 1)
+                             if i not in variables)])
+    try:
+        return make_map(n, m, comps)
+    except ZeroMap:
+        assume(False)
+
+
+class TestReductionFormula:
+    """f is a morphism iff both split pieces are, with Res(f) their product.
+
+    For a block (V', H') with k = |V'|, quotient Q and restriction R,
+
+        Res(f) = (sgn s_V * sgn s_H)^(m^n) * Res(Q)^(m^(n+1-k)) * Res(R)^(m^k)
+
+    where s_V lists the variables as (sorted V', sorted rest) and s_H the
+    components likewise (Jouanolou, "Le formalisme du resultant", Adv.
+    Math. 90, 1991).  decompose certifies only the root because of this law.
+    """
+
+    @settings(max_examples=400)
+    @given(_maps_with_a_block())
+    def test_pieces_decide_the_morphism_and_the_resultant(self, f):
+        whole = macaulay_resultant(f).value
+        morphism = is_morphism(f)
+        assert morphism == (whole != 0)
+        for block in detect_blocks(f):
+            pair = split_once(f, block)
+            assert morphism == (is_morphism(pair.quotient)
+                                and is_morphism(pair.restriction))
+            k = len(pair.quotient_variables)
+            sign = (permutation_sign(pair.quotient_variables
+                                     + pair.restriction_variables)
+                    * permutation_sign(pair.quotient_components
+                                       + pair.restriction_components))
+            assert whole == (
+                sign ** (f.m ** f.n)
+                * macaulay_resultant(pair.quotient).value
+                ** (f.m ** (f.n + 1 - k))
+                * macaulay_resultant(pair.restriction).value ** (f.m ** k))

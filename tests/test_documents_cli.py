@@ -17,6 +17,18 @@ from projstab.documents import (classification_to_dict, document_to_map,
 
 CUBE = make_map(1, 3, [[((3, 0), 1)], [((0, 3), 1)]])
 TRI = make_map(1, 3, [[((3, 0), 1)], [((0, 3), 1), ((1, 2), 1)]])
+# JSON true/false in integer fields; Python reads them as 1/0.
+BOOLEAN_FIELDS = ("n", "m", "exp", "n-and-exp")
+BOOLEAN_DOCS = (
+    '{"n": true, "m": 2, "components": [[{"exp": [2, 0], "coeff": "1"}],'
+    ' [{"exp": [0, 2], "coeff": 1}]]}',
+    '{"n": 1, "m": true, "components": [[{"exp": [1, 0], "coeff": "1"}],'
+    ' [{"exp": [0, 1], "coeff": 1}]]}',
+    '{"n": 1, "m": 2, "components": [[{"exp": [2, false], "coeff": "1"}],'
+    ' [{"exp": [0, 2], "coeff": 1}]]}',
+    '{"n": true, "m": 2, "components": [[{"exp": [2, false], "coeff": "1"}],'
+    ' [{"exp": [0, 2], "coeff": 1}]]}',
+)
 
 
 class _BoundedRandom(Random):
@@ -93,6 +105,11 @@ class TestDocuments:
         with pytest.raises(ParseError):
             document_to_map([1, 2, 3])
 
+    @pytest.mark.parametrize("text", BOOLEAN_DOCS, ids=BOOLEAN_FIELDS)
+    def test_rejects_json_booleans(self, text):
+        with pytest.raises(ParseError, match="integer"):
+            loads_map(text)
+
     def test_json_error_position(self):
         try:
             loads_map('{"n": 1,\n "m": }')
@@ -133,6 +150,16 @@ class TestCLI:
                           '"coeff":"1"}],[]]}', encoding="utf-8")
         assert cli.main(["analyze", str(broken)]) == 1
         assert cli.main(["analyze", str(tmp_path / "missing.json")]) == 1
+
+    @pytest.mark.parametrize("text", BOOLEAN_DOCS, ids=BOOLEAN_FIELDS)
+    def test_analyze_rejects_json_booleans(self, tmp_path, capsys, text):
+        path = tmp_path / "bool.json"
+        path.write_text(text, encoding="utf-8")
+        assert cli.main(["analyze", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("parse error:")
 
     def test_analyze_json_report(self, tmp_path, capsys):
         good = write_doc(tmp_path, CUBE)

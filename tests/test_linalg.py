@@ -7,8 +7,9 @@ import pytest
 import sympy
 
 from projstab import SingularMatrix
-from projstab.linalg import (det_rational, mat_inverse, mat_mul, nullspace,
+from projstab.linalg import (det_rational, mat_inverse, nullspace,
                              pivot_rows, rank_mod_p)
+from helpers import mat_mul
 
 
 def _det(m):

@@ -9,8 +9,8 @@ from projstab import (DegreeMismatch, DimensionMismatch, SingularMatrix,
                       ZeroMap, apply_linear_change, evaluate, identity_change,
                       iterate, make_linear_change, make_map,
                       maps_projectively_equal, normalize_projectively, support)
-from projstab.linalg import mat_inverse, mat_mul, mat_vec
-from helpers import random_invertible, random_map
+from projstab.linalg import mat_inverse
+from helpers import mat_mul, mat_vec, random_invertible, random_map
 
 POWER2 = make_map(1, 2, [[((2, 0), 1)], [((0, 2), 1)]])
 

@@ -410,5 +410,5 @@ class TestChartScanOracle:
                 all(pt[i] == 0 for i in block.variables)
                 == all(z[j] for j in block.components)
                 for pt, z in zip(points, vanish))
-            assert verify_preimage(f, block, p, check_input=False) == expected
+            assert verify_preimage(f, block, p) == expected
 

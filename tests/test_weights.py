@@ -113,10 +113,6 @@ class TestOnePS:
     def test_zero_stays_zero(self):
         assert OnePS((0, 0), (0, 0)).canonical(2).is_zero()
 
-    def test_from_rational(self):
-        sub = OnePS.from_rational((F(1, 3), F(0)), (F(1), F(0)))
-        assert sub == OnePS((1, 0), (3, 0))
-
     def test_canonical_preserves_weight_ordering(self):
         # canonicalization rescales all weights by a positive constant and
         # shifts them uniformly, so weight gaps keep their sign
