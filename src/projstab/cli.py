@@ -27,8 +27,8 @@ import time
 
 from . import documents, figures, verify as verify_mod
 from .decompose import decompose_fully, splitting_types_all_blocks
-from .errors import (BadPrime, BudgetExceeded, DimensionMismatch,
-                     NotAMorphism, ParseError, ProjstabError, WrongDimension)
+from .errors import (DimensionMismatch, NotAMorphism, ParseError,
+                     ProjstabError)
 from .resultant import default_probe_primes, ff_zero_probe
 from .stability import classify, limit_map
 from .weights import OnePS
@@ -209,14 +209,7 @@ def main(argv=None) -> int:
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    except (DimensionMismatch, WrongDimension, BadPrime,
-            BudgetExceeded) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except ProjstabError as exc:
+    except (ProjstabError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
 

@@ -14,6 +14,10 @@ certificate of their own; the law itself is checked by the verify suite's
 split_morphisms law and by a property test against the direct resultant.
 The splitting recurses until every leaf either has a single variable or
 admits no block.  The multiset of leaf ranks is the splitting type.
+
+The preimage identity f^-1{y_H' = 0} = {x_V' = 0} over a prime field is a
+question about the quotient piece alone: it holds exactly when Q has no
+zero there, so verify_preimage decides it with ffield.common_zeros_mod_p.
 """
 
 from __future__ import annotations
@@ -153,26 +157,16 @@ def verify_preimage(f: ProjectiveMap, block: BlockStructure, prime: int
     A point maps into {y_j = 0 : j in H'} iff it lies in
     {x_i = 0 : i in V'}; returns True iff both inclusions hold at every
     point of P^n(F_prime).  The answer is defined for every map with a
-    valid block, morphism or not: the H' components involve only the V'
-    variables, so the identity holds exactly when the quotient piece has
-    no zero over F_prime off the origin.  The scan runs chart by chart in
-    the canonical order of ffield: on each slice of at most p^(n-1) points
-    it compares where the H' components all vanish with where the V'
-    coordinate functions x_i all vanish, both found by ffield.chart_zeros.
+    valid block, morphism or not.  The H' components involve only the V'
+    variables, so {x_V' = 0} always lies in {y_H' = 0}, and the identity
+    fails exactly at a point whose V' part is a zero of the quotient piece
+    in P^(k-1)(F_prime), k = |V'|.  The answer is therefore that the
+    quotient has no common zero, found by ffield.common_zeros_mod_p.
     Raises InvalidBlock for a block that does not fit f, BadPrime for a
-    bad modulus, and SizeLimit before scanning more than
-    ffield.POINT_LIMIT points.
+    bad modulus or a denominator of f that vanishes mod prime, and
+    SizeLimit when P^n(F_prime) has more than ffield.POINT_LIMIT points.
     """
-    validate_block(f, block)
-    reduced = ffield.reduce_map_mod_p(f, prime)
+    quotient = split_once(f, block).quotient
+    ffield.reduce_map_mod_p(f, prime)
     ffield.check_point_count(f.n, prime)
-    table = ffield.power_table(prime, f.m)
-    target = [reduced[j] for j in sorted(block.components)]
-    source = [[(tuple(int(k == i) for k in range(f.num_vars)), 1)]
-              for i in sorted(block.variables)]
-    for lead in range(f.n + 1):
-        for t, s in zip(ffield.chart_zeros(target, f.n, lead, prime, table),
-                        ffield.chart_zeros(source, f.n, lead, prime, table)):
-            if t != s:
-                return False
-    return True
+    return not ffield.common_zeros_mod_p(quotient, prime)

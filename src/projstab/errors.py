@@ -57,16 +57,13 @@ class ParseError(ProjstabError):
     """A map document failed to parse or validate."""
 
     def __init__(self, message: str, lineno: int | None = None,
-                 colno: int | None = None, path: str | None = None):
+                 colno: int | None = None):
         detail = message
-        if path:
-            detail = f"{detail} (at {path})"
         if lineno is not None:
             detail = f"{detail} (line {lineno}, column {colno})"
         super().__init__(detail)
         self.lineno = lineno
         self.colno = colno
-        self.path = path
 
 
 class BudgetExceeded(ProjstabError):

@@ -8,15 +8,14 @@ ending with the single point (0,...,0,1).  Every representative has first
 nonzero coordinate 1, so reports need no further normalization and carry
 no duplicates.
 
-chart_values evaluates a reduced term list at every point of one chart at
+_chart_values evaluates a reduced term list at every point of one chart at
 once.  It groups the terms by the exponent of the first free coordinate,
 evaluates each group on the remaining coordinates, and for each value y of
 the first free coordinate combines the group values with one multiply-add
 list comprehension per group.  It yields one list per y, so no list is
-longer than p^(n-1).  chart_zeros runs it for several term lists side by
-side and yields where they all vanish; common_zeros_mod_p and
-decompose.verify_preimage are built on it and visit every chart, so both
-scans stay exhaustive.
+longer than p^(n-1).  _chart_zeros runs it for several term lists side by
+side and yields where they all vanish; common_zeros_mod_p, the one public
+scan, visits every chart with it, so the scan stays exhaustive.
 
 Inverses modulo p come from Fermat's little theorem, which holds only for
 prime p, so every modulus is first proven prime by a deterministic
@@ -106,7 +105,7 @@ def check_point_count(n: int, p: int) -> None:
                         f"{POINT_LIMIT} bound")
 
 
-def power_table(p: int, max_exp: int) -> list[list[int]]:
+def _power_table(p: int, max_exp: int) -> list[list[int]]:
     """table[k][x] = x^k mod p for 0 <= k <= max_exp, 0 <= x < p."""
     table = [[1] * p]
     for _ in range(max_exp):
@@ -164,16 +163,16 @@ def _values(terms, k: int, p: int, table) -> list[int]:
     return [v for block in _blocks(terms, k, p, table) for v in block]
 
 
-def chart_values(terms: Sequence[tuple[MultiIndex, int]], n: int, lead: int,
-                 p: int, table: Sequence[Sequence[int]]
-                 ) -> Iterator[list[int]]:
+def _chart_values(terms: Sequence[tuple[MultiIndex, int]], n: int,
+                  lead: int, p: int, table: Sequence[Sequence[int]]
+                  ) -> Iterator[list[int]]:
     """Values of a reduced term list on chart `lead` of P^n(F_p).
 
     The chart is x_0 = ... = x_(lead-1) = 0, x_lead = 1.  Yields one list
     per value of the first free coordinate x_(lead+1), so each holds
     p^(n-lead-1) values; the last chart is one point and yields one
     one-element list.  Concatenated, the lists run over the chart in
-    canonical order.  table is power_table(p, m) for the degree m.
+    canonical order.  table is _power_table(p, m) for the degree m.
     """
     free = [(e[lead + 1:], a) for e, a in terms if not any(e[:lead])]
     if lead == n:
@@ -194,17 +193,17 @@ def _zero_positions(values: list[int]) -> list[int]:
         return found
 
 
-def chart_zeros(term_lists: Sequence[Sequence[tuple[MultiIndex, int]]],
-                n: int, lead: int, p: int, table: Sequence[Sequence[int]]
-                ) -> Iterator[list[int]]:
+def _chart_zeros(term_lists: Sequence[Sequence[tuple[MultiIndex, int]]],
+                 n: int, lead: int, p: int, table: Sequence[Sequence[int]]
+                 ) -> Iterator[list[int]]:
     """Common zeros of several term lists on chart `lead`, slice by slice.
 
-    Runs chart_values for every term list side by side and yields, for each
-    slice, the positions within the chart (canonical order, from 0) where
-    every list vanishes.  Values lie in [0, p), so the positions are those
-    of the 0 entries of the first list that are 0 in all the others.
+    Runs _chart_values for every term list side by side and yields, for
+    each slice, the positions within the chart (canonical order, from 0)
+    where every list vanishes.  Values lie in [0, p), so the positions are
+    those of the 0 entries of the first list that are 0 in all the others.
     """
-    streams = [chart_values(t, n, lead, p, table) for t in term_lists]
+    streams = [_chart_values(t, n, lead, p, table) for t in term_lists]
     offset = 0
     for first, *others in zip(*streams):
         yield [offset + i for i in _zero_positions(first)
@@ -229,8 +228,8 @@ def common_zeros_mod_p(f: ProjectiveMap, p: int) -> list[tuple[int, ...]]:
     """
     reduced = reduce_map_mod_p(f, p)
     check_point_count(f.n, p)
-    table = power_table(p, f.m)
+    table = _power_table(p, f.m)
     return [_chart_point(f.n, lead, p, i)
             for lead in range(f.n + 1)
-            for found in chart_zeros(reduced, f.n, lead, p, table)
+            for found in _chart_zeros(reduced, f.n, lead, p, table)
             for i in found]

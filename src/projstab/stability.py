@@ -330,15 +330,16 @@ def classify(f: ProjectiveMap) -> ClassificationReport:
     stab = stabilizer_space(f)
     blocks, obstructions = _scan_blocks(f)
     if morphism and stab.torus_rank >= 1:
-        sol = stab.nontrivial_solution()
-        if sol is not None:
-            derived = block_from_stabilizer(f, sol)
-            if derived is not None:
-                blocks = [BlockStructure(bl.variables, bl.components,
-                                         derived.certified_by)
-                          if (bl.variables, bl.components) ==
-                          (derived.variables, derived.components) else bl
-                          for bl in blocks]
+        # Every component of a morphism is nonzero, so the constant-c
+        # solutions are just the two-dimensional trivial family; a basis of
+        # a larger space has a nonconstant-c vector, and its block is one
+        # of the scanned ones.
+        derived = block_from_stabilizer(f, stab.nontrivial_solution())
+        blocks = [BlockStructure(bl.variables, bl.components,
+                                 derived.certified_by)
+                  if (bl.variables, bl.components) ==
+                  (derived.variables, derived.components) else bl
+                  for bl in blocks]
     analyses = []
     for bl in blocks:
         sub = block_to_1ps(bl, f)

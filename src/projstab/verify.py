@@ -32,7 +32,7 @@ from .poly import ProjectiveMap, make_map
 from .resultant import is_morphism, monomials_of_degree
 from .stability import (detect_blocks, block_to_1ps, hyperplane_partition,
                         limit_map, stabilizer_space)
-from .weights import vertex_coverage, weight_profile
+from .weights import vertex_coverage
 
 LAWS = ("vertex_coverage", "multiset_lemma", "blocks_nonempty",
         "limit_fixed_point", "split_morphisms")
@@ -147,8 +147,7 @@ def check_morphism_laws(f: ProjectiveMap, report: VerificationReport) -> None:
         report.law_checks["limit_fixed_point"] += 1
         lim = limit_map(f, sub)
         again = limit_map(lim.limit, sub)
-        profile = weight_profile(f, sub)
-        ok = (lim.K == 0 and profile.K == 0
+        ok = (lim.K == 0
               and again.dropped_terms == 0
               and again.limit == lim.limit
               and again.K == lim.K)
@@ -163,7 +162,6 @@ def check_morphism_laws(f: ProjectiveMap, report: VerificationReport) -> None:
 
 def run_verification_suite(n: int, m: int, coeffs: Sequence,
                            sample: int | None = None, seed: int = 0,
-                           budget: int = DEFAULT_BUDGET,
                            override_budget: bool = False) -> VerificationReport:
     """Enumerate (or sample) the box and check every law on every morphism.
 
@@ -183,10 +181,10 @@ def run_verification_suite(n: int, m: int, coeffs: Sequence,
         raise InvalidBox("the coefficient set needs a nonzero entry, "
                          f"got {[str(c) for c in coeffs]}")
     total = count_candidates(n, m, coeffs)
-    if sample is None and total > budget and not override_budget:
+    if sample is None and total > DEFAULT_BUDGET and not override_budget:
         raise BudgetExceeded(
-            f"box holds {total} candidates, above the budget of {budget}; "
-            f"pass a sample size or override")
+            f"box holds {total} candidates, above the budget of "
+            f"{DEFAULT_BUDGET}; pass a sample size or override")
     mode = "exhaustive" if sample is None else "sample"
     report = VerificationReport(n, m, coeffs, mode, seed,
                                 total if sample is None else sample)

@@ -11,7 +11,6 @@ sets, never on explicit convex hulls.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
 from typing import Sequence
 
 from .errors import DimensionMismatch
@@ -29,29 +28,6 @@ class OnePS:
         if len(self.c) != len(self.b):
             raise DimensionMismatch(
                 f"weight vectors have lengths {len(self.c)} and {len(self.b)}")
-
-    def is_zero(self) -> bool:
-        return not any(self.c) and not any(self.b)
-
-    def canonical(self, m: int) -> "OnePS":
-        """Representative modulo the trivial shifts, with joint gcd 1.
-
-        c -> c + t*1 combined with b -> b + m*t*1 leaves all weights fixed,
-        and b -> b + l*1 shifts them uniformly; both act trivially in
-        PGL x PGL.  The representative has min(c) = 0, min(b) = 0.
-        """
-        t = -min(self.c)
-        c = tuple(x + t for x in self.c)
-        b = tuple(x + m * t for x in self.b)
-        l = -min(b)
-        b = tuple(x + l for x in b)
-        g = 0
-        for x in c + b:
-            g = gcd(g, abs(x))
-        if g > 1:
-            c = tuple(x // g for x in c)
-            b = tuple(x // g for x in b)
-        return OnePS(c, b)
 
 
 @dataclass(frozen=True)

@@ -6,9 +6,10 @@ from random import Random
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from projstab import (NotAMorphism, SizeLimit, ZeroMap, decompose_fully,
-                      detect_blocks, is_morphism, macaulay_resultant, make_map,
-                      split_once, splitting_types_all_blocks, verify_preimage)
+from projstab import (BadPrime, NotAMorphism, SizeLimit, ZeroMap,
+                      decompose_fully, detect_blocks, is_morphism,
+                      macaulay_resultant, make_map, split_once,
+                      splitting_types_all_blocks, verify_preimage)
 from projstab.linalg import permutation_sign
 from projstab.resultant import monomials_of_degree
 from projstab.verify import enumerate_maps
@@ -160,6 +161,16 @@ class TestVerifyPreimage:
         assert not verify_preimage(f, block, 5)
         assert verify_preimage(f, block, 7)
         assert verify_preimage(f, blocks[((0,), (0,))], 5)
+
+    def test_rejects_a_denominator_outside_the_block(self):
+        # The quotient x0^3 has no denominator, but the whole map is reduced
+        # mod p: 1/5 in the component off H' makes 5 a bad modulus.
+        f = make_map(1, 3, [[((3, 0), 1)], [((0, 3), 1), ((1, 2), F(1, 5))]])
+        block = detect_blocks(f)[0]
+        assert block.components == frozenset({0})
+        with pytest.raises(BadPrime):
+            verify_preimage(f, block, 5)
+        assert verify_preimage(f, block, 7)
 
     def test_defined_on_non_morphism(self):
         # (x0^3, x0^2 x1): y0 = 0 exactly where x0 = 0, at every point of

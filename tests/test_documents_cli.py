@@ -253,6 +253,26 @@ class TestCLI:
                          "--coeffs=-1,0,1"]) == 1
 
     @pytest.mark.parametrize("argv", [
+        ["analyze", "{missing}"],
+        ["analyze", "{cube}", "--probe-primes", "4"],
+        ["analyze", "{cube}", "--probe-primes", "1000003"],
+        ["figure", "{cube}", "--out", "{out}"],
+        ["limit", "{tri}", "--c", "0,1,2", "--b", "0,0"],
+        ["verify", "--n", "2", "--m", "3", "--coeffs=-1,0,1"],
+    ], ids=["missing-file", "composite-prime", "oversized-probe",
+            "figure-not-n2", "limit-weight-length", "verify-budget"])
+    def test_input_errors_print_one_error_line(self, argv, tmp_path, capsys):
+        paths = {"missing": str(tmp_path / "missing.json"),
+                 "cube": write_doc(tmp_path, CUBE, "cube.json"),
+                 "tri": write_doc(tmp_path, TRI, "tri.json"),
+                 "out": str(tmp_path / "fig.json")}
+        assert cli.main([arg.format(**paths) for arg in argv]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+
+    @pytest.mark.parametrize("argv", [
         ["--n", "1", "--m", "2", "--coeffs=0", "--sample", "3"],
         ["--n", "1", "--m", "2", "--coeffs=0,1", "--sample", "-3"],
         ["--n", "-1", "--m", "2", "--coeffs=0,1"],

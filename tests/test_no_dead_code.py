@@ -14,10 +14,8 @@ PACKAGE = Path(__file__).resolve().parent.parent / "src" / "projstab"
 
 # Methods of exported classes that only the tests read:
 # ResultantValue.is_indeterminate (criterion 5 of test_acceptance),
-# WeightProfile.weights_of, ProjectiveMap.topological_degree and
-# OnePS.canonical.
-ALLOWED = {"is_indeterminate", "weights_of", "topological_degree",
-           "canonical"}
+# WeightProfile.weights_of and ProjectiveMap.topological_degree.
+ALLOWED = {"is_indeterminate", "weights_of", "topological_degree"}
 
 
 def _references(node: ast.AST) -> list[str]:

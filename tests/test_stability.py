@@ -291,6 +291,24 @@ class TestLimitMap:
             assert (res.dropped_terms == 0) == solution_satisfies(f, sol)
 
 
+@st.composite
+def _sparse_maps(draw):
+    """Maps with n <= 3, m <= 4: a permuted pure power in every component
+    plus at most two more terms, so a stabilizer torus is common."""
+    n = draw(st.integers(1, 3))
+    m = draw(st.integers(1, 4))
+    monos = monomials_of_degree(n + 1, m)
+    perm = draw(st.permutations(range(n + 1)))
+    coeff = st.sampled_from((-2, -1, 1, 2))
+    comps = []
+    for j in range(n + 1):
+        pure = tuple(m * (i == perm[j]) for i in range(n + 1))
+        extra = draw(st.dictionaries(st.sampled_from(monos), coeff,
+                                     max_size=2))
+        comps.append({**extra, pure: draw(coeff)})
+    return make_map(n, m, comps)
+
+
 class TestClassify:
     def test_infinite_stabilizer(self):
         rep = classify(CUBE)
@@ -339,3 +357,18 @@ class TestClassify:
             pairs = [(b.variables, b.components) for b in detect_blocks(f)]
             assert (derived.variables, derived.components) in pairs
             found += 1
+
+    @settings(max_examples=200)
+    @given(_sparse_maps())
+    def test_stabilizer_block_is_exactly_one_scanned_block(self, f):
+        # Every component of a morphism is nonzero, so the constant-c
+        # solutions are only the two-dimensional trivial family: with
+        # torus_rank >= 1 some basis vector has nonconstant c, and the block
+        # it cuts out is one of detect_blocks'.  classify relies on both.
+        stab = stabilizer_space(f)
+        assume(stab.torus_rank >= 1 and is_morphism(f))
+        sol = stab.nontrivial_solution()
+        assert sol is not None
+        derived = block_from_stabilizer(f, sol)
+        pairs = [(b.variables, b.components) for b in detect_blocks(f)]
+        assert pairs.count((derived.variables, derived.components)) == 1
