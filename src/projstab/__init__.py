@@ -13,9 +13,8 @@ from .errors import (BadPrime, BudgetExceeded, DegreeMismatch,
                      NotAMorphism, NotASolution, ParseError, ProjstabError,
                      SingularMatrix, SizeLimit, WrongDimension, ZeroMap)
 from .poly import (HomogeneousPoly, LinearChange, MultiIndex, ProjectiveMap,
-                   apply_linear_change, compose, evaluate, identity_change,
-                   iterate, make_linear_change, make_map,
-                   maps_projectively_equal, normalize_projectively, support)
+                   apply_linear_change, compose, evaluate, iterate,
+                   make_linear_change, make_map)
 from .weights import (OnePS, WeightProfile, vertex_coverage, weight,
                       weight_profile)
 from .resultant import (ProbeReport, ResultantValue, default_probe_primes,
@@ -26,7 +25,7 @@ from .stability import (BlockAnalysis, BlockStructure, ClassificationReport,
                         StabilizerSolution, StabilizerSpace,
                         block_from_stabilizer, block_to_1ps, classify,
                         detect_blocks, hyperplane_partition, limit_map,
-                        morphism_obstructions, stabilizer_space)
+                        stabilizer_space)
 from .decompose import (DecompositionTree, SplitPair, decompose_fully,
                         split_once, splitting_types_all_blocks,
                         verify_preimage)

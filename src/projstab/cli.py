@@ -5,7 +5,7 @@ Subcommands:
     analyze <file> [--json] [--probe-primes LIST]
     limit <file> --c a0,...,an --b b0,...,bn
     decompose <file> [--all-blocks]
-    verify --n N --m M --coeffs=LIST [--sample K] [--seed N] [--override-budget]
+    verify --n N --m M --coeffs=LIST [--sample K] [--seed N]
     figure <file> --out PATH
 
 Give --coeffs with '=' (--coeffs=-1,0,1): argparse reads a separate value
@@ -130,8 +130,7 @@ def cmd_verify(args) -> int:
     coeffs = [documents.parse_fraction(part.strip(), "--coeffs")
               for part in args.coeffs.split(",") if part.strip()]
     report = verify_mod.run_verification_suite(
-        args.n, args.m, coeffs, sample=args.sample, seed=args.seed,
-        override_budget=args.override_budget)
+        args.n, args.m, coeffs, sample=args.sample, seed=args.seed)
     sys.stdout.write(documents.dumps_canonical(report.to_dict()))
     if report.zero_failures:
         print(f"verify: {report.morphisms} morphisms out of "
@@ -190,7 +189,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sample", type=int, default=None,
                    help="seeded sample size instead of exhaustive enumeration")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--override-budget", action="store_true")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("figure", help="lattice figure data (n = 2)")

@@ -12,7 +12,9 @@ A map document is a single self-describing JSON object:
     }
 
 Coefficients are strings ("p", "-p/q", always reduced) so no host ever
-rounds them; integer JSON literals are also accepted on input.  Canonical
+rounds them; integer JSON literals are also accepted on input.  A string
+coefficient must be decimal digits with an optional sign and an optional
+"/q": decimals, exponents, spaces and underscores are rejected.  Canonical
 output sorts terms in descending lexicographic exponent order and object
 keys alphabetically, so parse -> serialize -> parse is the identity and
 serialized bytes are stable across runs.
@@ -25,6 +27,7 @@ fields live in the explicitly labeled "timing" block.
 from __future__ import annotations
 
 import json
+import re
 from fractions import Fraction
 from typing import Any
 
@@ -42,16 +45,27 @@ def format_fraction(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
+# The documented coefficient forms "p" and "p/q", each with an optional sign
+# on the numerator.  Nothing else reaches Fraction(), so its cost is bounded
+# by Python's limit on the digits of an int conversion.
+_RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
+
+
 def parse_fraction(value: Any, where: str = "coeff") -> Fraction:
     if isinstance(value, bool):
         raise ParseError(f"{where}: booleans are not coefficients")
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
-        try:
-            return Fraction(value)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise ParseError(f"{where}: bad rational {value!r}: {exc}") from None
+        if not _RATIONAL.fullmatch(value):
+            reason = "expected 'p' or 'p/q' in decimal digits"
+        else:
+            try:
+                return Fraction(value)
+            except (ValueError, ZeroDivisionError) as exc:
+                reason = str(exc)
+        shown = value if len(value) <= 40 else value[:37] + "..."
+        raise ParseError(f"{where}: bad rational {shown!r}: {reason}")
     raise ParseError(f"{where}: expected an integer or 'p/q' string, "
                      f"got {type(value).__name__}")
 
@@ -112,6 +126,8 @@ def loads_map(text: str) -> ProjectiveMap:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(exc.msg, lineno=exc.lineno, colno=exc.colno) from None
+    except ValueError as exc:  # an integer literal past the digit limit
+        raise ParseError(str(exc)) from None
     return document_to_map(doc)
 
 

@@ -8,14 +8,14 @@ ending with the single point (0,...,0,1).  Every representative has first
 nonzero coordinate 1, so reports need no further normalization and carry
 no duplicates.
 
-_chart_values evaluates a reduced term list at every point of one chart at
-once.  It groups the terms by the exponent of the first free coordinate,
-evaluates each group on the remaining coordinates, and for each value y of
-the first free coordinate combines the group values with one multiply-add
-list comprehension per group.  It yields one list per y, so no list is
-longer than p^(n-1).  _chart_zeros runs it for several term lists side by
-side and yields where they all vanish; common_zeros_mod_p, the one public
-scan, visits every chart with it, so the scan stays exhaustive.
+common_zeros_mod_p, the one scan, is one loop over the charts.  For each
+chart it hands every component's surviving terms to _blocks, which groups
+them by the exponent of the first free coordinate, evaluates each group on
+the remaining coordinates, and for each value y of the first free
+coordinate combines the group values with one multiply-add list
+comprehension per group.  The loop walks the components' lists for one y
+side by side and finds their common zeros with list.index, so no list is
+longer than p^(n-1) and the scan stays exhaustive.
 
 Inverses modulo p come from Fermat's little theorem, which holds only for
 prime p, so every modulus is first proven prime by a deterministic
@@ -24,7 +24,7 @@ Miller-Rabin test.
 
 from __future__ import annotations
 
-from typing import Iterator, Sequence
+from typing import Iterator
 
 from .errors import BadPrime, SizeLimit
 from .poly import MultiIndex, ProjectiveMap
@@ -163,63 +163,6 @@ def _values(terms, k: int, p: int, table) -> list[int]:
     return [v for block in _blocks(terms, k, p, table) for v in block]
 
 
-def _chart_values(terms: Sequence[tuple[MultiIndex, int]], n: int,
-                  lead: int, p: int, table: Sequence[Sequence[int]]
-                  ) -> Iterator[list[int]]:
-    """Values of a reduced term list on chart `lead` of P^n(F_p).
-
-    The chart is x_0 = ... = x_(lead-1) = 0, x_lead = 1.  Yields one list
-    per value of the first free coordinate x_(lead+1), so each holds
-    p^(n-lead-1) values; the last chart is one point and yields one
-    one-element list.  Concatenated, the lists run over the chart in
-    canonical order.  table is _power_table(p, m) for the degree m.
-    """
-    free = [(e[lead + 1:], a) for e, a in terms if not any(e[:lead])]
-    if lead == n:
-        yield _values(free, 0, p, table)
-    else:
-        yield from _blocks(free, n - lead, p, table)
-
-
-def _zero_positions(values: list[int]) -> list[int]:
-    """Positions of the zeros of a list, found by list.index."""
-    found = []
-    i = -1
-    try:
-        while True:
-            i = values.index(0, i + 1)
-            found.append(i)
-    except ValueError:
-        return found
-
-
-def _chart_zeros(term_lists: Sequence[Sequence[tuple[MultiIndex, int]]],
-                 n: int, lead: int, p: int, table: Sequence[Sequence[int]]
-                 ) -> Iterator[list[int]]:
-    """Common zeros of several term lists on chart `lead`, slice by slice.
-
-    Runs _chart_values for every term list side by side and yields, for
-    each slice, the positions within the chart (canonical order, from 0)
-    where every list vanishes.  Values lie in [0, p), so the positions are
-    those of the 0 entries of the first list that are 0 in all the others.
-    """
-    streams = [_chart_values(t, n, lead, p, table) for t in term_lists]
-    offset = 0
-    for first, *others in zip(*streams):
-        yield [offset + i for i in _zero_positions(first)
-               if not any(b[i] for b in others)]
-        offset += len(first)
-
-
-def _chart_point(n: int, lead: int, p: int, index: int) -> tuple[int, ...]:
-    """The point at position index of chart lead, in canonical order."""
-    tail = []
-    for _ in range(n - lead):
-        index, digit = divmod(index, p)
-        tail.append(digit)
-    return (0,) * lead + (1,) + tuple(reversed(tail))
-
-
 def common_zeros_mod_p(f: ProjectiveMap, p: int) -> list[tuple[int, ...]]:
     """All points of P^n(F_p) where every component vanishes, in canonical
     order.
@@ -229,7 +172,27 @@ def common_zeros_mod_p(f: ProjectiveMap, p: int) -> list[tuple[int, ...]]:
     reduced = reduce_map_mod_p(f, p)
     check_point_count(f.n, p)
     table = _power_table(p, f.m)
-    return [_chart_point(f.n, lead, p, i)
-            for lead in range(f.n + 1)
-            for found in _chart_zeros(reduced, f.n, lead, p, table)
-            for i in found]
+    zeros = []
+    for lead in range(f.n + 1):
+        k = f.n - lead
+        free = [[(e[lead + 1:], a) for e, a in terms if not any(e[:lead])]
+                for terms in reduced]
+        streams = [_blocks(t, k, p, table) if k else [_values(t, 0, p, table)]
+                   for t in free]
+        offset = 0
+        for first, *others in zip(*streams):
+            i = -1
+            try:
+                while True:
+                    i = first.index(0, i + 1)
+                    if any(b[i] for b in others):
+                        continue
+                    q, point = offset + i, ()
+                    for _ in range(k):
+                        q, digit = divmod(q, p)
+                        point = (digit,) + point
+                    zeros.append((0,) * lead + (1,) + point)
+            except ValueError:
+                pass
+            offset += len(first)
+    return zeros

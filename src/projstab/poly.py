@@ -12,9 +12,6 @@ plain tuple comparison and keeps every serialization byte-stable.
 
 Everything here is immutable and pure: operations return new objects and
 never touch their inputs, so values can be shared freely across threads.
-
-Projective equality (equality of maps up to one global scalar) is a
-separate predicate from structural equality; see maps_projectively_equal.
 """
 
 from __future__ import annotations
@@ -50,11 +47,9 @@ def _dict_mul(a: TermDict, b: TermDict) -> TermDict:
     return out
 
 
-def _dict_add_scaled(acc: TermDict, other: TermDict, scale: Fraction) -> None:
-    if not scale:
-        return
+def _dict_add(acc: TermDict, other: TermDict) -> None:
     for e, c in other.items():
-        v = acc.get(e, 0) + scale * c
+        v = acc.get(e, 0) + c
         if v:
             acc[e] = v
         elif e in acc:
@@ -154,14 +149,6 @@ class ProjectiveMap:
     def num_vars(self) -> int:
         return self.n + 1
 
-    @property
-    def topological_degree(self) -> int:
-        """Number of preimages of a generic point: m^n."""
-        return self.m ** self.n
-
-    def support(self) -> tuple[frozenset[MultiIndex], ...]:
-        return tuple(f.support() for f in self.components)
-
     def __str__(self) -> str:
         return "(" + ", ".join(str(f) for f in self.components) + ")"
 
@@ -187,12 +174,6 @@ def make_linear_change(source: Sequence[Sequence[CoeffLike]],
         return rows
 
     return LinearChange(freeze(source, "source"), freeze(target, "target"))
-
-
-def identity_change(size: int) -> LinearChange:
-    eye = tuple(tuple(Fraction(int(i == j)) for j in range(size))
-                for i in range(size))
-    return LinearChange(eye, eye)
 
 
 def make_map(n: int, m: int,
@@ -252,36 +233,29 @@ def _compose_component(poly: HomogeneousPoly, inners: Sequence[TermDict],
             while len(cache) <= k:
                 cache.append(_dict_mul(cache[-1], inners[i]))
             term = _dict_mul(term, cache[k])
-        _dict_add_scaled(result, term, Fraction(1))
+        _dict_add(result, term)
     return result
 
 
 def apply_linear_change(f: ProjectiveMap, change: LinearChange) -> ProjectiveMap:
-    """The group action ((g,h).f)(x) = h^-1(f(g(x))), fully expanded."""
+    """The group action ((g,h).f)(x) = h^-1(f(g(x))), fully expanded.
+
+    g and h^-1 are written as degree-1 maps, so this is two compositions.
+    """
     size = f.num_vars
     g, h = change.source_matrix, change.target_matrix
     if len(g) != size or len(h) != size:
         raise DimensionMismatch(
             f"change matrices are {len(g)}x{len(g)}, map needs {size}x{size}")
     h_inv = linalg.mat_inverse([list(r) for r in h])
-    # x_i -> sum_k g[i][k] x_k, as degree-1 sparse polynomials.
-    inners: list[TermDict] = []
-    for i in range(size):
-        row: TermDict = {}
-        for k in range(size):
-            if g[i][k]:
-                e = tuple(int(k == j) for j in range(size))
-                row[e] = Fraction(g[i][k])
-        inners.append(row)
-    substituted = [_compose_component(comp, inners, size)
-                   for comp in f.components]
-    new_dicts: list[TermDict] = []
-    for j in range(size):
-        acc: TermDict = {}
-        for k in range(size):
-            _dict_add_scaled(acc, substituted[k], h_inv[j][k])
-        new_dicts.append(acc)
-    return _map_from_dicts(f.n, f.m, new_dicts)
+    unit = [tuple(int(k == j) for j in range(size)) for k in range(size)]
+
+    def linear_map(mat) -> ProjectiveMap:
+        return _map_from_dicts(f.n, 1, [{unit[k]: Fraction(x) for k, x
+                                         in enumerate(row) if x}
+                                        for row in mat])
+
+    return compose(linear_map(h_inv), compose(f, linear_map(g)))
 
 
 def compose(outer: ProjectiveMap, inner: ProjectiveMap) -> ProjectiveMap:
@@ -303,29 +277,3 @@ def iterate(f: ProjectiveMap, k: int) -> ProjectiveMap:
     for _ in range(k - 1):
         result = compose(f, result)
     return result
-
-
-def support(f: ProjectiveMap) -> tuple[frozenset[MultiIndex], ...]:
-    """Per-component sets of exponents with nonzero coefficient."""
-    return f.support()
-
-
-def _leading_coefficient(f: ProjectiveMap) -> Fraction:
-    for comp in f.components:
-        if comp.terms:
-            return comp.terms[0][1]
-    raise ZeroMap("map has no nonzero component")
-
-
-def normalize_projectively(f: ProjectiveMap) -> ProjectiveMap:
-    """Scale so the first nonzero coefficient (canonical scan order) is 1."""
-    s = 1 / _leading_coefficient(f)
-    return _map_from_dicts(f.n, f.m, [{e: c * s for e, c in comp.terms}
-                                      for comp in f.components])
-
-
-def maps_projectively_equal(f: ProjectiveMap, g: ProjectiveMap) -> bool:
-    """Equality up to one global nonzero scalar."""
-    if (f.n, f.m) != (g.n, g.m):
-        return False
-    return normalize_projectively(f) == normalize_projectively(g)

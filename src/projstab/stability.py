@@ -24,7 +24,7 @@ from math import lcm
 from typing import Sequence
 
 from . import linalg
-from .errors import InvalidBlock, NotASolution, SizeLimit
+from .errors import DimensionMismatch, InvalidBlock, NotASolution, SizeLimit
 from .poly import MultiIndex, ProjectiveMap, _map_from_dicts
 from .resultant import ResultantValue, is_morphism, macaulay_resultant
 from .weights import OnePS, weight, weight_profile
@@ -131,8 +131,13 @@ def solution_satisfies(f: ProjectiveMap, sol: StabilizerSolution) -> bool:
     """Whether (c, b, C) meets <c,I> - b_j = C on every supported term.
 
     The vector is scaled to integers by the lcm of all its denominators, so
-    each check is the integer equation <c',I> = (b_j + C)'.
+    each check is the integer equation <c',I> = (b_j + C)'.  Raises
+    DimensionMismatch unless c and b have one entry per variable.
     """
+    if len(sol.c) != f.num_vars or len(sol.b) != f.num_vars:
+        raise DimensionMismatch(
+            f"solution has {len(sol.c)} source and {len(sol.b)} target "
+            f"weights, map needs {f.num_vars} of each")
     scale = lcm(*(x.denominator for x in (*sol.c, *sol.b, sol.C)))
     c = [x.numerator * (scale // x.denominator) for x in sol.c]
     for j, comp in enumerate(f.components):
@@ -200,11 +205,6 @@ def detect_blocks(f: ProjectiveMap) -> list[BlockStructure]:
     visiting more than SUBSET_SCAN_LIMIT subsets.
     """
     return _scan_blocks(f)[0]
-
-
-def morphism_obstructions(f: ProjectiveMap) -> list[MorphismObstruction]:
-    """Faces carrying more components than variables (non-morphism proof)."""
-    return _scan_blocks(f)[1]
 
 
 def block_from_stabilizer(f: ProjectiveMap, sol: StabilizerSolution

@@ -161,8 +161,8 @@ def check_morphism_laws(f: ProjectiveMap, report: VerificationReport) -> None:
 
 
 def run_verification_suite(n: int, m: int, coeffs: Sequence,
-                           sample: int | None = None, seed: int = 0,
-                           override_budget: bool = False) -> VerificationReport:
+                           sample: int | None = None,
+                           seed: int = 0) -> VerificationReport:
     """Enumerate (or sample) the box and check every law on every morphism.
 
     Raises InvalidBox, before anything is counted or drawn, for n < 0,
@@ -181,10 +181,10 @@ def run_verification_suite(n: int, m: int, coeffs: Sequence,
         raise InvalidBox("the coefficient set needs a nonzero entry, "
                          f"got {[str(c) for c in coeffs]}")
     total = count_candidates(n, m, coeffs)
-    if sample is None and total > DEFAULT_BUDGET and not override_budget:
+    if sample is None and total > DEFAULT_BUDGET:
         raise BudgetExceeded(
             f"box holds {total} candidates, above the budget of "
-            f"{DEFAULT_BUDGET}; pass a sample size or override")
+            f"{DEFAULT_BUDGET}; pass a sample size")
     mode = "exhaustive" if sample is None else "sample"
     report = VerificationReport(n, m, coeffs, mode, seed,
                                 total if sample is None else sample)

@@ -1,6 +1,7 @@
 """Document round-trips, report serialization, CLI behaviour and exit codes."""
 
 import json
+import time
 from fractions import Fraction as F
 from random import Random
 
@@ -70,6 +71,19 @@ class TestFractions:
             parse_fraction(True)
         with pytest.raises(ParseError):
             parse_fraction(1.5)
+
+    @pytest.mark.parametrize("text", ["1.5", " 2/4 ", "1_000", "1e3", "2/-3",
+                                      "0x10", "", "/2", "1/"])
+    def test_parse_rejects_undocumented_forms(self, text):
+        with pytest.raises(ParseError):
+            parse_fraction(text)
+
+    def test_parse_rejects_exponent_before_converting(self):
+        # Fraction() would expand the exponent: about 10 s for 10^7 digits.
+        start = time.perf_counter()
+        with pytest.raises(ParseError):
+            parse_fraction("1e10000000")
+        assert time.perf_counter() - start < 0.5
 
 
 class TestDocuments:
@@ -176,6 +190,30 @@ class TestCLI:
         with pytest.raises(SystemExit) as exc:
             cli.main(["analyze", good, "--seed", "1"])
         assert exc.value.code == 2
+
+    def test_verify_has_no_budget_override(self):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["verify", "--n", "2", "--m", "3", "--coeffs=-1,0,1",
+                      "--override-budget"])
+        assert exc.value.code == 2
+
+    @pytest.mark.parametrize("field", ["n", "coeff"])
+    def test_analyze_rejects_oversized_json_integer(self, tmp_path, capsys,
+                                                     field):
+        # 5000 digits is past the interpreter's int conversion limit, which
+        # json.loads reports as a plain ValueError.
+        big = "7" * 5000
+        n, coeff = (big, '"1"') if field == "n" else ("1", big)
+        path = tmp_path / "big.json"
+        path.write_text(
+            f'{{"n": {n}, "m": 1, "components": [[{{"exp": [1, 0], '
+            f'"coeff": {coeff}}}], [{{"exp": [0, 1], "coeff": "1"}}]]}}',
+            encoding="utf-8")
+        assert cli.main(["analyze", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("parse error:")
 
     def test_analyze_rejects_oversized_probe(self, tmp_path, capsys):
         good = write_doc(tmp_path, CUBE)

@@ -7,13 +7,11 @@ import pytest
 import sympy
 from hypothesis import assume, given, settings, strategies as st
 
-from projstab import (InvalidBlock, NotASolution, OnePS, SizeLimit,
-                      StabilizerSolution, ZeroMap, block_from_stabilizer,
-                      block_to_1ps, classify,
+from projstab import (DimensionMismatch, InvalidBlock, NotASolution, OnePS,
+                      SizeLimit, StabilizerSolution, ZeroMap,
+                      block_from_stabilizer, block_to_1ps, classify,
                       detect_blocks, hyperplane_partition, is_morphism,
-                      limit_map, make_map,
-                      maps_projectively_equal, morphism_obstructions,
-                      stabilizer_space, weight_profile)
+                      limit_map, make_map, stabilizer_space, weight_profile)
 from projstab.stability import BlockStructure, solution_satisfies
 from projstab.resultant import monomials_of_degree
 from helpers import random_map
@@ -142,6 +140,17 @@ class TestHyperplanePartition:
         with pytest.raises(NotASolution):
             hyperplane_partition(CUBE, bad)
 
+    @pytest.mark.parametrize("c,b", [((1,), (3, 0)), ((1, 0), (3,)),
+                                     ((1, 0, 0), (3, 0, 0))])
+    def test_wrong_length_rejected(self, c, b):
+        # Zipping a short c against the exponents would accept (1,) on the
+        # cube; the partition would then index past its end.
+        sol = StabilizerSolution(tuple(map(F, c)), tuple(map(F, b)), F(0))
+        with pytest.raises(DimensionMismatch):
+            solution_satisfies(CUBE, sol)
+        with pytest.raises(DimensionMismatch):
+            hyperplane_partition(CUBE, sol)
+
 
 class TestDetectBlocks:
     def test_subset_scan_bound(self):
@@ -172,12 +181,12 @@ class TestDetectBlocks:
     def test_no_blocks(self):
         f = make_map(1, 2, [[((2, 0), 1), ((0, 2), 1)], [((1, 1), 1)]])
         assert detect_blocks(f) == []
-        assert morphism_obstructions(f) == []
+        assert classify(f).obstructions == ()
 
     def test_obstruction(self):
         f = make_map(1, 2, [[((2, 0), 1)], [((2, 0), 1)]])
         assert detect_blocks(f) == []
-        obs = morphism_obstructions(f)
+        obs = classify(f).obstructions
         assert len(obs) == 1
         assert sorted(obs[0].variables) == [0]
         assert sorted(obs[0].components) == [0, 1]
@@ -187,7 +196,7 @@ class TestDetectBlocks:
         for _ in range(40):
             n, m = rng.choice(((1, 2), (1, 3), (2, 2)))
             f = random_map(rng, n, m)
-            if morphism_obstructions(f):
+            if classify(f).obstructions:
                 assert not is_morphism(f)
 
 
@@ -270,7 +279,6 @@ class TestLimitMap:
             second = limit_map(first.limit, sub)
             assert second.dropped_terms == 0
             assert second.limit == first.limit
-            assert maps_projectively_equal(second.limit, first.limit)
             # support monotone, dropped counts exact
             for a, b in zip(first.limit.components, f.components):
                 assert a.support() <= b.support()
@@ -340,23 +348,6 @@ class TestClassify:
         assert classify(CUBE).m_gt_n_plus_1
         assert not classify(make_map(1, 2, [[((2, 0), 1)],
                                             [((0, 2), 1)]])).m_gt_n_plus_1
-
-    def test_block_from_stabilizer_matches_scan(self):
-        rng = Random(233)
-        found = 0
-        while found < 8:
-            f = random_map(rng, 1, 3, coeffs=(F(0), F(0), F(1)))
-            if not is_morphism(f):
-                continue
-            st = stabilizer_space(f)
-            sol = st.nontrivial_solution()
-            if st.torus_rank < 1 or sol is None:
-                continue
-            derived = block_from_stabilizer(f, sol)
-            assert derived is not None
-            pairs = [(b.variables, b.components) for b in detect_blocks(f)]
-            assert (derived.variables, derived.components) in pairs
-            found += 1
 
     @settings(max_examples=200)
     @given(_sparse_maps())
