@@ -13,8 +13,9 @@ that starts with '-' as an option.
 
 Reports go to standard out (canonical JSON except for analyze's default
 text view); diagnostics go to standard error.  Exit codes: 0 success,
-1 bad input (an unreadable or invalid document, a bad option value, a
-modulus that is not a proven prime), 2 not a morphism, 5 verification-law
+1 bad input (an unreadable or invalid document, an output path that
+cannot be written, a bad option value, a modulus that is not a proven
+prime, a box too large to check), 2 not a morphism, 5 verification-law
 failures.  Command-line syntax errors are reported by argparse, which
 exits with 2.
 """
@@ -27,8 +28,7 @@ import time
 
 from . import documents, figures, verify as verify_mod
 from .decompose import decompose_fully, splitting_types_all_blocks
-from .errors import (DimensionMismatch, NotAMorphism, ParseError,
-                     ProjstabError)
+from .errors import NotAMorphism, ParseError, ProjstabError
 from .resultant import default_probe_primes, ff_zero_probe
 from .stability import classify, limit_map
 from .weights import OnePS
@@ -100,9 +100,6 @@ def cmd_limit(args) -> int:
     f = documents.load_map_file(args.file)
     c = _int_list(args.c, "--c")
     b = _int_list(args.b, "--b")
-    if len(c) != f.num_vars or len(b) != f.num_vars:
-        raise DimensionMismatch(
-            f"weight vectors need {f.num_vars} entries, got {len(c)} and {len(b)}")
     result = limit_map(f, OnePS(tuple(c), tuple(b)))
     sys.stdout.write(documents.dumps_canonical(documents.limit_to_dict(result)))
     return EXIT_OK
@@ -207,7 +204,7 @@ def main(argv=None) -> int:
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    except (ProjstabError, FileNotFoundError) as exc:
+    except (ProjstabError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
 

@@ -161,12 +161,12 @@ def verify_preimage(f: ProjectiveMap, block: BlockStructure, prime: int
     variables, so {x_V' = 0} always lies in {y_H' = 0}, and the identity
     fails exactly at a point whose V' part is a zero of the quotient piece
     in P^(k-1)(F_prime), k = |V'|.  The answer is therefore that the
-    quotient has no common zero, found by ffield.common_zeros_mod_p.
-    Raises InvalidBlock for a block that does not fit f, BadPrime for a
-    bad modulus or a denominator of f that vanishes mod prime, and
-    SizeLimit when P^n(F_prime) has more than ffield.POINT_LIMIT points.
+    quotient has no common zero, found by ffield.common_zeros_mod_p, and
+    only those P^(k-1)(F_prime) points are scanned.  Raises InvalidBlock
+    for a block that does not fit f, BadPrime for a bad modulus or a
+    denominator of f that vanishes mod prime, and SizeLimit when
+    P^(k-1)(F_prime) has more than ffield.POINT_LIMIT points.
     """
     quotient = split_once(f, block).quotient
     ffield.reduce_map_mod_p(f, prime)
-    ffield.check_point_count(f.n, prime)
     return not ffield.common_zeros_mod_p(quotient, prime)

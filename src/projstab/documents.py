@@ -39,10 +39,7 @@ from . import errors as _errors
 
 
 def format_fraction(x: Fraction) -> str:
-    x = Fraction(x)
-    if x.denominator == 1:
-        return str(x.numerator)
-    return f"{x.numerator}/{x.denominator}"
+    return str(Fraction(x))
 
 
 # The documented coefficient forms "p" and "p/q", each with an optional sign
@@ -128,12 +125,18 @@ def loads_map(text: str) -> ProjectiveMap:
         raise ParseError(exc.msg, lineno=exc.lineno, colno=exc.colno) from None
     except ValueError as exc:  # an integer literal past the digit limit
         raise ParseError(str(exc)) from None
+    except RecursionError:
+        raise ParseError("document nests too deeply") from None
     return document_to_map(doc)
 
 
 def load_map_file(path: str) -> ProjectiveMap:
-    with open(path, "r", encoding="utf-8") as fh:
-        return loads_map(fh.read())
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path} is not UTF-8 text: {exc.reason}") from None
+    return loads_map(text)
 
 
 def dumps_canonical(obj: Any) -> str:

@@ -1,16 +1,17 @@
 """Lattice data for plotting the n = 2 exponent simplex.
 
 Emits coordinates only: the simplex vertices m*e_i, the per-component
-support points, the hyperplane classes of a chosen nontrivial stabilizer
-direction (when one exists), and the face of each block.  Rendering is
-left to external tools.
+support points, the hyperplane classes of the first nontrivial stabilizer
+direction (when one exists) as stability.hyperplane_partition groups them,
+and the face of each block.  Rendering is left to external tools.
 """
 
 from __future__ import annotations
 
+from .documents import format_fraction
 from .errors import WrongDimension
 from .poly import ProjectiveMap
-from .stability import detect_blocks, stabilizer_space
+from .stability import detect_blocks, hyperplane_partition, stabilizer_space
 
 
 def build_figure_data(f: ProjectiveMap) -> dict:
@@ -28,15 +29,11 @@ def build_figure_data(f: ProjectiveMap) -> dict:
     stab = stabilizer_space(f)
     sol = stab.nontrivial_solution()
     if sol is not None:
-        from .documents import format_fraction
-        levels: dict = {}
-        for j in range(3):
-            key = format_fraction(sol.b[j] + sol.C)
-            levels.setdefault(key, []).append(j)
+        classes = sorted((format_fraction(level), list(js)) for level, js
+                         in hyperplane_partition(f, sol).hyperplane_classes)
         data["hyperplanes"] = {
             "c": [format_fraction(x) for x in sol.c],
-            "classes": [{"level": lv, "components": js}
-                        for lv, js in sorted(levels.items())],
+            "classes": [{"level": lv, "components": js} for lv, js in classes],
             "vertex_levels": [format_fraction(m * sol.c[i]) for i in range(3)],
         }
     data["block_faces"] = [sorted(bl.variables) for bl in detect_blocks(f)]

@@ -10,8 +10,10 @@ kept in canonical form: descending lexicographic order on the exponent
 tuples, no zero coefficients.  Canonical form makes structural equality a
 plain tuple comparison and keeps every serialization byte-stable.
 
-Everything here is immutable and pure: operations return new objects and
-never touch their inputs, so values can be shared freely across threads.
+A HomogeneousPoly stores only its terms: its degree and variable count are
+those of the map that holds it.  Everything here is immutable and pure:
+operations return new objects and never touch their inputs, so values can
+be shared freely across threads.
 """
 
 from __future__ import annotations
@@ -58,10 +60,8 @@ def _dict_add(acc: TermDict, other: TermDict) -> None:
 
 @dataclass(frozen=True)
 class HomogeneousPoly:
-    """One homogeneous polynomial in num_vars variables of fixed degree."""
+    """One homogeneous polynomial, as its canonical term tuple."""
 
-    degree: int
-    num_vars: int
     terms: tuple[tuple[MultiIndex, Fraction], ...]
 
     @staticmethod
@@ -72,7 +72,8 @@ class HomogeneousPoly:
         """Build from (exponent, coefficient) pairs.
 
         Duplicate exponents are summed; zero results are dropped.  Raises
-        DimensionMismatch / DegreeMismatch on malformed exponents.
+        DimensionMismatch / DegreeMismatch unless every exponent has
+        num_vars entries, none negative, summing to degree.
         """
         pairs = terms.items() if isinstance(terms, Mapping) else terms
         acc: TermDict = {}
@@ -91,7 +92,7 @@ class HomogeneousPoly:
                 acc[e] = c
             elif e in acc:
                 del acc[e]
-        return HomogeneousPoly(degree, num_vars, _sorted_terms(acc))
+        return HomogeneousPoly(_sorted_terms(acc))
 
     def as_dict(self) -> TermDict:
         return dict(self.terms)
@@ -101,13 +102,6 @@ class HomogeneousPoly:
 
     def support(self) -> frozenset[MultiIndex]:
         return frozenset(e for e, _ in self.terms)
-
-    def coeff(self, exp: Sequence[int]) -> Fraction:
-        key = tuple(exp)
-        for e, c in self.terms:
-            if e == key:
-                return c
-        return Fraction(0)
 
     def evaluate(self, point: Sequence[Fraction]) -> Fraction:
         total = Fraction(0)
@@ -204,7 +198,7 @@ def make_map(n: int, m: int,
 def _map_from_dicts(n: int, m: int, dicts: Sequence[TermDict]) -> ProjectiveMap:
     # Internal: trusts exponents and allows zero components; a split piece
     # of a non-morphism may even be the zero map.
-    comps = tuple(HomogeneousPoly(m, n + 1, _sorted_terms(d)) for d in dicts)
+    comps = tuple(HomogeneousPoly(_sorted_terms(d)) for d in dicts)
     return ProjectiveMap(n, m, comps)
 
 

@@ -75,13 +75,10 @@ class ResultantValue:
     at the critical degree (Gelfand-Kapranov-Zelevinsky 1994), with each
     level's sign sigma_k as in the module docstring and the overall sign
     fixed so that coordinate power maps give exactly 1.  It is exact in
-    every frame, and 0 exactly when the components share a zero.  note
-    says which explicit common zero gave the value 0 without any
-    determinant, and is empty otherwise.
+    every frame, and 0 exactly when the components share a zero.
     """
 
     value: Fraction
-    note: str = ""
 
     @property
     def is_indeterminate(self) -> bool:
@@ -148,24 +145,23 @@ def _scale_components_to_int(f: ProjectiveMap) -> tuple[list[dict[MultiIndex, in
     return dicts, correction
 
 
-def _check_matrix_size(n: int, m: int) -> None:
+def check_matrix_size(n: int, m: int) -> None:
+    """Raise SizeLimit when the critical-degree matrices of a degree-m map
+    of P^n would have more than MATRIX_SIZE_LIMIT columns."""
     dim = comb((n + 1) * (m - 1) + 1 + n, n)
     if dim > MATRIX_SIZE_LIMIT:
         raise SizeLimit(f"critical-degree matrices would have {dim} columns, "
                         f"above the {MATRIX_SIZE_LIMIT} bound")
 
 
-def _explicit_zero(f: ProjectiveMap) -> str:
-    """Why a common zero is explicit in the support, or "" if it is not.
+def _explicit_zero(f: ProjectiveMap) -> bool:
+    """Whether a common zero is explicit in the support.
 
     A zero component vanishes everywhere; an uncovered simplex vertex puts
     a common zero at that coordinate point.
     """
-    if any(comp.is_zero() for comp in f.components):
-        return "zero component"
-    if not all(vertex_coverage(f)):
-        return "uncovered simplex vertex"
-    return ""
+    return (any(comp.is_zero() for comp in f.components)
+            or not all(vertex_coverage(f)))
 
 
 @lru_cache(maxsize=None)
@@ -275,10 +271,9 @@ def macaulay_resultant(f: ProjectiveMap) -> ResultantValue:
     sign that makes the power map give 1, divided by the scaling factor.
     """
     n, m = f.n, f.m
-    _check_matrix_size(n, m)
-    note = _explicit_zero(f)
-    if note:
-        return ResultantValue(Fraction(0), note=note)
+    check_matrix_size(n, m)
+    if _explicit_zero(f):
+        return ResultantValue(Fraction(0))
     int_dicts, correction = _scale_components_to_int(f)
     value = _koszul_determinant(int_dicts, n, m) * _power_map_sign(n, m)
     return ResultantValue(value / correction)
@@ -295,7 +290,7 @@ def is_morphism(f: ProjectiveMap) -> bool:
     True; otherwise the exact integer rank decides.  Raises SizeLimit
     before building a matrix with more than MATRIX_SIZE_LIMIT columns.
     """
-    _check_matrix_size(f.n, f.m)
+    check_matrix_size(f.n, f.m)
     if _explicit_zero(f):
         return False
     int_dicts, _ = _scale_components_to_int(f)

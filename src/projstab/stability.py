@@ -21,7 +21,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import lcm
-from typing import Sequence
 
 from . import linalg
 from .errors import DimensionMismatch, InvalidBlock, NotASolution, SizeLimit
@@ -59,14 +58,14 @@ class StabilizerSpace:
 
 @dataclass(frozen=True)
 class HyperplanePartition:
-    """Components grouped by hyperplane level, vertices by weight level.
+    """Components grouped by hyperplane level b_j + C, highest level first.
 
-    For a morphism the two multisets of levels coincide (each hyperplane
-    class of size k+1 holds exactly k+1 simplex vertices).
+    multisets_equal compares those levels with the vertex levels m*c_i; for
+    a morphism the two multisets coincide (each hyperplane class of size
+    k+1 holds exactly k+1 simplex vertices).
     """
 
     hyperplane_classes: tuple[tuple[Fraction, tuple[int, ...]], ...]
-    vertex_classes: tuple[tuple[Fraction, tuple[int, ...]], ...]
     multisets_equal: bool
 
 
@@ -148,24 +147,19 @@ def solution_satisfies(f: ProjectiveMap, sol: StabilizerSolution) -> bool:
     return True
 
 
-def _group_by_value(values: Sequence[Fraction]) -> tuple[tuple[Fraction, tuple[int, ...]], ...]:
-    classes: dict[Fraction, list[int]] = {}
-    for i, v in enumerate(values):
-        classes.setdefault(v, []).append(i)
-    return tuple((v, tuple(ix)) for v, ix in
-                 sorted(classes.items(), key=lambda t: t[0], reverse=True))
-
-
 def hyperplane_partition(f: ProjectiveMap, sol: StabilizerSolution
                          ) -> HyperplanePartition:
-    """Group components by b_j + C and vertices by m*c_i; compare multisets."""
+    """Group components by b_j + C; compare those levels with the m*c_i."""
     if not solution_satisfies(f, sol):
         raise NotASolution("vector violates a support constraint of the map")
     hyper_values = [sol.b[j] + sol.C for j in range(f.num_vars)]
-    vertex_values = [f.m * sol.c[i] for i in range(f.num_vars)]
-    equal = sorted(hyper_values) == sorted(vertex_values)
-    return HyperplanePartition(_group_by_value(hyper_values),
-                               _group_by_value(vertex_values), equal)
+    classes: dict[Fraction, list[int]] = {}
+    for j, v in enumerate(hyper_values):
+        classes.setdefault(v, []).append(j)
+    equal = sorted(hyper_values) == sorted(f.m * x for x in sol.c)
+    return HyperplanePartition(
+        tuple((v, tuple(js)) for v, js in sorted(classes.items(), reverse=True)),
+        equal)
 
 
 def _face_components(f: ProjectiveMap, vset: frozenset[int]) -> frozenset[int]:

@@ -29,7 +29,7 @@ from .decompose import split_once
 from .documents import map_to_document
 from .errors import BudgetExceeded, InvalidBox, ZeroMap
 from .poly import ProjectiveMap, make_map
-from .resultant import is_morphism, monomials_of_degree
+from .resultant import check_matrix_size, is_morphism, monomials_of_degree
 from .stability import (detect_blocks, block_to_1ps, hyperplane_partition,
                         limit_map, stabilizer_space)
 from .weights import vertex_coverage
@@ -168,7 +168,8 @@ def run_verification_suite(n: int, m: int, coeffs: Sequence,
     Raises InvalidBox, before anything is counted or drawn, for n < 0,
     m < 1, a negative sample size, or a coefficient set with no nonzero
     entry (every candidate would be the zero map, and sampling would redraw
-    forever).
+    forever).  Raises SizeLimit just as early when (n, m) is past
+    resultant.MATRIX_SIZE_LIMIT, where is_morphism would refuse every map.
     """
     coeffs = tuple(coeffs)
     if n < 0:
@@ -180,6 +181,7 @@ def run_verification_suite(n: int, m: int, coeffs: Sequence,
     if not any(coeffs):
         raise InvalidBox("the coefficient set needs a nonzero entry, "
                          f"got {[str(c) for c in coeffs]}")
+    check_matrix_size(n, m)
     total = count_candidates(n, m, coeffs)
     if sample is None and total > DEFAULT_BUDGET:
         raise BudgetExceeded(

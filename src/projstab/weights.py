@@ -34,12 +34,11 @@ class OnePS:
 class WeightProfile:
     """All term weights <c,I> - b_j of a map under one subgroup.
 
-    component_minima[j] is None for a zero component (empty support); the
-    global minimum K ranges over nonempty components only.
+    A zero component has no terms, so the global minimum K ranges over
+    nonempty components only.
     """
 
     per_component: tuple[tuple[tuple[MultiIndex, int], ...], ...]
-    component_minima: tuple[int | None, ...]
     K: int
 
     def weights_of(self, j: int) -> dict[MultiIndex, int]:
@@ -55,18 +54,13 @@ def weight(c: Sequence[int], index: Sequence[int]) -> int:
 
 
 def weight_profile(f: ProjectiveMap, ops: OnePS) -> WeightProfile:
-    """Exact weight of every supported term, with per-component minima."""
+    """Exact weight of every supported term, with their global minimum K."""
     if len(ops.c) != f.num_vars:
         raise DimensionMismatch(
             f"subgroup lives on {len(ops.c)} coordinates, map on {f.num_vars}")
-    per = []
-    minima: list[int | None] = []
-    for j, comp in enumerate(f.components):
-        ws = tuple((e, weight(ops.c, e) - ops.b[j]) for e, _ in comp.terms)
-        per.append(ws)
-        minima.append(min((w for _, w in ws), default=None))
-    finite = [k for k in minima if k is not None]
-    return WeightProfile(tuple(per), tuple(minima), min(finite))
+    per = tuple(tuple((e, weight(ops.c, e) - ops.b[j]) for e, _ in comp.terms)
+                for j, comp in enumerate(f.components))
+    return WeightProfile(per, min(w for ws in per for _, w in ws))
 
 
 def vertex_coverage(f: ProjectiveMap) -> tuple[bool, ...]:

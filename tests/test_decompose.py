@@ -132,8 +132,22 @@ class TestVerifyPreimage:
             assert verify_preimage(f, block, 13)
 
     def test_scan_size_limit(self):
+        # The quotient of this block lives on 2 variables, and
+        # P^1(F_1000003) has 1000004 points.
+        block = [b for b in detect_blocks(N2) if sorted(b.variables) == [0, 1]][0]
         with pytest.raises(SizeLimit):
-            verify_preimage(TRI, detect_blocks(TRI)[0], 1000003)
+            verify_preimage(N2, block, 1000003)
+
+    def test_scan_covers_only_the_quotient(self):
+        # P^3(F_101) has 1040604 points, past the point bound, but the
+        # quotient of the block ({0}, {0}) is x0^2 on P^0(F_101): one point.
+        f = make_map(3, 2, [[((2, 0, 0, 0), 1)],
+                            [((0, 2, 0, 0), 1), ((1, 1, 0, 0), 1)],
+                            [((0, 0, 2, 0), 1), ((0, 1, 1, 0), 1)],
+                            [((0, 0, 0, 2), 1), ((1, 0, 0, 1), 1)]])
+        block = detect_blocks(f)[0]
+        assert block.variables == block.components == frozenset({0})
+        assert verify_preimage(f, block, 101)
 
     def test_fails_where_reduction_degenerates(self):
         # The quotient (x0^2 + x1^2, -4x0^2 + x1^2) has resultant 25 over Q;

@@ -9,8 +9,8 @@ import pytest
 
 import projstab.cli as cli
 import projstab.verify as verify
-from projstab import (InvalidBox, ParseError, classify, decompose_fully,
-                      make_map, run_verification_suite)
+from projstab import (InvalidBox, ParseError, SizeLimit, classify,
+                      decompose_fully, make_map, run_verification_suite)
 from projstab.documents import (classification_to_dict, document_to_map,
                                 dumps_canonical, format_fraction, load_map_file,
                                 loads_map, map_to_document, parse_fraction,
@@ -215,6 +215,20 @@ class TestCLI:
         lines = captured.err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("parse error:")
 
+    @pytest.mark.parametrize("content", [
+        b"[" * 200000 + b"]" * 200000,
+        b"\x7fELF\x02\x01\x01\x00\xff\xfe\x00",
+    ], ids=["deeply-nested", "not-utf8"])
+    def test_analyze_unreadable_document_is_a_parse_error(self, tmp_path,
+                                                          capsys, content):
+        path = tmp_path / "doc.json"
+        path.write_bytes(content)
+        assert cli.main(["analyze", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("parse error:")
+
     def test_analyze_rejects_oversized_probe(self, tmp_path, capsys):
         good = write_doc(tmp_path, CUBE)
         assert cli.main(["analyze", good, "--probe-primes", "1000003"]) == 1
@@ -297,13 +311,23 @@ class TestCLI:
         ["figure", "{cube}", "--out", "{out}"],
         ["limit", "{tri}", "--c", "0,1,2", "--b", "0,0"],
         ["verify", "--n", "2", "--m", "3", "--coeffs=-1,0,1"],
+        ["analyze", "{dir}"],
+        ["figure", "{n2}", "--out", "{dir}"],
+        ["limit", "{tri}", "--c", "0,1,2", "--b", "0,0,0"],
+        ["verify", "--n", "4", "--m", "5", "--coeffs=0,1", "--sample", "1"],
     ], ids=["missing-file", "composite-prime", "oversized-probe",
-            "figure-not-n2", "limit-weight-length", "verify-budget"])
+            "figure-not-n2", "limit-weight-length", "verify-budget",
+            "analyze-directory", "figure-out-directory",
+            "limit-weights-longer-than-map", "verify-past-matrix-bound"])
     def test_input_errors_print_one_error_line(self, argv, tmp_path, capsys):
+        n2 = make_map(2, 2, [[((2, 0, 0), 1)], [((0, 2, 0), 1)],
+                             [((0, 0, 2), 1)]])
         paths = {"missing": str(tmp_path / "missing.json"),
                  "cube": write_doc(tmp_path, CUBE, "cube.json"),
                  "tri": write_doc(tmp_path, TRI, "tri.json"),
-                 "out": str(tmp_path / "fig.json")}
+                 "n2": write_doc(tmp_path, n2, "n2.json"),
+                 "out": str(tmp_path / "fig.json"),
+                 "dir": str(tmp_path)}
         assert cli.main([arg.format(**paths) for arg in argv]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
@@ -325,6 +349,19 @@ class TestCLI:
         assert captured.out == ""
         lines = captured.err.splitlines()
         assert len(lines) == 1 and "error: " in lines[0]
+
+    def test_verify_box_past_matrix_bound_is_rejected_before_listing(
+            self, monkeypatch):
+        # (4, 5) has critical-degree matrices with C(25, 4) = 12650 columns,
+        # above the 5000 bound, so is_morphism would refuse every map; the
+        # box must be refused before its monomials are listed.
+        def no_listing(num_vars, degree):
+            raise AssertionError("monomials listed for an oversized box")
+
+        monkeypatch.setattr(verify, "monomials_of_degree", no_listing)
+        for sample in (None, 1, 0):
+            with pytest.raises(SizeLimit):
+                run_verification_suite(4, 5, [F(0), F(1)], sample=sample)
 
     def test_verify_zero_box_is_rejected_before_sampling(self, monkeypatch):
         monkeypatch.setattr(verify, "Random", _BoundedRandom)

@@ -70,7 +70,7 @@ class TestMacaulay:
     def test_zero_component_short_circuit(self):
         f = make_map(1, 2, [[((2, 0), 1), ((2, 0), -1)], [((0, 2), 1)]])
         res = macaulay_resultant(f)
-        assert res.value == 0 and "zero component" in res.note
+        assert res.value == 0
 
     def test_uncovered_vertex_short_circuit(self):
         f = make_map(2, 2, [[((2, 0, 0), 1)], [((1, 1, 0), 1)], [((1, 0, 1), 1)]])

@@ -53,7 +53,7 @@ class TestWeightProfile:
         prof = weight_profile(TRI, OnePS((0, -1), (0, -3)))
         assert prof.weights_of(0) == {(3, 0): 0}
         assert prof.weights_of(1) == {(0, 3): 0, (1, 2): 1}
-        assert prof.K == 0 and prof.component_minima == (0, 0)
+        assert prof.K == 0
 
     def test_trivial_family_constant_weights(self):
         rng = Random(41)
@@ -70,7 +70,7 @@ class TestWeightProfile:
     def test_empty_component_sentinel(self):
         f = make_map(1, 2, [[((2, 0), 1), ((2, 0), -1)], [((0, 2), 1)]])
         prof = weight_profile(f, OnePS((1, 0), (0, 0)))
-        assert prof.component_minima[0] is None
+        assert prof.weights_of(0) == {}
         assert prof.K == 0
 
     def test_dimension_mismatch(self):
