@@ -165,8 +165,10 @@ def verify_preimage(f: ProjectiveMap, block: BlockStructure, prime: int
     only those P^(k-1)(F_prime) points are scanned.  Raises InvalidBlock
     for a block that does not fit f, BadPrime for a bad modulus or a
     denominator of f that vanishes mod prime, and SizeLimit when
-    P^(k-1)(F_prime) has more than ffield.POINT_LIMIT points.
+    P^max(k-1, 1)(F_prime) has more than ffield.POINT_LIMIT points: the
+    scan tabulates powers of all prime residues even on P^0.
     """
     quotient = split_once(f, block).quotient
     ffield.reduce_map_mod_p(f, prime)
+    ffield.check_point_count(max(quotient.n, 1), prime)
     return not ffield.common_zeros_mod_p(quotient, prime)

@@ -148,10 +148,11 @@ def _scale_components_to_int(f: ProjectiveMap) -> tuple[list[dict[MultiIndex, in
 def check_matrix_size(n: int, m: int) -> None:
     """Raise SizeLimit when the critical-degree matrices of a degree-m map
     of P^n would have more than MATRIX_SIZE_LIMIT columns."""
-    dim = comb((n + 1) * (m - 1) + 1 + n, n)
-    if dim > MATRIX_SIZE_LIMIT:
-        raise SizeLimit(f"critical-degree matrices would have {dim} columns, "
-                        f"above the {MATRIX_SIZE_LIMIT} bound")
+    top = (n + 1) * (m - 1) + 1 + n
+    # comb(top, n) >= top when 0 < n < top: a large n or m is refused early
+    if n and top > MATRIX_SIZE_LIMIT or comb(top, n) > MATRIX_SIZE_LIMIT:
+        raise SizeLimit(f"critical-degree matrices of a degree-{m} map of P^{n}"
+                        f" would have more than {MATRIX_SIZE_LIMIT} columns")
 
 
 def _explicit_zero(f: ProjectiveMap) -> bool:

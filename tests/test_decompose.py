@@ -149,6 +149,13 @@ class TestVerifyPreimage:
         assert block.variables == block.components == frozenset({0})
         assert verify_preimage(f, block, 101)
 
+    def test_point_quotient_still_bounds_the_prime(self):
+        # The scan tabulates powers of every residue even on P^0, so a prime
+        # whose P^1 is past the point bound is refused there too.
+        block = [b for b in detect_blocks(TRI) if len(b.variables) == 1][0]
+        with pytest.raises(SizeLimit):
+            verify_preimage(TRI, block, 1000003)
+
     def test_fails_where_reduction_degenerates(self):
         # The quotient (x0^2 + x1^2, -4x0^2 + x1^2) has resultant 25 over Q;
         # mod 5 both components vanish at (1, 2, 0), which is off x0 = x1 = 0.

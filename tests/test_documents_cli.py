@@ -314,11 +314,12 @@ class TestCLI:
         ["analyze", "{dir}"],
         ["figure", "{n2}", "--out", "{dir}"],
         ["limit", "{tri}", "--c", "0,1,2", "--b", "0,0,0"],
-        ["verify", "--n", "4", "--m", "5", "--coeffs=0,1", "--sample", "1"],
+        ["verify", "--n", "1000000000", "--m", "2", "--coeffs=0,1",
+         "--sample", "1"],
     ], ids=["missing-file", "composite-prime", "oversized-probe",
             "figure-not-n2", "limit-weight-length", "verify-budget",
             "analyze-directory", "figure-out-directory",
-            "limit-weights-longer-than-map", "verify-past-matrix-bound"])
+            "limit-weights-longer-than-map", "verify-huge-n"])
     def test_input_errors_print_one_error_line(self, argv, tmp_path, capsys):
         n2 = make_map(2, 2, [[((2, 0, 0), 1)], [((0, 2, 0), 1)],
                              [((0, 0, 2), 1)]])
