@@ -130,10 +130,20 @@ def loads_map(text: str) -> ProjectiveMap:
     return document_to_map(doc)
 
 
+# Bound on the bytes of one map document.  Documents are small; the cap
+# keeps a huge or endless input (such as /dev/zero) from filling memory.
+DOCUMENT_BYTE_LIMIT = 1 << 24
+
+
 def load_map_file(path: str) -> ProjectiveMap:
+    """Parse the map document at path; ParseError past DOCUMENT_BYTE_LIMIT
+    bytes or on text that is not UTF-8."""
+    with open(path, "rb") as fh:
+        data = fh.read(DOCUMENT_BYTE_LIMIT + 1)
+    if len(data) > DOCUMENT_BYTE_LIMIT:
+        raise ParseError(f"{path} is larger than {DOCUMENT_BYTE_LIMIT} bytes")
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
+        text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path} is not UTF-8 text: {exc.reason}") from None
     return loads_map(text)

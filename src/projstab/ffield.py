@@ -167,11 +167,13 @@ def common_zeros_mod_p(f: ProjectiveMap, p: int) -> list[tuple[int, ...]]:
     """All points of P^n(F_p) where every component vanishes, in canonical
     order.
 
-    Raises SizeLimit before scanning more than POINT_LIMIT points.
+    Raises SizeLimit before scanning more than POINT_LIMIT points.  The
+    power table, m+1 lists of p residues, is built only for n >= 1: the
+    one point of P^0 is evaluated without it.
     """
     reduced = reduce_map_mod_p(f, p)
     check_point_count(f.n, p)
-    table = _power_table(p, f.m)
+    table = _power_table(p, f.m) if f.n else None
     zeros = []
     for lead in range(f.n + 1):
         k = f.n - lead

@@ -6,6 +6,17 @@ routine on integer matrices, pivot_rows: a rational matrix is first scaled
 row by row to integers and the scale factors divided back out, so no
 floating point and no fraction blow-up inside the elimination.
 
+pivot_rows is sparse.  Each row is a {column: value} dict of its nonzeros,
+which for the Koszul matrices of the resultant is at most a few dozen
+entries in a row of hundreds.  A row meets the pivot rows in the order
+they were found; a step whose head entry is zero is skipped, and the next
+combination divides by the pivot of the last step that touched the row,
+not by the previous pivot, which Sylvester's identity makes exact.  A new
+pivot row pivots on its column with the fewest nonzeros among the first
+`need` rows, which keeps fill-in low.  None of this can change an answer:
+a row is chosen exactly when it is independent of the rows chosen before
+it, and a square block has one determinant, whatever the pivot order.
+
 Nullspaces are solved the same way: the rows are scaled to integers,
 brought to echelon form by fraction-free steps, each pivot row divided by
 its content, and back-substituted to the reduced row echelon form, which is
@@ -40,48 +51,70 @@ def permutation_sign(seq) -> int:
 
 
 def pivot_rows(rows: list[list[int]], need: int) -> tuple[list[int], int]:
-    """First `need` independent integer rows, by one-row Bareiss steps.
+    """First `need` independent integer rows, by sparse one-row Bareiss steps.
 
-    Rows are taken in the given order.  Each new row is reduced by the
-    pivot rows found so far; after k pivots its entries are the
-    (k+1)-minors of the input on the pivot rows and columns plus its own
-    row and column (Sylvester's identity), so every division by the
-    previous pivot is exact.  Pivot rows never change once chosen, and each
-    stored row keeps only the columns that are not yet pivot columns.
+    Rows are taken in the given order and held as {column: value} dicts of
+    their nonzeros.  Each new row is reduced by the pivot rows found so far,
+    in the order they were found.  After the k-th pivot step the true
+    Bareiss row holds the (k+1)-minors of the input on the first k pivot
+    rows and columns plus its own row and column (Sylvester's identity); so
+    does the held row, up to the factor d_k / d_s, with d_i the i-th pivot
+    (d_0 = 1) and s the last step whose head was nonzero.  A step with a
+    zero head changes nothing, and a step j with a nonzero head forms
+    (d_j * row - head * pivot row) / d_s, exact because the result is the
+    true row of step j.  A row that becomes a pivot row is scaled once by
+    d_k / d_s, again exactly.  Pivot rows never change once chosen.
+
+    A new pivot row's pivot column is, among its nonzeros, the column with
+    the fewest nonzeros in rows[:need] (ties to the lower index), one count
+    per call, which keeps the fill-in of sparse matrices low.  The pivot
+    rule changes neither output when `need` is the column count: a row is
+    chosen exactly when it is independent of the rows chosen before it,
+    and the chosen rows then form one square block with one determinant.
+    Every caller asks for the column count.  A smaller `need` gives the
+    minor on the pivot columns, and those do depend on the rule.
 
     Returns the chosen row positions (ascending) and the determinant of
     those rows on their pivot columns in ascending order; the determinant
     is 0 when fewer than `need` pivots exist, and the search stops as soon
     as the remaining rows cannot supply them.
     """
-    pivots: list[tuple[int, int, list[int]]] = []  # (position, pivot, row)
+    count = [0] * (len(rows[0]) if rows else 0)
+    for row in rows[:need]:
+        for c, x in enumerate(row):
+            if x:
+                count[c] += 1
+    pivots: list[tuple[int, int, dict[int, int]]] = []  # (column, pivot, row)
     chosen: list[int] = []
-    live = list(range(len(rows[0]))) if rows else []
     taken: list[int] = []
+    last = 1
     for r, row in enumerate(rows):
         if len(chosen) == need or len(chosen) + len(rows) - r < need:
             break
-        a = list(row)
-        prev = 1
-        for pos, pivot, pivot_row in pivots:
-            head = a.pop(pos)
-            if head:
-                a = [(x * pivot - head * y) // prev
-                     for x, y in zip(a, pivot_row)]
-            elif pivot != prev:
-                a = [x * pivot // prev for x in a]
-            prev = pivot
-        pos = next((j for j, x in enumerate(a) if x), None)
-        if pos is None:
+        a = {c: x for c, x in enumerate(row) if x}
+        den = 1
+        for pc, pivot, pivot_row in pivots:
+            head = a.pop(pc, 0)
+            if not head:
+                continue
+            a = {c: x * pivot for c, x in a.items()}
+            get = a.get
+            for c, y in pivot_row.items():
+                a[c] = get(c, 0) - head * y
+            a = {c: x // den for c, x in a.items() if x}
+            den = pivot
+        if not a:
             continue
-        pivot = a.pop(pos)
-        pivots.append((pos, pivot, a))
+        if den != last:
+            a = {c: x * last // den for c, x in a.items()}
+        pc = min(a, key=lambda c: (count[c], c))
+        last = a.pop(pc)
+        pivots.append((pc, last, a))
         chosen.append(r)
-        taken.append(live.pop(pos))
+        taken.append(pc)
     if len(chosen) < need:
         return chosen, 0
-    det = pivots[-1][1] if pivots else 1
-    return chosen, permutation_sign(taken) * det
+    return chosen, permutation_sign(taken) * last
 
 
 def det_rational(m: Matrix) -> Fraction:

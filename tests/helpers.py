@@ -4,6 +4,7 @@ from fractions import Fraction
 from random import Random
 
 from projstab import ZeroMap, make_map
+from projstab.linalg import permutation_sign
 from projstab.resultant import monomials_of_degree
 
 DEFAULT_COEFFS = tuple(Fraction(k) for k in (-2, -1, 0, 1, 2))
@@ -55,6 +56,42 @@ def mat_mul(a, b):
 def mat_vec(a, v):
     return [sum((row[k] * v[k] for k in range(len(v))), Fraction(0))
             for row in a]
+
+
+def reference_pivot_rows(rows, need):
+    """Dense one-row Bareiss elimination, the reference for pivot_rows.
+
+    Each new row is reduced by the pivot rows found so far, dividing every
+    step by the previous pivot, and pivots on its first nonzero column.
+    """
+    pivots = []  # (position, pivot, row)
+    chosen = []
+    live = list(range(len(rows[0]))) if rows else []
+    taken = []
+    for r, row in enumerate(rows):
+        if len(chosen) == need or len(chosen) + len(rows) - r < need:
+            break
+        a = list(row)
+        prev = 1
+        for pos, pivot, pivot_row in pivots:
+            head = a.pop(pos)
+            if head:
+                a = [(x * pivot - head * y) // prev
+                     for x, y in zip(a, pivot_row)]
+            elif pivot != prev:
+                a = [x * pivot // prev for x in a]
+            prev = pivot
+        pos = next((j for j, x in enumerate(a) if x), None)
+        if pos is None:
+            continue
+        pivot = a.pop(pos)
+        pivots.append((pos, pivot, a))
+        chosen.append(r)
+        taken.append(live.pop(pos))
+    if len(chosen) < need:
+        return chosen, 0
+    det = pivots[-1][1] if pivots else 1
+    return chosen, permutation_sign(taken) * det
 
 
 def random_invertible(rng: Random, size: int, lo: int = -3, hi: int = 3):

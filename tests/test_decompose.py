@@ -149,12 +149,11 @@ class TestVerifyPreimage:
         assert block.variables == block.components == frozenset({0})
         assert verify_preimage(f, block, 101)
 
-    def test_point_quotient_still_bounds_the_prime(self):
-        # The scan tabulates powers of every residue even on P^0, so a prime
-        # whose P^1 is past the point bound is refused there too.
+    def test_point_quotient_takes_any_prime(self):
+        # P^0 has one point and its scan builds no power table, so a prime
+        # whose P^1 is past the point bound still gives an answer there.
         block = [b for b in detect_blocks(TRI) if len(b.variables) == 1][0]
-        with pytest.raises(SizeLimit):
-            verify_preimage(TRI, block, 1000003)
+        assert verify_preimage(TRI, block, 1000003)
 
     def test_fails_where_reduction_degenerates(self):
         # The quotient (x0^2 + x1^2, -4x0^2 + x1^2) has resultant 25 over Q;

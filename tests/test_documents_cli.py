@@ -11,10 +11,10 @@ import projstab.cli as cli
 import projstab.verify as verify
 from projstab import (InvalidBox, ParseError, SizeLimit, classify,
                       decompose_fully, make_map, run_verification_suite)
-from projstab.documents import (classification_to_dict, document_to_map,
-                                dumps_canonical, format_fraction, load_map_file,
-                                loads_map, map_to_document, parse_fraction,
-                                tree_to_dict)
+from projstab.documents import (DOCUMENT_BYTE_LIMIT, classification_to_dict,
+                                document_to_map, dumps_canonical,
+                                format_fraction, load_map_file, loads_map,
+                                map_to_document, parse_fraction, tree_to_dict)
 
 CUBE = make_map(1, 3, [[((3, 0), 1)], [((0, 3), 1)]])
 TRI = make_map(1, 3, [[((3, 0), 1)], [((0, 3), 1), ((1, 2), 1)]])
@@ -218,7 +218,10 @@ class TestCLI:
     @pytest.mark.parametrize("content", [
         b"[" * 200000 + b"]" * 200000,
         b"\x7fELF\x02\x01\x01\x00\xff\xfe\x00",
-    ], ids=["deeply-nested", "not-utf8"])
+        # A valid map padded with whitespace to one byte past the bound.
+        b'{"n": 0, "m": 1, "components": [[{"exp": [1], "coeff": "1"}]]}'.ljust(
+            DOCUMENT_BYTE_LIMIT + 1),
+    ], ids=["deeply-nested", "not-utf8", "over-byte-limit"])
     def test_analyze_unreadable_document_is_a_parse_error(self, tmp_path,
                                                           capsys, content):
         path = tmp_path / "doc.json"

@@ -5,11 +5,12 @@ from random import Random
 
 import pytest
 import sympy
+from hypothesis import given, settings, strategies as st
 
 from projstab import SingularMatrix
 from projstab.linalg import (det_rational, mat_inverse, nullspace,
                              pivot_rows, rank_mod_p)
-from helpers import mat_mul
+from helpers import mat_mul, reference_pivot_rows
 
 
 def _det(m):
@@ -134,3 +135,55 @@ def test_rank_matches_sympy():
     assert pivot_rows([], 0) == ([], 1)
     assert pivot_rows([[0, 1, 2], [0, 2, 4], [0, 3, 7]], 2) == ([0, 2], 1)
     assert pivot_rows([[0, 1, 2], [0, 2, 4], [0, 3, 7]], 3)[1] == 0
+
+
+@st.composite
+def _integer_matrices(draw):
+    """Integer matrices up to 40 x 30, sparse to dense.
+
+    Entries are drawn directly, or as a product of a rows x inner and an
+    inner x cols factor (rank at most inner); each entry is nonzero with
+    the drawn density.  Then some rows are copied over others and some
+    columns are zeroed.
+    """
+    rows, cols = draw(st.integers(0, 40)), draw(st.integers(1, 30))
+    density = draw(st.sampled_from((0.05, 0.15, 0.4, 1.0)))
+    inner = draw(st.none() | st.integers(0, min(rows, cols)))
+    rng = Random(draw(st.integers(0, 2 ** 32 - 1)))
+
+    def factor(height, width):
+        return [[rng.randint(-3, 3) if rng.random() < density else 0
+                 for _ in range(width)] for _ in range(height)]
+
+    if inner is None:
+        m = factor(rows, cols)
+    else:
+        a, b = factor(rows, inner), factor(inner, cols)
+        m = [[sum(a[i][k] * b[k][j] for k in range(inner))
+              for j in range(cols)] for i in range(rows)]
+    for _ in range(draw(st.integers(0, 3)) if rows else 0):
+        m[rng.randrange(rows)] = list(m[rng.randrange(rows)])
+    for j in rng.sample(range(cols), draw(st.integers(0, cols - 1))):
+        for row in m:
+            row[j] = 0
+    return m
+
+
+@settings(max_examples=200)
+@given(_integer_matrices(), st.integers(0, 32))
+def test_pivot_rows_matches_dense_reference(m, drawn):
+    # `need` below, at and above the rank (rank_mod_p is the Q-rank for
+    # all but a vanishing share of draws), at the column count and drawn.
+    # The chosen rows never depend on the pivot rule, nor does the
+    # determinant of the square block when `need` is the column count;
+    # below it the determinant is a minor on rule-dependent columns.
+    cols = len(m[0]) if m else 0
+    rank = rank_mod_p(m, 1000003)
+    for need in {0, max(rank - 1, 0), rank, rank + 1, cols, drawn}:
+        chosen, det = pivot_rows(m, need)
+        ref_chosen, ref_det = reference_pivot_rows(m, need)
+        assert chosen == ref_chosen
+        if need >= cols:
+            assert det == ref_det
+        else:
+            assert (det == 0) == (ref_det == 0)

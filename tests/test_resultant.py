@@ -13,10 +13,11 @@ from projstab import (BadPrime, SizeLimit, WrongDimension, ZeroMap,
                       ff_zero_probe, is_morphism, verify_preimage,
                       macaulay_resultant, make_linear_change, make_map,
                       sylvester_resultant)
+from projstab import linalg
 from projstab.ffield import PRIMALITY_BOUND, is_prime, reduce_map_mod_p
 from projstab.linalg import det_rational
 from projstab.resultant import monomials_of_degree
-from helpers import random_map
+from helpers import random_map, reference_pivot_rows
 
 
 def _power_map(n, m):
@@ -229,6 +230,32 @@ class TestMacaulay:
             assert (macaulay_resultant(f).value != 0) == verdict
             seen.add(verdict)
         assert seen == {True, False}
+
+
+    @pytest.mark.parametrize("n,m,seed,shapes,singular", [
+        (3, 3, 2, [(336, 220), (120, 116), (4, 4)], False),
+        (2, 3, 2, [(45, 36), (9, 9)], True),
+    ], ids=["dense-3-3", "singular-macaulay-block"])
+    def test_kernel_matches_reference_on_every_level(
+            self, monkeypatch, n, m, seed, shapes, singular):
+        # Every level matrix as _koszul_determinant hands it to the kernel.
+        # At (2, 3) seed 2 the Macaulay block of level 1 is singular, so
+        # rows past Macaulay's get picked there.
+        f = random_map(Random(seed), n, m)
+        calls = []
+        kernel = linalg.pivot_rows
+
+        def recording(rows, need):
+            calls.append((rows, need, kernel(rows, need)))
+            return calls[-1][2]
+
+        monkeypatch.setattr(linalg, "pivot_rows", recording)
+        assert macaulay_resultant(f).value != 0
+        assert [(len(rows), need) for rows, need, _ in calls[:n]] == shapes
+        for rows, need, out in calls:
+            assert out == reference_pivot_rows(rows, need)
+        chosen, _ = calls[0][2]
+        assert (max(chosen) >= shapes[0][1]) == singular
 
 
 class TestIsMorphism:
