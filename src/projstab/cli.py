@@ -23,6 +23,7 @@ exits with 2.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 import time
 
@@ -146,7 +147,9 @@ def cmd_figure(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call and then reused."""
     parser = argparse.ArgumentParser(
         prog="projstab",
         description="Exact stability analysis of homogeneous polynomial "

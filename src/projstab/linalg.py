@@ -13,9 +13,12 @@ they were found; a step whose head entry is zero is skipped, and the next
 combination divides by the pivot of the last step that touched the row,
 not by the previous pivot, which Sylvester's identity makes exact.  A new
 pivot row pivots on its column with the fewest nonzeros among the first
-`need` rows, which keeps fill-in low.  None of this can change an answer:
-a row is chosen exactly when it is independent of the rows chosen before
-it, and a square block has one determinant, whatever the pivot order.
+`need` rows, which keeps fill-in low.  Rows past the first `need` are
+tried by their nonzeros in the columns no pivot has taken, most first,
+which spends fewer steps on rows that turn out dependent.  So the chosen
+rows depend on the entries, not on the row order alone; none of this
+changes whether `need` independent rows exist, and a square block has one
+determinant, whatever the pivot order.
 
 Nullspaces are solved the same way: the rows are scaled to integers,
 brought to echelon form by fraction-free steps, each pivot row divided by
@@ -51,33 +54,42 @@ def permutation_sign(seq) -> int:
 
 
 def pivot_rows(rows: list[list[int]], need: int) -> tuple[list[int], int]:
-    """First `need` independent integer rows, by sparse one-row Bareiss steps.
+    """`need` independent integer rows, by sparse one-row Bareiss steps.
 
-    Rows are taken in the given order and held as {column: value} dicts of
-    their nonzeros.  Each new row is reduced by the pivot rows found so far,
-    in the order they were found.  After the k-th pivot step the true
-    Bareiss row holds the (k+1)-minors of the input on the first k pivot
-    rows and columns plus its own row and column (Sylvester's identity); so
-    does the held row, up to the factor d_k / d_s, with d_i the i-th pivot
-    (d_0 = 1) and s the last step whose head was nonzero.  A step with a
-    zero head changes nothing, and a step j with a nonzero head forms
+    Rows are held as {column: value} dicts of their nonzeros.  Each new row
+    is reduced by the pivot rows found so far, in the order they were
+    found.  After the k-th pivot step the true Bareiss row holds the
+    (k+1)-minors of the input on the first k pivot rows and columns plus
+    its own row and column (Sylvester's identity); so does the held row,
+    up to the factor d_k / d_s, with d_i the i-th pivot (d_0 = 1) and s the
+    last step whose head was nonzero.  A step with a zero head changes
+    nothing, and a step j with a nonzero head forms
     (d_j * row - head * pivot row) / d_s, exact because the result is the
     true row of step j.  A row that becomes a pivot row is scaled once by
     d_k / d_s, again exactly.  Pivot rows never change once chosen.
 
+    The first `need` rows are taken in the given order.  If they leave
+    pivots missing, the other rows follow in decreasing order of their
+    nonzeros in the columns that no pivot has taken (ties in the given
+    order), which tries first the rows most likely to supply the missing
+    pivots.  A row is chosen exactly when it is independent of the rows
+    chosen before it in that processing order, so rows[:need] are chosen
+    whenever they have rank `need`.
+
     A new pivot row's pivot column is, among its nonzeros, the column with
     the fewest nonzeros in rows[:need] (ties to the lower index), one count
     per call, which keeps the fill-in of sparse matrices low.  The pivot
-    rule changes neither output when `need` is the column count: a row is
-    chosen exactly when it is independent of the rows chosen before it,
-    and the chosen rows then form one square block with one determinant.
-    Every caller asks for the column count.  A smaller `need` gives the
-    minor on the pivot columns, and those do depend on the rule.
+    rule changes neither output when `need` is the column count: the
+    chosen rows form one square block with one determinant.  Every caller
+    asks for the column count.  A smaller `need` gives the minor on the
+    pivot columns, and those do depend on the rule.
 
     Returns the chosen row positions (ascending) and the determinant of
-    those rows on their pivot columns in ascending order; the determinant
-    is 0 when fewer than `need` pivots exist, and the search stops as soon
-    as the remaining rows cannot supply them.
+    those rows, in ascending order, on their pivot columns in ascending
+    order: the elimination's last pivot times the signs of the processing
+    order and of the pivot column order.  The determinant is 0 when fewer
+    than `need` pivots exist, and the search stops as soon as the
+    remaining rows cannot supply them.
     """
     count = [0] * (len(rows[0]) if rows else 0)
     for row in rows[:need]:
@@ -88,10 +100,16 @@ def pivot_rows(rows: list[list[int]], need: int) -> tuple[list[int], int]:
     chosen: list[int] = []
     taken: list[int] = []
     last = 1
-    for r, row in enumerate(rows):
-        if len(chosen) == need or len(chosen) + len(rows) - r < need:
+    order = list(range(len(rows)))
+    for i in range(len(rows)):
+        if len(chosen) == need or len(chosen) + len(rows) - i < need:
             break
-        a = {c: x for c, x in enumerate(row) if x}
+        if i == need:
+            free = set(range(len(count))).difference(taken)
+            order[need:] = sorted(order[need:], key=lambda r: -sum(
+                1 for c in free if rows[r][c]))
+        r = order[i]
+        a = {c: x for c, x in enumerate(rows[r]) if x}
         den = 1
         for pc, pivot, pivot_row in pivots:
             head = a.pop(pc, 0)
@@ -113,8 +131,9 @@ def pivot_rows(rows: list[list[int]], need: int) -> tuple[list[int], int]:
         chosen.append(r)
         taken.append(pc)
     if len(chosen) < need:
-        return chosen, 0
-    return chosen, permutation_sign(taken) * last
+        return sorted(chosen), 0
+    return sorted(chosen), (permutation_sign(chosen) * permutation_sign(taken)
+                            * last)
 
 
 def det_rational(m: Matrix) -> Fraction:

@@ -5,7 +5,8 @@ from random import Random
 
 from projstab import ZeroMap, make_map
 from projstab.linalg import permutation_sign
-from projstab.resultant import monomials_of_degree
+from projstab.resultant import (_koszul_level, _koszul_rows,
+                                monomials_of_degree)
 
 DEFAULT_COEFFS = tuple(Fraction(k) for k in (-2, -1, 0, 1, 2))
 
@@ -92,6 +93,55 @@ def reference_pivot_rows(rows, need):
         return chosen, 0
     det = pivots[-1][1] if pivots else 1
     return chosen, permutation_sign(taken) * det
+
+
+def check_pivot_rows_contract(rows, need, out):
+    """Assert that out = pivot_rows(rows, need) keeps the kernel's contract.
+
+    The determinant is 0 exactly when the rank is below `need`.  The
+    chosen rows are ascending and independent, and they are the
+    reference's whenever rows[:need] already has rank `need`.  At `need`
+    equal to the column count the determinant is that of the chosen rows,
+    by the reference on exactly those rows; below it, it is a minor on
+    columns that the pivot rule picks, so only its zero-ness is fixed.
+    """
+    chosen, det = out
+    ref_chosen, ref_det = reference_pivot_rows(rows, need)
+    assert (det == 0) == (ref_det == 0)
+    assert chosen == sorted(set(chosen))
+    if reference_pivot_rows(rows[:need], need)[1]:
+        assert chosen == ref_chosen
+    if det:
+        picked_det = reference_pivot_rows([rows[i] for i in chosen], need)[1]
+        assert len(chosen) == need and picked_det
+        if rows and need == len(rows[0]):
+            assert det == picked_det
+
+
+def reference_koszul_determinant(int_dicts, n, m):
+    """Cayley's product of the Koszul complex with the reference kernel.
+
+    Every level hands its rows to reference_pivot_rows in ascending basis
+    order (no matching of pure powers, no reordering of leftover rows),
+    so it picks the first independent rows.  The product is
+    prod_k sigma_k * det(A_k)^((-1)^(k+1)), with sigma_k the sign that
+    lists level k as (unpicked rows, picked rows), and 0 when a level
+    finds too few pivots.  It does not depend on which rows are picked.
+    """
+    value = Fraction(1)
+    live = list(range(len(_koszul_level(n, m, 0)[1])))
+    k = 1
+    while live:
+        rows = _koszul_rows(int_dicts, n, m, k)
+        picked, det = reference_pivot_rows(
+            [[row[c] for c in live] for row in rows], len(live))
+        if det == 0:
+            return Fraction(0)
+        live = [r for r in range(len(rows)) if r not in picked]
+        det *= permutation_sign(live + picked)
+        value = value * det if k % 2 else value / det
+        k += 1
+    return value
 
 
 def random_invertible(rng: Random, size: int, lo: int = -3, hi: int = 3):

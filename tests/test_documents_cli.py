@@ -3,6 +3,7 @@
 import json
 import time
 from fractions import Fraction as F
+from pathlib import Path
 from random import Random
 
 import pytest
@@ -16,6 +17,7 @@ from projstab.documents import (DOCUMENT_BYTE_LIMIT, classification_to_dict,
                                 format_fraction, load_map_file, loads_map,
                                 map_to_document, parse_fraction, tree_to_dict)
 
+GOLDEN = Path(__file__).parent / "data" / "analyze"
 CUBE = make_map(1, 3, [[((3, 0), 1)], [((0, 3), 1)]])
 TRI = make_map(1, 3, [[((3, 0), 1)], [((0, 3), 1), ((1, 2), 1)]])
 # JSON true/false in integer fields; Python reads them as 1/0.
@@ -405,3 +407,21 @@ class TestCLI:
     def test_load_map_file(self, tmp_path):
         path = write_doc(tmp_path, CUBE)
         assert load_map_file(path) == CUBE
+
+
+@pytest.mark.parametrize("name", sorted(
+    p.name[:-len(".map.json")] for p in GOLDEN.glob("*.map.json")))
+def test_analyze_json_matches_golden(name, capsys):
+    # Each <name>.report.json holds `analyze --json` on <name>.map.json
+    # without its timing block, so a speed-up that changes a byte of the
+    # canonical report fails here.  The maps: n = 1 with rational
+    # coefficients; (2,2) with and without a zero pure power; a (2,3) map
+    # whose Macaulay block is singular; two (3,3) maps whose pure powers
+    # need a matching; a non-morphism with no explicit zero; a triangular
+    # map with blocks.
+    code = cli.main(["analyze", str(GOLDEN / f"{name}.map.json"), "--json"])
+    report = json.loads(capsys.readouterr().out)
+    del report["timing"]
+    assert code == (0 if report["is_morphism"] else 2)
+    assert dumps_canonical(report) == (
+        GOLDEN / f"{name}.report.json").read_text(encoding="utf-8")

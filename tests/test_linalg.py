@@ -10,7 +10,8 @@ from hypothesis import given, settings, strategies as st
 from projstab import SingularMatrix
 from projstab.linalg import (det_rational, mat_inverse, nullspace,
                              pivot_rows, rank_mod_p)
-from helpers import mat_mul, reference_pivot_rows
+from helpers import (check_pivot_rows_contract, mat_mul,
+                     reference_pivot_rows)
 
 
 def _det(m):
@@ -174,16 +175,21 @@ def _integer_matrices(draw):
 def test_pivot_rows_matches_dense_reference(m, drawn):
     # `need` below, at and above the rank (rank_mod_p is the Q-rank for
     # all but a vanishing share of draws), at the column count and drawn.
-    # The chosen rows never depend on the pivot rule, nor does the
-    # determinant of the square block when `need` is the column count;
-    # below it the determinant is a minor on rule-dependent columns.
+    # Once rows[:need] have left pivots missing, the leftover rows are
+    # taken by their nonzeros in free columns, so only the contract in
+    # check_pivot_rows_contract ties the kernel to the dense reference.
     cols = len(m[0]) if m else 0
     rank = rank_mod_p(m, 1000003)
     for need in {0, max(rank - 1, 0), rank, rank + 1, cols, drawn}:
-        chosen, det = pivot_rows(m, need)
-        ref_chosen, ref_det = reference_pivot_rows(m, need)
-        assert chosen == ref_chosen
-        if need >= cols:
-            assert det == ref_det
-        else:
-            assert (det == 0) == (ref_det == 0)
+        check_pivot_rows_contract(m, need, pivot_rows(m, need))
+
+
+def test_leftover_rows_reaching_a_free_column_go_first():
+    # Rows 0 and 1 take columns 0 and 2; row 2 is dependent, so column 1
+    # is free.  Of the leftover rows, row 3 is dependent and row 4 is
+    # independent, but neither has a nonzero in column 1; row 5 has, so
+    # it is tried first and picked.  In the given order row 4 would be.
+    m = [[1, 1, 0], [0, 0, 1], [1, 1, 1], [2, 2, 0], [1, 0, 0], [0, 1, 0]]
+    assert pivot_rows(m, 3) == ([0, 1, 5], -1)
+    assert reference_pivot_rows(m, 3) == ([0, 1, 4], 1)
+    check_pivot_rows_contract(m, 3, pivot_rows(m, 3))

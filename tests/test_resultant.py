@@ -1,7 +1,7 @@
 """Sylvester and Macaulay resultants, morphism decisions, field probes."""
 
 from fractions import Fraction as F
-from itertools import product
+from itertools import permutations, product
 from random import Random
 
 import pytest
@@ -9,15 +9,17 @@ import sympy
 from hypothesis import assume, given, settings, strategies as st
 
 from projstab import (BadPrime, SizeLimit, WrongDimension, ZeroMap,
-                      apply_linear_change, detect_blocks, evaluate,
-                      ff_zero_probe, is_morphism, verify_preimage,
+                      apply_linear_change, compose, detect_blocks, evaluate,
+                      ff_zero_probe, is_morphism, iterate, verify_preimage,
                       macaulay_resultant, make_linear_change, make_map,
                       sylvester_resultant)
 from projstab import linalg
 from projstab.ffield import PRIMALITY_BOUND, is_prime, reduce_map_mod_p
-from projstab.linalg import det_rational
-from projstab.resultant import monomials_of_degree
-from helpers import random_map, reference_pivot_rows
+from projstab.linalg import det_rational, permutation_sign
+from projstab.resultant import (_level_one_order, _pure_power_matching,
+                                _scale_components_to_int, monomials_of_degree)
+from helpers import (check_pivot_rows_contract, random_map,
+                     reference_koszul_determinant)
 
 
 def _power_map(n, m):
@@ -52,6 +54,35 @@ class TestSylvester:
         for root in ((0, 1), (1, 1), (-1, 1)):
             expected *= g.evaluate([F(x) for x in root])
         assert sylvester_resultant(f) == expected
+
+
+@st.composite
+def _koszul_cases(draw):
+    """Maps with n <= 3 in three fixed shares of the draws.
+
+    A third keep every drawn coefficient.  A third zero the pure power
+    x_j^m of component j for a drawn nonempty set of j, so that Macaulay's
+    rows need a matching or, failing one, the leftover rows.  A third copy
+    component 0 over component n, a common zero (Res = 0 for n >= 1) that
+    no support test sees.  Coefficients are small integers or fractions.
+    """
+    n = draw(st.integers(0, 3))
+    m = draw(st.integers(1, (4, 4, 3, 2)[n]))
+    kind = draw(st.sampled_from(("dense", "no pure power", "common zero")))
+    coeff = (st.sampled_from((-2, -1, 0, 1, 2))
+             | st.builds(F, st.integers(-3, 3), st.integers(1, 4)))
+    comps = [{e: F(draw(coeff)) for e in monomials_of_degree(n + 1, m)}
+             for _ in range(n + 1)]
+    if kind == "no pure power":
+        for j in draw(st.sets(st.integers(0, n), min_size=1)):
+            comps[j][tuple(m * (i == j) for i in range(n + 1))] = F(0)
+    elif kind == "common zero":
+        comps[n] = comps[0]
+    try:
+        return make_map(n, m, [[(e, c) for e, c in comp.items() if c]
+                               for comp in comps])
+    except ZeroMap:
+        assume(False)
 
 
 class TestMacaulay:
@@ -232,16 +263,23 @@ class TestMacaulay:
         assert seen == {True, False}
 
 
-    @pytest.mark.parametrize("n,m,seed,shapes,singular", [
-        (3, 3, 2, [(336, 220), (120, 116), (4, 4)], False),
-        (2, 3, 2, [(45, 36), (9, 9)], True),
-    ], ids=["dense-3-3", "singular-macaulay-block"])
+    @pytest.mark.parametrize("n,m,seed,shapes,lead,singular", [
+        (3, 3, 2, [(336, 220), (120, 116), (4, 4)], (0, 1, 2, 3), False),
+        (3, 3, 10, [(336, 220), (120, 116), (4, 4)], (3, 2, 1, 0), True),
+        (2, 3, 2, [(45, 36), (9, 9)], (0, 2, 1), False),
+        (2, 3, 11, [(45, 36), (9, 9)], (0, 1, 2), True),
+    ], ids=["dense-3-3", "matched-singular-3-3", "matched-lead",
+            "singular-macaulay-block"])
     def test_kernel_matches_reference_on_every_level(
-            self, monkeypatch, n, m, seed, shapes, singular):
+            self, monkeypatch, n, m, seed, shapes, lead, singular):
         # Every level matrix as _koszul_determinant hands it to the kernel.
-        # At (2, 3) seed 2 the Macaulay block of level 1 is singular, so
-        # rows past Macaulay's get picked there.
+        # At (2, 3) seed 2, f_1 lacks x_1^3, and Macaulay's rows take x_1^3
+        # from f_2 and x_2^3 from f_1, which makes their block nonsingular.
+        # At (3, 3) seed 10 and (2, 3) seed 11 the matched block is still
+        # singular, so rows past Macaulay's get picked on level 1.
         f = random_map(Random(seed), n, m)
+        assert _pure_power_matching(_scale_components_to_int(f)[0],
+                                    n, m) == lead
         calls = []
         kernel = linalg.pivot_rows
 
@@ -253,9 +291,77 @@ class TestMacaulay:
         assert macaulay_resultant(f).value != 0
         assert [(len(rows), need) for rows, need, _ in calls[:n]] == shapes
         for rows, need, out in calls:
-            assert out == reference_pivot_rows(rows, need)
+            check_pivot_rows_contract(rows, need, out)
         chosen, _ = calls[0][2]
         assert (max(chosen) >= shapes[0][1]) == singular
+
+    @settings(max_examples=150, deadline=None, derandomize=True,
+              database=None)
+    @given(_koszul_cases())
+    def test_matches_reference_cayley_product(self, f):
+        # The reference takes every level's rows in ascending order with
+        # the dense kernel: no matching, no reordering of leftover rows.
+        n, m = f.n, f.m
+        int_dicts, correction = _scale_components_to_int(f)
+        power = [{tuple(m * (i == j) for i in range(n + 1)): 1}
+                 for j in range(n + 1)]
+        expected = (reference_koszul_determinant(int_dicts, n, m)
+                    * reference_koszul_determinant(power, n, m) / correction)
+        assert macaulay_resultant(f).value == expected
+
+    def test_level_one_order_cache_is_bounded(self):
+        # Component j = x_perm[j] holds the only pure power x_perm[j], so
+        # the 120 permutations at n = 4 give 120 matchings, each perm's
+        # inverse; a linear map's resultant is its determinant, here the
+        # sign of perm.
+        _level_one_order.cache_clear()
+        for perm in permutations(range(5)):
+            f = make_map(4, 1, [[(tuple(int(i == v) for i in range(5)), 1)]
+                                for v in perm])
+            lead = _pure_power_matching(_scale_components_to_int(f)[0], 4, 1)
+            assert [perm[j] for j in lead] == list(range(5))
+            assert macaulay_resultant(f).value == permutation_sign(perm)
+        info = _level_one_order.cache_info()
+        assert info.maxsize is not None
+        assert info.currsize == info.maxsize < 120
+
+
+class TestCompositionLaw:
+    """Res(F . G) = Res(F)^(e^n) * Res(G)^(d^(n+1)) for F of degree d and
+    G of degree e on P^n (Jouanolou, Adv. Math. 90, 1991).
+
+    The law ties three Koszul values together whichever rows each picks.
+    Only |Res| outside {0, 1} is drawn, where swapped exponents would fail.
+    """
+
+    @settings(max_examples=60, deadline=None, derandomize=True,
+              database=None)
+    @given(st.data())
+    def test_composition(self, data):
+        n = data.draw(st.integers(1, 3))
+        d = data.draw(st.integers(1, 2))
+        e = data.draw(st.integers(1, 2 if n < 3 or d == 1 else 1))
+        rng = Random(data.draw(st.integers(0, 2 ** 32 - 1)))
+        outer, inner = random_map(rng, n, d), random_map(rng, n, e)
+        r_outer = macaulay_resultant(outer).value
+        r_inner = macaulay_resultant(inner).value
+        assume(abs(r_outer) not in (0, 1) and abs(r_inner) not in (0, 1))
+        assert (macaulay_resultant(compose(outer, inner)).value
+                == r_outer ** (e ** n) * r_inner ** (d ** (n + 1)))
+
+    @pytest.mark.parametrize("n,m", [(1, 2), (1, 3), (2, 2)])
+    def test_iterate(self, n, m):
+        # F = G = f: Res(f . f) = Res(f)^(m^n + m^(n+1)).
+        rng = Random(139 + 10 * n + m)
+        checked = 0
+        while checked < 4:
+            f = random_map(rng, n, m)
+            r = macaulay_resultant(f).value
+            if abs(r) in (0, 1):
+                continue
+            assert (macaulay_resultant(iterate(f, 2)).value
+                    == r ** (m ** n + m ** (n + 1)))
+            checked += 1
 
 
 class TestIsMorphism:
