@@ -1,24 +1,32 @@
 """Exact linear algebra over the rationals (and modulo a prime).
 
-Matrices are plain lists of lists.  Determinants, exact full-rank tests and
-the row choices of the resultant all come from one fraction-free Bareiss
-routine on integer matrices, pivot_rows: a rational matrix is first scaled
-row by row to integers and the scale factors divided back out, so no
-floating point and no fraction blow-up inside the elimination.
+Matrices are plain lists of lists, except in the elimination kernel.
+Determinants, exact full-rank tests and the row choices of the resultant
+all come from one fraction-free Bareiss routine on integer rows,
+pivot_rows: a rational matrix is first scaled row by row to integers and
+the scale factors divided back out, so no floating point and no fraction
+blow-up inside the elimination.
 
 pivot_rows is sparse.  Each row is a {column: value} dict of its nonzeros,
 which for the Koszul matrices of the resultant is at most a few dozen
-entries in a row of hundreds.  A row meets the pivot rows in the order
-they were found; a step whose head entry is zero is skipped, and the next
-combination divides by the pivot of the last step that touched the row,
-not by the previous pivot, which Sylvester's identity makes exact.  A new
-pivot row pivots on its column with the fewest nonzeros among the first
-`need` rows, which keeps fill-in low.  Rows past the first `need` are
-tried by their nonzeros in the columns no pivot has taken, most first,
-which spends fewer steps on rows that turn out dependent.  So the chosen
-rows depend on the entries, not on the row order alone; none of this
-changes whether `need` independent rows exist, and a square block has one
+entries in a row of hundreds, and the resultant builds its rows in that
+form, so the kernel converts nothing.  Columns are any integer keys; only
+their order matters, so a block restricted to some columns keeps its
+original keys.  A row meets the pivot rows in the order they were found;
+a step whose head entry is zero is skipped, and the next combination
+divides by the pivot of the last step that touched the row, not by the
+previous pivot, which Sylvester's identity makes exact.  A new pivot row
+pivots on its column with the fewest nonzeros among the first `need`
+rows, which keeps fill-in low.  Rows past the first `need` are tried by
+their nonzeros in the columns no pivot has taken, most first, which
+spends fewer steps on rows that turn out dependent.  So the chosen rows
+depend on the entries, not on the row order alone; none of this changes
+whether `need` independent rows exist, and a square block has one
 determinant, whatever the pivot order.
+
+rank_mod_p is the one dense routine on those rows: it lays each row's
+residues out over the column range and eliminates modulo a word-size
+prime, as the fast accept of resultant.is_morphism.
 
 Nullspaces are solved the same way: the rows are scaled to integers,
 brought to echelon form by fraction-free steps, each pivot row divided by
@@ -53,17 +61,18 @@ def permutation_sign(seq) -> int:
     return sign
 
 
-def pivot_rows(rows: list[list[int]], need: int) -> tuple[list[int], int]:
+def pivot_rows(rows: list[dict[int, int]], need: int) -> tuple[list[int], int]:
     """`need` independent integer rows, by sparse one-row Bareiss steps.
 
-    Rows are held as {column: value} dicts of their nonzeros.  Each new row
-    is reduced by the pivot rows found so far, in the order they were
-    found.  After the k-th pivot step the true Bareiss row holds the
-    (k+1)-minors of the input on the first k pivot rows and columns plus
-    its own row and column (Sylvester's identity); so does the held row,
-    up to the factor d_k / d_s, with d_i the i-th pivot (d_0 = 1) and s the
-    last step whose head was nonzero.  A step with a zero head changes
-    nothing, and a step j with a nonzero head forms
+    Each row is a {column: value} dict of its nonzeros (no zero values),
+    keyed by integers whose order is the column order; the rows are not
+    changed.  Each new row is reduced by the pivot rows found so far, in
+    the order they were found.  After the k-th pivot step the true Bareiss
+    row holds the (k+1)-minors of the input on the first k pivot rows and
+    columns plus its own row and column (Sylvester's identity); so does
+    the held row, up to the factor d_k / d_s, with d_i the i-th pivot
+    (d_0 = 1) and s the last step whose head was nonzero.  A step with a
+    zero head changes nothing, and a step j with a nonzero head forms
     (d_j * row - head * pivot row) / d_s, exact because the result is the
     true row of step j.  A row that becomes a pivot row is scaled once by
     d_k / d_s, again exactly.  Pivot rows never change once chosen.
@@ -77,12 +86,13 @@ def pivot_rows(rows: list[list[int]], need: int) -> tuple[list[int], int]:
     whenever they have rank `need`.
 
     A new pivot row's pivot column is, among its nonzeros, the column with
-    the fewest nonzeros in rows[:need] (ties to the lower index), one count
+    the fewest nonzeros in rows[:need] (ties to the lower key), one count
     per call, which keeps the fill-in of sparse matrices low.  The pivot
-    rule changes neither output when `need` is the column count: the
+    rule changes neither output when `need` is the number of columns: the
     chosen rows form one square block with one determinant.  Every caller
-    asks for the column count.  A smaller `need` gives the minor on the
-    pivot columns, and those do depend on the rule.
+    asks for that.  A smaller `need` gives the minor on the pivot columns,
+    and those do depend on the rule.  Relabelling the columns by a
+    strictly increasing map changes neither output.
 
     Returns the chosen row positions (ascending) and the determinant of
     those rows, in ascending order, on their pivot columns in ascending
@@ -91,11 +101,10 @@ def pivot_rows(rows: list[list[int]], need: int) -> tuple[list[int], int]:
     than `need` pivots exist, and the search stops as soon as the
     remaining rows cannot supply them.
     """
-    count = [0] * (len(rows[0]) if rows else 0)
+    count: dict[int, int] = {}
     for row in rows[:need]:
-        for c, x in enumerate(row):
-            if x:
-                count[c] += 1
+        for c in row:
+            count[c] = count.get(c, 0) + 1
     pivots: list[tuple[int, int, dict[int, int]]] = []  # (column, pivot, row)
     chosen: list[int] = []
     taken: list[int] = []
@@ -105,11 +114,11 @@ def pivot_rows(rows: list[list[int]], need: int) -> tuple[list[int], int]:
         if len(chosen) == need or len(chosen) + len(rows) - i < need:
             break
         if i == need:
-            free = set(range(len(count))).difference(taken)
+            done = set(taken)
             order[need:] = sorted(order[need:], key=lambda r: -sum(
-                1 for c in free if rows[r][c]))
+                1 for c in rows[r] if c not in done))
         r = order[i]
-        a = {c: x for c, x in enumerate(rows[r]) if x}
+        a = dict(rows[r])
         den = 1
         for pc, pivot, pivot_row in pivots:
             head = a.pop(pc, 0)
@@ -125,7 +134,7 @@ def pivot_rows(rows: list[list[int]], need: int) -> tuple[list[int], int]:
             continue
         if den != last:
             a = {c: x * last // den for c, x in a.items()}
-        pc = min(a, key=lambda c: (count[c], c))
+        pc = min(a, key=lambda c: (count.get(c, 0), c))
         last = a.pop(pc)
         pivots.append((pc, last, a))
         chosen.append(r)
@@ -138,20 +147,31 @@ def pivot_rows(rows: list[list[int]], need: int) -> tuple[list[int], int]:
 
 def det_rational(m: Matrix) -> Fraction:
     """Exact determinant of a rational matrix."""
-    scaled: list[list[int]] = []
+    scaled: list[dict[int, int]] = []
     scale = 1
     for row in m:
         denom = lcm(*(x.denominator for x in row)) if row else 1
         scale *= denom
-        scaled.append([int(x * denom) for x in row])
+        scaled.append({c: int(x * denom) for c, x in enumerate(row) if x})
     return Fraction(pivot_rows(scaled, len(m))[1], scale)
 
 
-def rank_mod_p(m: list[list[int]], p: int) -> int:
-    """Rank of an integer matrix over F_p (a lower bound for the Q-rank)."""
-    a = [[x % p for x in row] for row in m]
+def rank_mod_p(m: list[dict[int, int]], cols: int, p: int) -> int:
+    """Rank over F_p of integer dict rows, a lower bound for their Q-rank.
+
+    The rows have their keys in range(cols).  This is the only routine
+    that lays rows out dense: each row's residues are written into a list
+    of `cols` entries and eliminated column by column.
+    It stays as the fast accept of resultant.is_morphism, since full rank
+    modulo p implies full rank over Q.
+    """
+    a = []
+    for row in m:
+        dense = [0] * cols
+        for c, x in row.items():
+            dense[c] = x % p
+        a.append(dense)
     rows = len(a)
-    cols = len(a[0]) if rows else 0
     rank = 0
     for c in range(cols):
         piv = None

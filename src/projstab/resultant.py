@@ -17,8 +17,9 @@ Multidimensional Determinants, 1994, ch. 3 and appendix A).
 * is_morphism tests exactness at the bottom: the level-1 matrix of all
   products (monomial of degree t-m) * f_i has full column rank.  A zero
   component or an uncovered simplex vertex shows a common zero at once;
-  full rank modulo one word-size prime implies full rank over Q; otherwise
-  the exact rank, by fraction-free integer elimination, decides.
+  full rank modulo one word-size prime (linalg.rank_mod_p) implies full
+  rank over Q; otherwise _level_one_pivots, the exact level-1 elimination
+  that macaulay_resultant starts with, decides.
 * macaulay_resultant computes the determinant.  Bottom up, each level k
   picks rows R_k whose square block A_k on the columns that level k-1 left
   unpicked is nonsingular.  Level 1 tries Macaulay's rows first: for each
@@ -43,14 +44,18 @@ Multidimensional Determinants, 1994, ch. 3 and appendix A).
   is 0.
 * sylvester_resultant is the classical 2m x 2m determinant for n = 1.
 
-On (3, 3) maps, macaulay_resultant spends about five sixths of its time
-in linalg.pivot_rows on the 336 x 220 level-1 and 120 x 116 level-2
-blocks, nearly all of it in the sparse row combinations; building the
-Koszul rows with _koszul_rows takes about a tenth.  Rows found dependent
-are wasted work: on the 22 (3, 3) resultants of the benchmark's
-analyze-corpus pool, 357 rows over all levels, against 1246 when level 1
-takes Macaulay's rows with lead the identity and leftover rows come in
-basis order.
+Every Koszul row has one format, from _koszul_rows to linalg.pivot_rows:
+a {column: value} dict of its nonzeros, at most 20 of them in a level-1
+row of 220 at (3, 3).  A later level is restricted to its live columns by
+key, and no row is laid out dense; only linalg.rank_mod_p, the modular
+fast accept of is_morphism, does that.  On (3, 3) maps, macaulay_resultant
+spends about seven eighths of its time in linalg.pivot_rows on the
+336 x 220 level-1 and 120 x 116 level-2 blocks, nearly all of it in the
+sparse row combinations; building the rows takes about a ninth.  Rows
+found dependent are wasted work: on the 22 (3, 3) resultants of the
+benchmark's analyze-corpus pool, 357 rows over all levels, against 1246
+when level 1 takes Macaulay's rows with lead the identity and leftover
+rows come in basis order.
 
 ff_zero_probe is the independent cross-check: an exhaustive scan for
 common zeros over a small prime field.  Any zero it finds forces the exact
@@ -196,20 +201,21 @@ def _koszul_level(n: int, m: int, k: int) -> tuple[dict, dict]:
 
 
 def _koszul_rows(int_dicts: list[dict[MultiIndex, int]], n: int, m: int,
-                 k: int) -> list[list[int]]:
+                 k: int) -> list[dict[int, int]]:
     """Matrix of the Koszul boundary from level k to level k-1.
 
     The row of e_S (x) v is the expansion of
-    sum_idx (-1)^idx * f_{S[idx]} * v (x) e_{S minus S[idx]}.  Level 1 lists
-    every product (monomial of degree t-m) * f_i, component by component.
+    sum_idx (-1)^idx * f_{S[idx]} * v (x) e_{S minus S[idx]}, as a
+    {column: value} dict of its nonzeros, the row format of
+    linalg.pivot_rows.  Level 1 lists every product
+    (monomial of degree t-m) * f_i, component by component.
     """
     offset, position = _koszul_level(n, m, k)
     col_offset, col_position = _koszul_level(n, m, k - 1)
-    ncols = len(col_offset) * len(col_position)
     rows = []
     for s in offset:
         for v in position:
-            row = [0] * ncols
+            row = {}
             for idx, i in enumerate(s):
                 base = col_offset[s[:idx] + s[idx + 1:]]
                 sign = -1 if idx % 2 else 1
@@ -285,37 +291,55 @@ def _level_one_order(n: int, m: int,
                                 if r not in taken)
 
 
+def _level_one_pivots(int_dicts: list[dict[MultiIndex, int]], n: int,
+                      m: int, rows: list[dict[int, int]]
+                      ) -> tuple[list[int], int]:
+    """Exact elimination of the level-1 rows, Macaulay's rows first.
+
+    rows is _koszul_rows(int_dicts, n, m, 1).  The rows go to
+    linalg.pivot_rows in _level_one_order for the pure-power matching of
+    the components.  Returns the picked rows, by their level-1 index, and
+    the determinant of their block, 0 exactly when the level-1 matrix has
+    less than full column rank.
+    """
+    order = _level_one_order(n, m, _pure_power_matching(int_dicts, n, m))
+    positions, det = linalg.pivot_rows([rows[r] for r in order],
+                                       len(_koszul_level(n, m, 0)[1]))
+    return [order[p] for p in positions], det
+
+
 def _koszul_determinant(int_dicts: list[dict[MultiIndex, int]], n: int,
                         m: int) -> Fraction:
     """Cayley determinant of the Koszul complex at the critical degree.
 
     Bottom up, level k picks rows R_k whose block A_k on the columns left
-    over by level k-1 is nonsingular.  The value is the product of
+    over by level k-1 is nonsingular: level 1 by _level_one_pivots, every
+    later level by linalg.pivot_rows on its rows restricted to those
+    columns, which keep their keys.  The value is the product of
     sigma_k * det(A_k)^((-1)^(k+1)), where A_k has its rows and columns in
     ascending basis order and sigma_k is the sign that lists level k as
     (unpicked rows, R_k).  It is 0 when some level finds too few pivots,
     i.e. when the complex is not exact.
     """
     value = Fraction(1)
-    live = list(range(len(_koszul_level(n, m, 0)[1])))
-    lead = _pure_power_matching(int_dicts, n, m)
+    rows = _koszul_rows(int_dicts, n, m, 1)
+    picked, det = _level_one_pivots(int_dicts, n, m, rows)
     k = 1
-    while live:
-        rows = _koszul_rows(int_dicts, n, m, k)
-        order = _level_one_order(n, m, lead) if k == 1 else range(len(rows))
-        positions, det = linalg.pivot_rows(
-            [[rows[r][c] for c in live] for r in order], len(live))
-        if det == 0:
-            return Fraction(0)
-        picked = [order[p] for p in positions]
+    while det:
         taken = set(picked)
         live = [r for r in range(len(rows)) if r not in taken]
         # Sorting the picked rows and listing the level as (unpicked,
         # picked) is one permutation.
         det *= linalg.permutation_sign(live + picked)
         value = value * det if k % 2 else value / det
+        if not live:
+            return value
         k += 1
-    return value
+        rows = _koszul_rows(int_dicts, n, m, k)
+        picked, det = linalg.pivot_rows(
+            [{c: x for c, x in row.items() if c not in taken}
+             for row in rows], len(live))
+    return Fraction(0)
 
 
 @lru_cache(maxsize=None)
@@ -351,18 +375,20 @@ def is_morphism(f: ProjectiveMap) -> bool:
     exactly when the level-1 Koszul matrix of all products
     (monomial of degree t-m) * f_i has full column rank.  An explicit zero
     in the support gives False at once; full rank modulo one prime gives
-    True; otherwise the exact integer rank decides.  Raises SizeLimit
-    before building a matrix with more than MATRIX_SIZE_LIMIT columns.
+    True; otherwise the exact level-1 elimination of macaulay_resultant,
+    _level_one_pivots, decides.  Raises SizeLimit before building a matrix
+    with more than MATRIX_SIZE_LIMIT columns.
     """
-    check_matrix_size(f.n, f.m)
+    n, m = f.n, f.m
+    check_matrix_size(n, m)
     if _explicit_zero(f):
         return False
     int_dicts, _ = _scale_components_to_int(f)
-    rows = _koszul_rows(int_dicts, f.n, f.m, 1)
-    ncols = len(rows[0])
-    if linalg.rank_mod_p(rows, _CERTIFICATE_PRIME) == ncols:
+    rows = _koszul_rows(int_dicts, n, m, 1)
+    ncols = len(_koszul_level(n, m, 0)[1])
+    if linalg.rank_mod_p(rows, ncols, _CERTIFICATE_PRIME) == ncols:
         return True
-    return linalg.pivot_rows(rows, ncols)[1] != 0
+    return _level_one_pivots(int_dicts, n, m, rows)[1] != 0
 
 
 def default_probe_primes(n: int) -> tuple[int, ...]:

@@ -169,7 +169,9 @@ def run_verification_suite(n: int, m: int, coeffs: Sequence,
     m < 1, a negative sample size, or a coefficient set with no nonzero
     entry (every candidate would be the zero map, and sampling would redraw
     forever).  Raises SizeLimit just as early when (n, m) is past
-    resultant.MATRIX_SIZE_LIMIT, where is_morphism would refuse every map.
+    resultant.MATRIX_SIZE_LIMIT, where is_morphism would refuse every map,
+    and BudgetExceeded when the box (without a sample size) or the sample
+    size is above DEFAULT_BUDGET.
     """
     coeffs = tuple(coeffs)
     if n < 0:
@@ -187,6 +189,9 @@ def run_verification_suite(n: int, m: int, coeffs: Sequence,
         raise BudgetExceeded(
             f"box holds {total} candidates, above the budget of "
             f"{DEFAULT_BUDGET}; pass a sample size")
+    if sample is not None and sample > DEFAULT_BUDGET:
+        raise BudgetExceeded(f"sample size {sample} is above the budget of "
+                             f"{DEFAULT_BUDGET}")
     mode = "exhaustive" if sample is None else "sample"
     report = VerificationReport(n, m, coeffs, mode, seed,
                                 total if sample is None else sample)

@@ -1,12 +1,11 @@
 """Shared seeded generators for the test suite."""
 
 from fractions import Fraction
+from itertools import combinations, product
 from random import Random
 
 from projstab import ZeroMap, make_map
-from projstab.linalg import permutation_sign
-from projstab.resultant import (_koszul_level, _koszul_rows,
-                                monomials_of_degree)
+from projstab.resultant import monomials_of_degree
 
 DEFAULT_COEFFS = tuple(Fraction(k) for k in (-2, -1, 0, 1, 2))
 
@@ -59,8 +58,20 @@ def mat_vec(a, v):
             for row in a]
 
 
-def reference_pivot_rows(rows, need):
-    """Dense one-row Bareiss elimination, the reference for pivot_rows.
+def _inversion_sign(seq):
+    """Sign of the permutation that sorts seq, by counting inversions."""
+    inversions = sum(1 for i in range(len(seq)) for j in range(i)
+                     if seq[j] > seq[i])
+    return -1 if inversions % 2 else 1
+
+
+def sparse(m):
+    """Dense integer rows as the {column: value} dicts of pivot_rows."""
+    return [{c: x for c, x in enumerate(row) if x} for row in m]
+
+
+def _dense_pivot_rows(rows, need):
+    """Dense one-row Bareiss elimination on lists of integers.
 
     Each new row is reduced by the pivot rows found so far, dividing every
     step by the previous pivot, and pivots on its first nonzero column.
@@ -92,53 +103,102 @@ def reference_pivot_rows(rows, need):
     if len(chosen) < need:
         return chosen, 0
     det = pivots[-1][1] if pivots else 1
-    return chosen, permutation_sign(taken) * det
+    return chosen, _inversion_sign(taken) * det
 
 
-def check_pivot_rows_contract(rows, need, out):
+def reference_pivot_rows(rows, need, columns):
+    """The reference for pivot_rows on dict rows.
+
+    The rows are laid out dense over `columns`, an ascending list of
+    column keys that holds every key of every row, and eliminated by the
+    dense loop above.
+    """
+    return _dense_pivot_rows([[row.get(c, 0) for c in columns]
+                              for row in rows], need)
+
+
+def check_pivot_rows_contract(rows, need, out, columns):
     """Assert that out = pivot_rows(rows, need) keeps the kernel's contract.
 
-    The determinant is 0 exactly when the rank is below `need`.  The
-    chosen rows are ascending and independent, and they are the
-    reference's whenever rows[:need] already has rank `need`.  At `need`
-    equal to the column count the determinant is that of the chosen rows,
-    by the reference on exactly those rows; below it, it is a minor on
-    columns that the pivot rule picks, so only its zero-ness is fixed.
+    rows are dict rows whose keys all lie in `columns`, ascending.  The
+    determinant is 0 exactly when the rank is below `need`.  The chosen
+    rows are ascending and independent, and they are the reference's
+    whenever rows[:need] already has rank `need`.  At `need` equal to the
+    column count the determinant is that of the chosen rows, by the
+    reference on exactly those rows; below it, it is a minor on columns
+    that the pivot rule picks, so only its zero-ness is fixed.
     """
     chosen, det = out
-    ref_chosen, ref_det = reference_pivot_rows(rows, need)
+    ref_chosen, ref_det = reference_pivot_rows(rows, need, columns)
     assert (det == 0) == (ref_det == 0)
     assert chosen == sorted(set(chosen))
-    if reference_pivot_rows(rows[:need], need)[1]:
+    if reference_pivot_rows(rows[:need], need, columns)[1]:
         assert chosen == ref_chosen
     if det:
-        picked_det = reference_pivot_rows([rows[i] for i in chosen], need)[1]
+        picked_det = reference_pivot_rows([rows[i] for i in chosen], need,
+                                          columns)[1]
         assert len(chosen) == need and picked_det
-        if rows and need == len(rows[0]):
+        if need == len(columns):
             assert det == picked_det
+
+
+def _descending_monomials(num_vars, degree):
+    """Exponent tuples of one total degree, descending lexicographically."""
+    return sorted((e for e in product(range(degree + 1), repeat=num_vars)
+                   if sum(e) == degree), reverse=True)
+
+
+def _reference_boundary(int_dicts, n, m, k):
+    """Dense matrix of the Koszul boundary from level k to level k-1.
+
+    Built from the boundary formula alone: the basis of level k is
+    e_S (x) v with S a k-subset of the components in lexicographic order
+    and, within each S, v a monomial of degree t - k*m in descending
+    lexicographic order, and e_S (x) v maps to
+    sum_idx (-1)^idx * f_{S[idx]} * v (x) e_{S minus S[idx]}.
+    """
+    t = (n + 1) * (m - 1) + 1
+
+    def basis(level):
+        return [(s, v) for s in combinations(range(n + 1), level)
+                for v in _descending_monomials(n + 1, t - level * m)]
+
+    column = {key: i for i, key in enumerate(basis(k - 1))}
+    rows = []
+    for s, v in basis(k):
+        row = [0] * len(column)
+        for idx, i in enumerate(s):
+            face = s[:idx] + s[idx + 1:]
+            for e, a in int_dicts[i].items():
+                w = tuple(x + y for x, y in zip(e, v))
+                row[column[face, w]] += (-1) ** idx * a
+        rows.append(row)
+    return rows
 
 
 def reference_koszul_determinant(int_dicts, n, m):
     """Cayley's product of the Koszul complex with the reference kernel.
 
-    Every level hands its rows to reference_pivot_rows in ascending basis
-    order (no matching of pure powers, no reordering of leftover rows),
-    so it picks the first independent rows.  The product is
-    prod_k sigma_k * det(A_k)^((-1)^(k+1)), with sigma_k the sign that
-    lists level k as (unpicked rows, picked rows), and 0 when a level
-    finds too few pivots.  It does not depend on which rows are picked.
+    Every level's dense boundary matrix, from _reference_boundary, goes to
+    the dense loop in ascending basis order (no matching of pure powers,
+    no reordering of leftover rows), so it picks the first independent
+    rows.  The product is prod_k sigma_k * det(A_k)^((-1)^(k+1)), with
+    sigma_k the sign that lists level k as (unpicked rows, picked rows),
+    and 0 when a level finds too few pivots.  It does not depend on which
+    rows are picked.
     """
     value = Fraction(1)
-    live = list(range(len(_koszul_level(n, m, 0)[1])))
+    t = (n + 1) * (m - 1) + 1
+    live = list(range(len(_descending_monomials(n + 1, t))))
     k = 1
     while live:
-        rows = _koszul_rows(int_dicts, n, m, k)
-        picked, det = reference_pivot_rows(
+        rows = _reference_boundary(int_dicts, n, m, k)
+        picked, det = _dense_pivot_rows(
             [[row[c] for c in live] for row in rows], len(live))
         if det == 0:
             return Fraction(0)
         live = [r for r in range(len(rows)) if r not in picked]
-        det *= permutation_sign(live + picked)
+        det *= _inversion_sign(live + picked)
         value = value * det if k % 2 else value / det
         k += 1
     return value

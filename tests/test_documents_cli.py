@@ -321,10 +321,13 @@ class TestCLI:
         ["limit", "{tri}", "--c", "0,1,2", "--b", "0,0,0"],
         ["verify", "--n", "1000000000", "--m", "2", "--coeffs=0,1",
          "--sample", "1"],
+        ["verify", "--n", "1", "--m", "1", "--coeffs=1",
+         "--sample", "1000000000000"],
     ], ids=["missing-file", "composite-prime", "oversized-probe",
             "figure-not-n2", "limit-weight-length", "verify-budget",
             "analyze-directory", "figure-out-directory",
-            "limit-weights-longer-than-map", "verify-huge-n"])
+            "limit-weights-longer-than-map", "verify-huge-n",
+            "verify-huge-sample"])
     def test_input_errors_print_one_error_line(self, argv, tmp_path, capsys):
         n2 = make_map(2, 2, [[((2, 0, 0), 1)], [((0, 2, 0), 1)],
                              [((0, 0, 2), 1)]])

@@ -6,22 +6,29 @@ from random import Random
 import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
+from sympy.polys.matrices import DomainMatrix
 
 from projstab import SingularMatrix
 from projstab.linalg import (det_rational, mat_inverse, nullspace,
                              pivot_rows, rank_mod_p)
 from helpers import (check_pivot_rows_contract, mat_mul,
-                     reference_pivot_rows)
+                     reference_pivot_rows, sparse)
 
 
 def _det(m):
-    return pivot_rows(m, len(m))[1]
+    return pivot_rows(sparse(m), len(m))[1]
 
 
 def _sympy_nullspace(m, cols):
     """sympy's canonical basis: one vector per free column, unit there."""
     basis = sympy.Matrix(len(m), cols, [x for row in m for x in row]).nullspace()
     return [[F(int(x.p), int(x.q)) for x in v] for v in basis]
+
+
+def _exact_rank(m, cols):
+    """Rank over Q by sympy's DomainMatrix (Matrix.rank is far slower)."""
+    return DomainMatrix([[sympy.QQ(x) for x in row] for row in m],
+                        (len(m), cols), sympy.QQ).rank()
 
 
 def _rank_deficient(rng, rows, cols):
@@ -119,9 +126,9 @@ def test_rank_matches_sympy():
         m = _rank_deficient(rng, rows, cols)
         rank = sympy.Matrix(m).rank()
         for p in (2, 3, 1000003):
-            assert rank_mod_p(m, p) <= rank
+            assert rank_mod_p(sparse(m), cols, p) <= rank
         for need in range(min(rows, cols) + 1):
-            chosen, det = pivot_rows(m, need)
+            chosen, det = pivot_rows(sparse(m), need)
             assert (det != 0) == (rank >= need)
             if det == 0:
                 continue
@@ -134,8 +141,9 @@ def test_rank_matches_sympy():
             if need == cols:
                 assert det == sympy.Matrix([m[i] for i in chosen]).det()
     assert pivot_rows([], 0) == ([], 1)
-    assert pivot_rows([[0, 1, 2], [0, 2, 4], [0, 3, 7]], 2) == ([0, 2], 1)
-    assert pivot_rows([[0, 1, 2], [0, 2, 4], [0, 3, 7]], 3)[1] == 0
+    m = sparse([[0, 1, 2], [0, 2, 4], [0, 3, 7]])
+    assert pivot_rows(m, 2) == ([0, 2], 1)
+    assert pivot_rows(m, 3)[1] == 0
 
 
 @st.composite
@@ -171,17 +179,26 @@ def _integer_matrices(draw):
 
 
 @settings(max_examples=200)
-@given(_integer_matrices(), st.integers(0, 32))
-def test_pivot_rows_matches_dense_reference(m, drawn):
-    # `need` below, at and above the rank (rank_mod_p is the Q-rank for
-    # all but a vanishing share of draws), at the column count and drawn.
-    # Once rows[:need] have left pivots missing, the leftover rows are
-    # taken by their nonzeros in free columns, so only the contract in
+@given(_integer_matrices(), st.integers(0, 32),
+       st.randoms(use_true_random=False))
+def test_pivot_rows_matches_dense_reference(m, drawn, rng):
+    # `need` below, at and above the exact rank, at the column count and
+    # drawn.  Once rows[:need] have left pivots missing, the leftover rows
+    # are taken by their nonzeros in free columns, so only the contract in
     # check_pivot_rows_contract ties the kernel to the dense reference.
+    # The same block with its columns relabelled by a random strictly
+    # increasing map, as _koszul_determinant keys a level by its live
+    # columns, gives the same rows and determinant.
     cols = len(m[0]) if m else 0
-    rank = rank_mod_p(m, 1000003)
+    rank = _exact_rank(m, cols)
+    rows = sparse(m)
+    labels = sorted(rng.sample(range(4 * cols), cols))
+    relabelled = [{labels[c]: x for c, x in row.items()} for row in rows]
     for need in {0, max(rank - 1, 0), rank, rank + 1, cols, drawn}:
-        check_pivot_rows_contract(m, need, pivot_rows(m, need))
+        out = pivot_rows(rows, need)
+        check_pivot_rows_contract(rows, need, out, range(cols))
+        assert pivot_rows(relabelled, need) == out
+        check_pivot_rows_contract(relabelled, need, out, labels)
 
 
 def test_leftover_rows_reaching_a_free_column_go_first():
@@ -189,7 +206,8 @@ def test_leftover_rows_reaching_a_free_column_go_first():
     # is free.  Of the leftover rows, row 3 is dependent and row 4 is
     # independent, but neither has a nonzero in column 1; row 5 has, so
     # it is tried first and picked.  In the given order row 4 would be.
-    m = [[1, 1, 0], [0, 0, 1], [1, 1, 1], [2, 2, 0], [1, 0, 0], [0, 1, 0]]
+    m = sparse([[1, 1, 0], [0, 0, 1], [1, 1, 1], [2, 2, 0], [1, 0, 0],
+                [0, 1, 0]])
     assert pivot_rows(m, 3) == ([0, 1, 5], -1)
-    assert reference_pivot_rows(m, 3) == ([0, 1, 4], 1)
-    check_pivot_rows_contract(m, 3, pivot_rows(m, 3))
+    assert reference_pivot_rows(m, 3, range(3)) == ([0, 1, 4], 1)
+    check_pivot_rows_contract(m, 3, pivot_rows(m, 3), range(3))

@@ -291,7 +291,10 @@ class TestMacaulay:
         assert macaulay_resultant(f).value != 0
         assert [(len(rows), need) for rows, need, _ in calls[:n]] == shapes
         for rows, need, out in calls:
-            check_pivot_rows_contract(rows, need, out)
+            # The value is nonzero, so every live column holds a nonzero.
+            columns = sorted(set().union(*rows))
+            assert len(columns) == need
+            check_pivot_rows_contract(rows, need, out, columns)
         chosen, _ = calls[0][2]
         assert (max(chosen) >= shapes[0][1]) == singular
 
