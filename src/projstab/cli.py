@@ -26,8 +26,9 @@ import argparse
 import functools
 import sys
 import time
+from typing import Sequence
 
-from . import documents, figures, verify as verify_mod
+from . import documents, ffield, figures, verify as verify_mod
 from .decompose import decompose_fully, splitting_types_all_blocks
 from .errors import NotAMorphism, ParseError, ProjstabError
 from .resultant import default_probe_primes, ff_zero_probe
@@ -75,14 +76,25 @@ def _render_text(report_dict: dict) -> str:
     return "\n".join(lines)
 
 
+def _probe_primes(text: str, f) -> Sequence[int]:
+    """The --probe-primes list for f, each prime checked as its probe will
+    check it (a proven prime, no denominator of f vanishing mod p, P^n(F_p)
+    within the point bound), so that a bad value fails before classify."""
+    primes = (default_probe_primes(f.n) if text == "default"
+              else _int_list(text, "--probe-primes"))
+    for p in primes:
+        ffield.reduce_map_mod_p(f, p)
+        ffield.check_point_count(f.n, p)
+    return primes
+
+
 def cmd_analyze(args) -> int:
     f = documents.load_map_file(args.file)
+    primes = _probe_primes(args.probe_primes, f)
     start = time.monotonic()
     report = classify(f)
     out = documents.classification_to_dict(report)
     if args.probe_primes:
-        primes = (default_probe_primes(f.n) if args.probe_primes == "default"
-                  else _int_list(args.probe_primes, "--probe-primes"))
         probes = []
         for p in primes:
             pr = ff_zero_probe(f, p)

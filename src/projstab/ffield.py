@@ -8,14 +8,21 @@ ending with the single point (0,...,0,1).  Every representative has first
 nonzero coordinate 1, so reports need no further normalization and carry
 no duplicates.
 
-common_zeros_mod_p, the one scan, is one loop over the charts.  For each
-chart it hands every component's surviving terms to _blocks, which groups
-them by the exponent of the first free coordinate, evaluates each group on
-the remaining coordinates, and for each value y of the first free
-coordinate combines the group values with one multiply-add list
-comprehension per group.  The loop walks the components' lists for one y
-side by side and finds their common zeros with list.index, so no list is
-longer than p^(n-1) and the scan stays exhaustive.
+common_zeros_mod_p, the one scan, is one loop over the charts, and on each
+chart it is a sieve.  A component with no reduced term left on the chart
+(each term has a factor x_i with i < lead or a coefficient that is 0 mod
+p) vanishes at every point of it and is dropped.  The first component left
+is evaluated on the whole chart by _blocks, which groups its terms by the
+exponent of the first free coordinate, evaluates each group on the
+remaining coordinates, and for each value y of the first free coordinate
+combines the group values with one multiply-add list comprehension per
+group, so no list is longer than p^(n-1).  Its zeros are found with
+list.index, and only there are the other components evaluated, point by
+point from the power table.  On a chart with k free coordinates the
+restriction of a component left is a nonzero polynomial of degree at most m,
+so for m < p it has at most m * p^(k-1) zeros in F_p^k (Schwartz-Zippel):
+the pointwise work covers at most a share m/p of the chart.  When no
+component is left, every point of the chart is a common zero.
 
 Inverses modulo p come from Fermat's little theorem, which holds only for
 prime p, so every modulus is first proven prime by a deterministic
@@ -24,6 +31,7 @@ Miller-Rabin test.
 
 from __future__ import annotations
 
+from itertools import product
 from typing import Iterator
 
 from .errors import BadPrime, SizeLimit
@@ -163,9 +171,27 @@ def _values(terms, k: int, p: int, table) -> list[int]:
     return [v for block in _blocks(terms, k, p, table) for v in block]
 
 
+def _vanishes(terms, point: tuple[int, ...], p: int, table) -> bool:
+    """Whether a reduced term list vanishes at one point of F_p^k."""
+    total = 0
+    for e, a in terms:
+        for d, x in zip(e, point):
+            a *= table[d][x]
+        total += a
+    return total % p == 0
+
+
 def common_zeros_mod_p(f: ProjectiveMap, p: int) -> list[tuple[int, ...]]:
     """All points of P^n(F_p) where every component vanishes, in canonical
     order.
+
+    Each chart is sieved: the components whose terms all vanish on it are
+    dropped, the first remaining one is evaluated on the whole chart by
+    _blocks, and the others only at its zeros, point by point.  With no
+    component left, every point of the chart is a zero.  A nonzero form of
+    degree m < p has at most m * p^(k-1) zeros on F_p^k (Schwartz-Zippel),
+    so the pointwise work is a small share of the chart; for m >= p it can
+    be the whole chart, and the scan is slower but still exhaustive.
 
     Raises SizeLimit before scanning more than POINT_LIMIT points.  The
     power table, m+1 lists of p residues, is built only for n >= 1: the
@@ -177,24 +203,30 @@ def common_zeros_mod_p(f: ProjectiveMap, p: int) -> list[tuple[int, ...]]:
     zeros = []
     for lead in range(f.n + 1):
         k = f.n - lead
-        free = [[(e[lead + 1:], a) for e, a in terms if not any(e[:lead])]
-                for terms in reduced]
-        streams = [_blocks(t, k, p, table) if k else [_values(t, 0, p, table)]
-                   for t in free]
+        prefix = (0,) * lead + (1,)
+        live = [free for terms in reduced
+                if (free := [(e[lead + 1:], a) for e, a in terms
+                             if not any(e[:lead])])]
+        if not live:
+            zeros.extend(prefix + point
+                         for point in product(range(p), repeat=k))
+            continue
+        sieve, others = live[0], live[1:]
+        blocks = (_blocks(sieve, k, p, table) if k
+                  else [_values(sieve, 0, p, table)])
         offset = 0
-        for first, *others in zip(*streams):
+        for block in blocks:
             i = -1
             try:
                 while True:
-                    i = first.index(0, i + 1)
-                    if any(b[i] for b in others):
-                        continue
+                    i = block.index(0, i + 1)
                     q, point = offset + i, ()
                     for _ in range(k):
                         q, digit = divmod(q, p)
                         point = (digit,) + point
-                    zeros.append((0,) * lead + (1,) + point)
+                    if all(_vanishes(t, point, p, table) for t in others):
+                        zeros.append(prefix + point)
             except ValueError:
                 pass
-            offset += len(first)
+            offset += len(block)
     return zeros

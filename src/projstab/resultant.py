@@ -58,15 +58,16 @@ when level 1 takes Macaulay's rows with lead the identity and leftover
 rows come in basis order.
 
 ff_zero_probe is the independent cross-check: an exhaustive scan for
-common zeros over a small prime field.  Any zero it finds forces the exact
-resultant to reduce to 0 modulo that prime.
+common zeros over a small prime field (ffield.common_zeros_mod_p, which
+sieves each chart by the zeros of one component).  Any zero it finds
+forces the exact resultant to reduce to 0 modulo that prime.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cache, lru_cache
 from itertools import combinations
 from math import comb, lcm
 
@@ -391,6 +392,7 @@ def is_morphism(f: ProjectiveMap) -> bool:
     return _level_one_pivots(int_dicts, n, m, rows)[1] != 0
 
 
+@cache
 def default_probe_primes(n: int) -> tuple[int, ...]:
     """Up to three largest primes <= 107 whose P^n(F_p) scan fits, ascending.
 

@@ -343,6 +343,27 @@ class TestCLI:
         lines = captured.err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: ")
 
+    @pytest.mark.parametrize("primes, prefix", [
+        ("4", "error: "), ("abc", "parse error: "), ("1000003", "error: "),
+        ("5,3", "error: "),
+    ], ids=["not-prime", "not-integer", "over-point-bound",
+            "divides-denominator"])
+    def test_probe_primes_checked_before_classify(self, primes, prefix,
+                                                  tmp_path, capsys,
+                                                  monkeypatch):
+        def no_classify(f):
+            raise AssertionError("classify ran before --probe-primes was "
+                                 "checked")
+
+        monkeypatch.setattr(cli, "classify", no_classify)
+        path = write_doc(tmp_path, make_map(1, 3, [[((3, 0), F(1, 3))],
+                                                   [((0, 3), 1)]]))
+        assert cli.main(["analyze", path, "--probe-primes", primes]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith(prefix)
+
     @pytest.mark.parametrize("argv", [
         ["--n", "1", "--m", "2", "--coeffs=0", "--sample", "3"],
         ["--n", "1", "--m", "2", "--coeffs=0,1", "--sample", "-3"],

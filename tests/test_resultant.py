@@ -497,6 +497,12 @@ def _vanish_mod_p(values, p):
     return [v.numerator * pow(v.denominator, -1, p) % p == 0 for v in values]
 
 
+def _pointwise_zeros(f, p):
+    """Common zeros of f in P^n(F_p), each point evaluated exactly."""
+    return tuple(pt for pt in _canonical_points(f.n, p)
+                 if all(_vanish_mod_p(evaluate(f, pt), p)))
+
+
 @st.composite
 def _maps_mod_p(draw):
     """A sparse map with n in {1, 2, 3} and a prime p in {2, 3, 5, 7}.
@@ -530,9 +536,38 @@ class TestChartScanOracle:
     @given(_maps_mod_p())
     def test_probe_matches_pointwise_evaluation(self, case):
         f, p = case
-        expected = tuple(pt for pt in _canonical_points(f.n, p)
-                         if all(_vanish_mod_p(evaluate(f, pt), p)))
-        assert ff_zero_probe(f, p).zeros_found == expected
+        assert ff_zero_probe(f, p).zeros_found == _pointwise_zeros(f, p)
+
+    # The scan evaluates the first component that survives on a chart
+    # everywhere and the others only at its zeros; these maps reach each
+    # branch of that sieve.
+    @pytest.mark.parametrize("f, p, count", [
+        # 3x0^2 + 6x1x2 is 0 mod 3, so a later component is the sieve on
+        # every chart.
+        (make_map(2, 2, [[((2, 0, 0), 3), ((0, 1, 1), 6)],
+                         [((1, 1, 0), 1)],
+                         [((0, 0, 2), 1), ((2, 0, 0), -1), ((0, 2, 0), 1)]]),
+         3, 2),
+        # x0^2x1 + x0x1^2 is nonzero but vanishes on all of P^1(F_2).
+        (make_map(1, 3, [[((2, 1), 1), ((1, 2), 1)],
+                         [((3, 0), 1), ((0, 3), 1)]]), 2, 1),
+        # Every component vanishes on the charts of x0 = 0.
+        (make_map(2, 2, [[((2, 0, 0), 1)], [((1, 1, 0), 1)],
+                         [((1, 0, 1), 1)]]), 5, 6),
+        (make_map(0, 2, [[((2,), 3)]]), 3, 1),
+        (make_map(0, 2, [[((2,), 3)]]), 5, 0),
+        # The line x2 = x3 = 0 is the common zero set (-1 is no square
+        # mod 31).
+        (make_map(3, 2, [[((1, 0, 1, 0), 1)], [((0, 1, 0, 1), 1)],
+                         [((1, 0, 0, 1), 1), ((0, 1, 1, 0), -1)],
+                         [((0, 0, 2, 0), 1), ((0, 0, 0, 2), 1)]]), 31, 32),
+    ], ids=["first-component-zero-mod-p", "form-vanishing-everywhere",
+            "chart-with-no-live-component", "p0-zero", "p0-nonzero",
+            "n3-p31"])
+    def test_sieve_edge_cases(self, f, p, count):
+        zeros = ff_zero_probe(f, p).zeros_found
+        assert zeros == _pointwise_zeros(f, p)
+        assert len(zeros) == count
 
     @settings(max_examples=150, deadline=None, derandomize=True,
               database=None)
