@@ -79,9 +79,14 @@ def _render_text(report_dict: dict) -> str:
 def _probe_primes(text: str, f) -> Sequence[int]:
     """The --probe-primes list for f, each prime checked as its probe will
     check it (a proven prime, no denominator of f vanishing mod p, P^n(F_p)
-    within the point bound), so that a bad value fails before classify."""
+    within the point bound), so that a bad value fails before classify.
+    A given list must be nonempty and name each prime once."""
     primes = (default_probe_primes(f.n) if text == "default"
               else _int_list(text, "--probe-primes"))
+    if text and not primes:
+        raise ParseError(f"--probe-primes: no prime in {text!r}")
+    if len(set(primes)) < len(primes):
+        raise ParseError(f"--probe-primes: a prime is repeated in {text!r}")
     for p in primes:
         ffield.reduce_map_mod_p(f, p)
         ffield.check_point_count(f.n, p)

@@ -12,14 +12,18 @@ which for the Koszul matrices of the resultant is at most a few dozen
 entries in a row of hundreds, and the resultant builds its rows in that
 form, so the kernel converts nothing.  Columns are any integer keys; only
 their order matters, so a block restricted to some columns keeps its
-original keys.  A row meets the pivot rows in the order they were found;
-a step whose head entry is zero is skipped, and the next combination
-divides by the pivot of the last step that touched the row, not by the
-previous pivot, which Sylvester's identity makes exact.  A new pivot row
-pivots on its column with the fewest nonzeros among the first `need`
-rows, which keeps fill-in low.  Rows past the first `need` are tried by
-their nonzeros in the columns no pivot has taken, most first, which
-spends fewer steps on rows that turn out dependent.  So the chosen rows
+original keys.  The elimination is right-looking: each step pivots on the
+column with the fewest live rows, and in it on the shortest row (a cheap
+form of Markowitz's rule, Management Science 3, 1957), and combines the
+pivot row into every live row with a nonzero there.  Each row is divided
+by the pivot of the last step that touched it, not by the previous pivot,
+which Sylvester's identity makes exact; an index from each column to its
+live rows finds the rows a step touches.  The first `need` rows are
+eliminated first.  If they leave pivots missing, the other rows are not
+reduced one by one against the pivot rows: each is mapped, by dot products
+with integer null vectors of the pivot rows, to a row of the reduced
+(Schur) system on the free columns, and the same loop eliminates that
+small system once, as the continuation of the first.  So the chosen rows
 depend on the entries, not on the row order alone; none of this changes
 whether `need` independent rows exist, and a square block has one
 determinant, whatever the pivot order.
@@ -39,6 +43,7 @@ entries are Fractions.  Inverses are read off the same nullspace routine.
 from __future__ import annotations
 
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 from math import gcd, lcm
 
 from .errors import SingularMatrix
@@ -61,88 +66,147 @@ def permutation_sign(seq) -> int:
     return sign
 
 
+def _eliminate(live: dict[int, dict[int, int]], need: int, last: int
+               ) -> list[tuple[int, int, int, dict[int, int]]]:
+    """Right-looking sparse Bareiss steps on live, {row id: row}, in place.
+
+    last is the pivot d of the step before the first one here, and every
+    live row is held as of that step (1 for unreduced rows).  Stops after
+    `need` pivots or when no live row is left.  Returns the steps as
+    (row id, pivot column, pivot, pivot row without its pivot column), in
+    order; pivot_rows states the rule and the arithmetic.
+    """
+    index: dict[int, set[int]] = {}  # column -> live rows with a nonzero
+    for i, row in live.items():
+        for c in row:
+            index.setdefault(c, set()).add(i)
+    # (live rows, column), with stale entries skipped when popped
+    heap = [(len(rows_c), c) for c, rows_c in index.items()]
+    heapify(heap)
+    den = dict.fromkeys(live, last)  # d_s: the pivot of the row's last step
+    steps: list[tuple[int, int, int, dict[int, int]]] = []
+    while len(steps) < need and index:
+        size, pc = heappop(heap)
+        hit = index.get(pc)
+        if hit is None or len(hit) != size:
+            continue
+        del index[pc]
+        p = min(hit, key=lambda i: (len(live[i]), i))
+        hit.remove(p)
+        prow = live.pop(p)
+        d = den.pop(p)
+        if d != last:
+            prow = {c: x * last // d for c, x in prow.items()}
+        pivot = prow.pop(pc)
+        for c in prow:
+            index[c].remove(p)
+        get = prow.get
+        for i in hit:
+            a = live[i]
+            head = a.pop(pc)
+            d = den[i]
+            b = {c: (x * pivot - head * get(c, 0)) // d for c, x in a.items()}
+            for c, y in prow.items():
+                if c not in a:
+                    b[c] = -head * y // d
+                    index[c].add(i)
+                elif not b[c]:
+                    del b[c]
+                    index[c].remove(i)
+            if b:
+                live[i] = b
+                den[i] = pivot
+            else:
+                del live[i], den[i]
+        for c in prow:
+            rows_c = index[c]
+            if rows_c:
+                heappush(heap, (len(rows_c), c))
+            else:
+                del index[c]
+        steps.append((p, pc, pivot, prow))
+        last = pivot
+    return steps
+
+
 def pivot_rows(rows: list[dict[int, int]], need: int) -> tuple[list[int], int]:
-    """`need` independent integer rows, by sparse one-row Bareiss steps.
+    """`need` independent integer rows and the determinant of their block.
 
     Each row is a {column: value} dict of its nonzeros (no zero values),
     keyed by integers whose order is the column order; the rows are not
-    changed.  Each new row is reduced by the pivot rows found so far, in
-    the order they were found.  After the k-th pivot step the true Bareiss
-    row holds the (k+1)-minors of the input on the first k pivot rows and
-    columns plus its own row and column (Sylvester's identity); so does
-    the held row, up to the factor d_k / d_s, with d_i the i-th pivot
-    (d_0 = 1) and s the last step whose head was nonzero.  A step with a
-    zero head changes nothing, and a step j with a nonzero head forms
-    (d_j * row - head * pivot row) / d_s, exact because the result is the
-    true row of step j.  A row that becomes a pivot row is scaled once by
-    d_k / d_s, again exactly.  Pivot rows never change once chosen.
+    changed.
 
-    The first `need` rows are taken in the given order.  If they leave
-    pivots missing, the other rows follow in decreasing order of their
-    nonzeros in the columns that no pivot has taken (ties in the given
-    order), which tries first the rows most likely to supply the missing
-    pivots.  A row is chosen exactly when it is independent of the rows
-    chosen before it in that processing order, so rows[:need] are chosen
-    whenever they have rank `need`.
+    Stage 1 eliminates rows[:need] right-looking, by fraction-free steps
+    (Bareiss, Math. Comp. 22, 1968).  Each step pivots on the column with
+    the fewest live rows and, in it, on the row with the fewest nonzeros,
+    ties to the lower column key and row position.  After k steps the true
+    Bareiss row holds the (k+1)-minors on the first k pivot rows and
+    columns plus its own row and column (Sylvester's identity); the held
+    row is that up to the factor d_k / d_s, with d_i the i-th pivot
+    (d_0 = 1) and s the last step that touched the row.  A row hit by step
+    k+1 becomes (d_(k+1) * row - head * pivot row) / d_s, and a row chosen
+    as pivot row at step k+1 is first scaled by d_k / d_s.  Both divisions
+    are exact, since the results are true Bareiss rows.  When rows[:need]
+    have rank `need` they are all chosen.
 
-    A new pivot row's pivot column is, among its nonzeros, the column with
-    the fewest nonzeros in rows[:need] (ties to the lower key), one count
-    per call, which keeps the fill-in of sparse matrices low.  The pivot
-    rule changes neither output when `need` is the number of columns: the
-    chosen rows form one square block with one determinant.  Every caller
-    asks for that.  A smaller `need` gives the minor on the pivot columns,
-    and those do depend on the rule.  Relabelling the columns by a
-    strictly increasing map changes neither output.
+    Stage 2 runs when stage 1 finds only r < need pivots.  The free
+    columns F are the non-pivot columns of the pivot rows and of the
+    leftover rows rows[need:]; fill can put a pivot row on a column that no
+    leftover row touches.  For each f in F, back-substitution through the
+    pivot rows gives the integer null vector y_f with y_f[f] = delta = d_r
+    and zeros on the rest of F; each division is exact by Cramer's rule.
+    A leftover row l maps to the row {f: l . y_f} of a reduced system on
+    the columns F.  l . y_f is the (r+1)-minor that borders the pivot block
+    with row l and column f, the entry stage 1 would hold for l after r
+    steps, so the same loop eliminates the reduced system as a
+    continuation of stage 1, from d_r and over all its rows at once.  Its
+    last pivot is the minor of the chosen rows on the pivot columns of
+    both stages.  The leftover rows it picks are chosen; the rows[:need]
+    that stage 1 did not pick depend on those it did.
 
     Returns the chosen row positions (ascending) and the determinant of
     those rows, in ascending order, on their pivot columns in ascending
-    order: the elimination's last pivot times the signs of the processing
-    order and of the pivot column order.  The determinant is 0 when fewer
-    than `need` pivots exist, and the search stops as soon as the
-    remaining rows cannot supply them.
+    order: the last pivot times the signs of the order in which the rows
+    and the columns were picked.  The determinant is 0 when fewer than
+    `need` independent rows exist.  When `need` is the number of columns,
+    every caller's case, the determinant is that of the chosen square
+    block; which leftover rows are chosen depends on the pivot rule.  A
+    smaller `need` gives the minor on columns that the rule picks.
+    Relabelling the columns by a strictly increasing map changes neither
+    output.
     """
-    count: dict[int, int] = {}
-    for row in rows[:need]:
-        for c in row:
-            count[c] = count.get(c, 0) + 1
-    pivots: list[tuple[int, int, dict[int, int]]] = []  # (column, pivot, row)
-    chosen: list[int] = []
-    taken: list[int] = []
-    last = 1
-    order = list(range(len(rows)))
-    for i in range(len(rows)):
-        if len(chosen) == need or len(chosen) + len(rows) - i < need:
-            break
-        if i == need:
-            done = set(taken)
-            order[need:] = sorted(order[need:], key=lambda r: -sum(
-                1 for c in rows[r] if c not in done))
-        r = order[i]
-        a = dict(rows[r])
-        den = 1
-        for pc, pivot, pivot_row in pivots:
-            head = a.pop(pc, 0)
-            if not head:
-                continue
-            a = {c: x * pivot for c, x in a.items()}
-            get = a.get
-            for c, y in pivot_row.items():
-                a[c] = get(c, 0) - head * y
-            a = {c: x // den for c, x in a.items() if x}
-            den = pivot
-        if not a:
-            continue
-        if den != last:
-            a = {c: x * last // den for c, x in a.items()}
-        pc = min(a, key=lambda c: (count.get(c, 0), c))
-        last = a.pop(pc)
-        pivots.append((pc, last, a))
-        chosen.append(r)
-        taken.append(pc)
+    steps = _eliminate({i: dict(row) for i, row in enumerate(rows[:need])
+                        if row}, need, 1)
+    short = need - len(steps)
+    rest = range(need, len(rows))
+    if short and len(rest) >= short:
+        delta = steps[-1][2] if steps else 1
+        free = {c for _, _, _, prow in steps for c in prow}.union(
+            *(rows[i] for i in rest)).difference(c for _, c, _, _ in steps)
+        nulls = {}
+        for f in sorted(free):
+            y = {f: delta}
+            for _, pc, pivot, prow in reversed(steps):
+                dot = sum(x * y[c] for c, x in prow.items() if c in y)
+                if dot:
+                    y[pc] = -dot // pivot
+            nulls[f] = y
+        reduced = {}
+        for i in rest:
+            row = {}
+            for f, y in nulls.items():
+                dot = sum(x * y[c] for c, x in rows[i].items() if c in y)
+                if dot:
+                    row[f] = dot
+            if row:
+                reduced[i] = row
+        steps += _eliminate(reduced, short, delta)
+    chosen = [p for p, _, _, _ in steps]
     if len(chosen) < need:
         return sorted(chosen), 0
-    return sorted(chosen), (permutation_sign(chosen) * permutation_sign(taken)
-                            * last)
+    return sorted(chosen), (permutation_sign(chosen)
+                            * permutation_sign([c for _, c, _, _ in steps])
+                            * (steps[-1][2] if steps else 1))
 
 
 def det_rational(m: Matrix) -> Fraction:

@@ -30,8 +30,9 @@ Multidimensional Determinants, 1994, ch. 3 and appendix A).
   Macaulay's rows has a nonzero pure-power coefficient on its own column,
   and their block (Macaulay's matrix of the matched forms) is singular
   far less often than with the identity when some f_j lacks x_j^m.  Every
-  level tries its first rows, then the others in linalg.pivot_rows's
-  free-column order.  The value is
+  level eliminates its first rows and, when they are singular, completes
+  them from the others through linalg.pivot_rows's reduced system.  The
+  value is
 
       eps(n, m) * prod_k sigma_k * det(A_1) * det(A_2)^-1 * det(A_3) ...
 
@@ -48,14 +49,16 @@ Every Koszul row has one format, from _koszul_rows to linalg.pivot_rows:
 a {column: value} dict of its nonzeros, at most 20 of them in a level-1
 row of 220 at (3, 3).  A later level is restricted to its live columns by
 key, and no row is laid out dense; only linalg.rank_mod_p, the modular
-fast accept of is_morphism, does that.  On (3, 3) maps, macaulay_resultant
-spends about seven eighths of its time in linalg.pivot_rows on the
+fast accept of is_morphism, does that.  On the 48 (3, 3) maps of the
+benchmark's analyze-corpus pools, main and held out, macaulay_resultant
+spends about three quarters of its time in linalg.pivot_rows on the
 336 x 220 level-1 and 120 x 116 level-2 blocks, nearly all of it in the
-sparse row combinations; building the rows takes about a ninth.  Rows
-found dependent are wasted work: on the 22 (3, 3) resultants of the
-benchmark's analyze-corpus pool, 357 rows over all levels, against 1246
-when level 1 takes Macaulay's rows with lead the identity and leftover
-rows come in basis order.
+right-looking row combinations; building the rows takes about a fifth.
+Macaulay's 220 rows are singular for 25 of the 46 maps that reach the
+Koszul determinant, with 1 to 24 pivots missing.  pivot_rows then maps
+the 116 other level-1 rows to the reduced system on the free columns,
+one short dot product per row and free column, instead of reducing them
+one by one against the 200 or so pivot rows of Macaulay's block.
 
 ff_zero_probe is the independent cross-check: an exhaustive scan for
 common zeros over a small prime field (ffield.common_zeros_mod_p, which
@@ -299,9 +302,12 @@ def _level_one_pivots(int_dicts: list[dict[MultiIndex, int]], n: int,
 
     rows is _koszul_rows(int_dicts, n, m, 1).  The rows go to
     linalg.pivot_rows in _level_one_order for the pure-power matching of
-    the components.  Returns the picked rows, by their level-1 index, and
-    the determinant of their block, 0 exactly when the level-1 matrix has
-    less than full column rank.
+    the components, so Macaulay's rows are its first `need` rows: they are
+    picked whenever their block is nonsingular, and otherwise the reduced
+    system of the other rows supplies the missing pivots.  Returns the
+    picked rows, by their level-1 index, and the determinant of their
+    block, 0 exactly when the level-1 matrix has less than full column
+    rank.
     """
     order = _level_one_order(n, m, _pure_power_matching(int_dicts, n, m))
     positions, det = linalg.pivot_rows([rows[r] for r in order],

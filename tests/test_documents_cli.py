@@ -345,9 +345,9 @@ class TestCLI:
 
     @pytest.mark.parametrize("primes, prefix", [
         ("4", "error: "), ("abc", "parse error: "), ("1000003", "error: "),
-        ("5,3", "error: "),
+        ("5,3", "error: "), ("3,3", "parse error: "), (",", "parse error: "),
     ], ids=["not-prime", "not-integer", "over-point-bound",
-            "divides-denominator"])
+            "divides-denominator", "repeated", "empty"])
     def test_probe_primes_checked_before_classify(self, primes, prefix,
                                                   tmp_path, capsys,
                                                   monkeypatch):

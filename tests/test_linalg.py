@@ -11,8 +11,7 @@ from sympy.polys.matrices import DomainMatrix
 from projstab import SingularMatrix
 from projstab.linalg import (det_rational, mat_inverse, nullspace,
                              pivot_rows, rank_mod_p)
-from helpers import (check_pivot_rows_contract, mat_mul,
-                     reference_pivot_rows, sparse)
+from helpers import check_pivot_rows_contract, mat_mul, sparse
 
 
 def _det(m):
@@ -183,9 +182,10 @@ def _integer_matrices(draw):
        st.randoms(use_true_random=False))
 def test_pivot_rows_matches_dense_reference(m, drawn, rng):
     # `need` below, at and above the exact rank, at the column count and
-    # drawn.  Once rows[:need] have left pivots missing, the leftover rows
-    # are taken by their nonzeros in free columns, so only the contract in
-    # check_pivot_rows_contract ties the kernel to the dense reference.
+    # drawn.  Once rows[:need] have left pivots missing, the reduced
+    # system's pivot rule picks among the leftover rows, so only the
+    # contract in check_pivot_rows_contract ties the kernel to the dense
+    # reference.
     # The same block with its columns relabelled by a random strictly
     # increasing map, as _koszul_determinant keys a level by its live
     # columns, gives the same rows and determinant.
@@ -201,13 +201,97 @@ def test_pivot_rows_matches_dense_reference(m, drawn, rng):
         check_pivot_rows_contract(relabelled, need, out, labels)
 
 
-def test_leftover_rows_reaching_a_free_column_go_first():
-    # Rows 0 and 1 take columns 0 and 2; row 2 is dependent, so column 1
-    # is free.  Of the leftover rows, row 3 is dependent and row 4 is
-    # independent, but neither has a nonzero in column 1; row 5 has, so
-    # it is tried first and picked.  In the given order row 4 would be.
-    m = sparse([[1, 1, 0], [0, 0, 1], [1, 1, 1], [2, 2, 0], [1, 0, 0],
-                [0, 1, 0]])
-    assert pivot_rows(m, 3) == ([0, 1, 5], -1)
-    assert reference_pivot_rows(m, 3, range(3)) == ([0, 1, 4], 1)
-    check_pivot_rows_contract(m, 3, pivot_rows(m, 3), range(3))
+def _check_completion(m, need):
+    """The kernel contract, and the determinant against sympy's."""
+    rows = sparse(m)
+    out = pivot_rows(rows, need)
+    check_pivot_rows_contract(rows, need, out, range(len(m[0])))
+    chosen, det = out
+    if det:
+        assert det == sympy.Matrix([m[i] for i in chosen]).det()
+    return out
+
+
+def test_completion_of_a_deficient_block():
+    # Rows 0-4 have rank 4, so the completion finds the fifth pivot among
+    # rows 5 and 6.  The elimination of rows 0-4 fills in a column that
+    # neither leftover row touches; a completion that took its free
+    # columns from the leftover rows alone would miss it and report 0.
+    m = [[-1, 0, 0, 1, 2], [1, 0, 0, -1, -1], [1, 0, 1, 0, -1],
+         [-2, 2, -4, 0, 4], [-2, 0, -2, 0, 1], [1, 1, -1, 0, 2],
+         [1, 0, 0, 0, -1]]
+    assert _check_completion(m, 5) == ([0, 1, 2, 3, 5], -2)
+    # rows[:need] all zero: every pivot comes from the completion.
+    m = [[0, 0, 0], [0, 0, 0], [0, 0, 0], [1, 2, 0], [2, 4, 0], [0, 1, 3],
+         [1, 0, 1]]
+    chosen, det = _check_completion(m, 3)
+    assert det and chosen[0] >= 3
+    # Rows 0-3 have rank 2 and leave columns 2 and 3 free.  The first
+    # three leftover rows give proportional rows of the reduced system, so
+    # its own first rows are dependent and its second pivot comes from the
+    # last row.
+    m = [[1, 1, 0, 0], [0, 1, 0, 0], [1, 2, 0, 0], [1, 0, 0, 0],
+         [0, 0, 1, 1], [0, 0, 2, 2], [1, 1, 1, 1], [0, 0, 0, 5]]
+    assert _check_completion(m, 4) == ([0, 3, 4, 7], -5)
+    # Rank 2 with leftover rows: no completion exists.
+    m = [[1, 2, 3], [2, 4, 6], [1, 0, 1], [2, 2, 4], [0, 2, 2]]
+    assert _check_completion(m, 3)[1] == 0
+
+
+@st.composite
+def _deficient_square_problems(draw):
+    """Square problems whose first `need` rows have rank need - deficit.
+
+    need - deficit rows in echelon form on a random column order (so
+    independent), mixed by adding multiples of one another, then
+    `deficit` nonzero combinations of them, all shuffled; then extra rows
+    that are random sparse rows or combinations of the first ones.
+    """
+    need = draw(st.integers(1, 16))
+    deficit = draw(st.integers(1, min(5, need)))
+    rng = Random(draw(st.integers(0, 2 ** 32 - 1)))
+    density = draw(st.sampled_from((0.1, 0.3, 1.0)))
+    order = rng.sample(range(need), need)
+    basis = []
+    for i in range(need - deficit):
+        row = [0] * need
+        row[order[i]] = rng.choice((-3, -2, -1, 1, 2, 3))
+        for c in order[i + 1:]:
+            if rng.random() < density:
+                row[c] = rng.randint(-3, 3)
+        basis.append(row)
+    for _ in range(len(basis)):
+        i, j = rng.sample(range(len(basis)), 2) if len(basis) > 1 else (0, 0)
+        if i != j:
+            k = rng.randint(-2, 2)
+            basis[i] = [x + k * y for x, y in zip(basis[i], basis[j])]
+
+    def combination():
+        while True:
+            coeffs = [rng.randint(-2, 2) for _ in basis]
+            if any(coeffs) or not basis:
+                return [sum(a * row[c] for a, row in zip(coeffs, basis))
+                        for c in range(need)]
+
+    first = basis + [combination() for _ in range(deficit)]
+    rng.shuffle(first)
+    extra = [combination() if rng.random() < 0.3 else
+             [rng.randint(-3, 3) if rng.random() < density else 0
+              for _ in range(need)]
+             for _ in range(draw(st.integers(0, deficit + 6)))]
+    return first + extra, need
+
+
+@settings(max_examples=150)
+@given(_deficient_square_problems(), st.randoms(use_true_random=False))
+def test_pivot_rows_completes_deficient_blocks(problem, rng):
+    # The completion's rows and determinant keep the kernel's contract,
+    # and relabelling the columns by a strictly increasing map changes
+    # neither.
+    m, need = problem
+    rows = sparse(m)
+    out = pivot_rows(rows, need)
+    check_pivot_rows_contract(rows, need, out, range(need))
+    labels = sorted(rng.sample(range(4 * need), need))
+    relabelled = [{labels[c]: x for c, x in row.items()} for row in rows]
+    assert pivot_rows(relabelled, need) == out
