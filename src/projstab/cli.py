@@ -43,7 +43,7 @@ EXIT_LAW_FAILURES = 5
 
 def _int_list(text: str, flag: str) -> list[int]:
     try:
-        return [int(x) for x in text.split(",") if x.strip() != ""]
+        return [int(x) for x in text.split(",")]
     except ValueError:
         raise ParseError(f"{flag}: expected a comma-separated integer list, "
                          f"got {text!r}") from None
@@ -80,11 +80,12 @@ def _probe_primes(text: str, f) -> Sequence[int]:
     """The --probe-primes list for f, each prime checked as its probe will
     check it (a proven prime, no denominator of f vanishing mod p, P^n(F_p)
     within the point bound), so that a bad value fails before classify.
-    A given list must be nonempty and name each prime once."""
+    The empty default means no probe; a given list must name each prime
+    once."""
+    if not text:
+        return ()
     primes = (default_probe_primes(f.n) if text == "default"
               else _int_list(text, "--probe-primes"))
-    if text and not primes:
-        raise ParseError(f"--probe-primes: no prime in {text!r}")
     if len(set(primes)) < len(primes):
         raise ParseError(f"--probe-primes: a prime is repeated in {text!r}")
     for p in primes:
@@ -143,7 +144,7 @@ def cmd_decompose(args) -> int:
 
 def cmd_verify(args) -> int:
     coeffs = [documents.parse_fraction(part.strip(), "--coeffs")
-              for part in args.coeffs.split(",") if part.strip()]
+              for part in args.coeffs.split(",")]
     report = verify_mod.run_verification_suite(
         args.n, args.m, coeffs, sample=args.sample, seed=args.seed)
     sys.stdout.write(documents.dumps_canonical(report.to_dict()))

@@ -24,13 +24,16 @@ Multidimensional Determinants, 1994, ch. 3 and appendix A).
   picks rows R_k whose square block A_k on the columns that level k-1 left
   unpicked is nonsingular.  Level 1 tries Macaulay's rows first: for each
   degree-t monomial u, (u / x_j^m) * f_lead[j] with j the least index
-  where u_j >= m, where lead matches each variable x_j with a distinct
-  component that has a nonzero x_j^m term (the identity when every f_j
-  has x_j^m, or when no such matching exists).  With a matching, each of
-  Macaulay's rows has a nonzero pure-power coefficient on its own column,
-  and their block (Macaulay's matrix of the matched forms) is singular
-  far less often than with the identity when some f_j lacks x_j^m.  Every
-  level eliminates its first rows and, when they are singular, completes
+  where u_j >= m.  lead is the first permutation, in lexicographic order,
+  that gives each x_j a component f_lead[j] with a nonzero x_j^m term;
+  it is the identity when none does, and at m = 1, where level 1 has n+1
+  rows on n+1 columns, all of them Macaulay's whatever the lead.
+  check_matrix_size allows n <= 6 once m >= 2, so at most 7! = 5040
+  permutations are tried.  With a matching, each of Macaulay's rows has
+  a nonzero pure-power coefficient on its own column, and their block
+  (Macaulay's matrix of the matched forms) is singular far less often
+  than with the identity when some f_j lacks x_j^m.  Every level
+  eliminates its first rows and, when they are singular, completes
   them from the others through linalg.pivot_rows's reduced system.  The
   value is
 
@@ -71,7 +74,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, lru_cache
-from itertools import combinations
+from itertools import combinations, permutations
 from math import comb, lcm
 
 from . import ffield, linalg
@@ -234,44 +237,21 @@ def _pure_power_matching(int_dicts: list[dict[MultiIndex, int]], n: int,
                          m: int) -> tuple[int, ...]:
     """lead[j]: a distinct component with a nonzero x_j^m term for each j.
 
-    The identity when every f_j carries x_j^m; otherwise the matching that
-    augmenting paths find, each variable in turn and each variable's
-    components in ascending order; the identity when no full matching
-    exists.
+    The first such permutation in lexicographic order, so the identity
+    whenever every f_j carries x_j^m; the identity when none exists, and
+    always at m = 1, where level 1 has n+1 rows on n+1 columns and every
+    row is one of Macaulay's rows whatever the lead.  check_matrix_size,
+    which runs before every call, allows n <= 6 once m >= 2, so at most
+    7! = 5040 permutations are tried.
     """
-    size = n + 1
-    holders: list[list[int]] = [[] for _ in range(size)]
-    for i, comp in enumerate(int_dicts):
-        for e in comp:
-            if m in e:  # a degree-m monomial with an exponent m: x_j^m
-                holders[e.index(m)].append(i)
-    identity = tuple(range(size))
-    if all(j in holders[j] for j in identity):
+    identity = tuple(range(n + 1))
+    if m == 1:
         return identity
-    lead: list[int | None] = [None] * size    # variable -> component
-    owner: list[int | None] = [None] * size   # component -> variable
-    for j in identity:
-        reached = {}  # component -> the variable that reached it
-        frontier, end = [j], None
-        while frontier and end is None:
-            nxt = []
-            for v in frontier:
-                for i in holders[v]:
-                    if i not in reached:
-                        reached[i] = v
-                        if owner[i] is None:
-                            end = i
-                            break
-                        nxt.append(owner[i])
-                if end is not None:
-                    break
-            frontier = nxt
-        if end is None:
-            return identity
-        while end is not None:  # flip the path from j to the free component
-            v = reached[end]
-            owner[end], lead[v], end = v, end, lead[v]
-    return tuple(lead)
+    powers = {(i, e.index(m)) for i, comp in enumerate(int_dicts)
+              for e in comp if m in e}  # a term with an exponent m: x_j^m
+    return next((lead for lead in permutations(identity)
+                 if all((i, j) in powers for j, i in enumerate(lead))),
+                identity)
 
 
 @lru_cache(maxsize=64)

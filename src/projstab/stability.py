@@ -265,7 +265,7 @@ def limit_map(f: ProjectiveMap, ops: OnePS) -> LimitResult:
     dicts: list[dict[MultiIndex, Fraction]] = []
     dropped = 0
     for j, comp in enumerate(f.components):
-        ws = dict(profile.per_component[j])
+        ws = profile.weights_of(j)
         kept: dict[MultiIndex, Fraction] = {}
         for e, coeff in comp.terms:
             if ws[e] == K:

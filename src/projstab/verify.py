@@ -166,9 +166,10 @@ def run_verification_suite(n: int, m: int, coeffs: Sequence,
     """Enumerate (or sample) the box and check every law on every morphism.
 
     Raises InvalidBox, before anything is counted or drawn, for n < 0,
-    m < 1, a negative sample size, or a coefficient set with no nonzero
+    m < 1, a negative sample size, a coefficient set with no nonzero
     entry (every candidate would be the zero map, and sampling would redraw
-    forever).  Raises SizeLimit just as early when (n, m) is past
+    forever), or one that names a value twice (every map would be counted
+    more than once).  Raises SizeLimit just as early when (n, m) is past
     resultant.MATRIX_SIZE_LIMIT, where is_morphism would refuse every map,
     and BudgetExceeded when the box (without a sample size) or the sample
     size is above DEFAULT_BUDGET.
@@ -182,6 +183,9 @@ def run_verification_suite(n: int, m: int, coeffs: Sequence,
         raise InvalidBox(f"sample size must be >= 0, got {sample}")
     if not any(coeffs):
         raise InvalidBox("the coefficient set needs a nonzero entry, "
+                         f"got {[str(c) for c in coeffs]}")
+    if len(set(coeffs)) < len(coeffs):
+        raise InvalidBox("the coefficient set names a value twice, "
                          f"got {[str(c) for c in coeffs]}")
     check_matrix_size(n, m)
     total = count_candidates(n, m, coeffs)

@@ -309,45 +309,52 @@ class TestCLI:
         assert cli.main(["verify", "--n", "2", "--m", "3",
                          "--coeffs=-1,0,1"]) == 1
 
-    @pytest.mark.parametrize("argv", [
-        ["analyze", "{missing}"],
-        ["analyze", "{cube}", "--probe-primes", "4"],
-        ["analyze", "{cube}", "--probe-primes", "1000003"],
-        ["figure", "{cube}", "--out", "{out}"],
-        ["limit", "{tri}", "--c", "0,1,2", "--b", "0,0"],
-        ["verify", "--n", "2", "--m", "3", "--coeffs=-1,0,1"],
-        ["analyze", "{dir}"],
-        ["figure", "{n2}", "--out", "{dir}"],
-        ["limit", "{tri}", "--c", "0,1,2", "--b", "0,0,0"],
-        ["verify", "--n", "1000000000", "--m", "2", "--coeffs=0,1",
-         "--sample", "1"],
-        ["verify", "--n", "1", "--m", "1", "--coeffs=1",
-         "--sample", "1000000000000"],
+    @pytest.mark.parametrize("argv, prefix", [
+        (["analyze", "{missing}"], "error: "),
+        (["analyze", "{cube}", "--probe-primes", "4"], "error: "),
+        (["analyze", "{cube}", "--probe-primes", "1000003"], "error: "),
+        (["figure", "{cube}", "--out", "{out}"], "error: "),
+        (["limit", "{tri}", "--c", "0,1,2", "--b", "0,0"], "error: "),
+        (["verify", "--n", "2", "--m", "3", "--coeffs=-1,0,1"], "error: "),
+        (["analyze", "{dir}"], "error: "),
+        (["figure", "{n2}", "--out", "{dir}"], "error: "),
+        (["limit", "{tri}", "--c", "0,1,2", "--b", "0,0,0"], "error: "),
+        (["verify", "--n", "1000000000", "--m", "2", "--coeffs=0,1",
+          "--sample", "1"], "error: "),
+        (["verify", "--n", "1", "--m", "1", "--coeffs=1",
+          "--sample", "1000000000000"], "error: "),
+        (["limit", "{sq}", "--c", "0,,1", "--b", "0,0"], "parse error: --c"),
+        (["limit", "{sq}", "--c", "0,1", "--b", "0,,0"], "parse error: --b"),
     ], ids=["missing-file", "composite-prime", "oversized-probe",
             "figure-not-n2", "limit-weight-length", "verify-budget",
             "analyze-directory", "figure-out-directory",
             "limit-weights-longer-than-map", "verify-huge-n",
-            "verify-huge-sample"])
-    def test_input_errors_print_one_error_line(self, argv, tmp_path, capsys):
+            "verify-huge-sample", "limit-empty-c-item",
+            "limit-empty-b-item"])
+    def test_input_errors_print_one_error_line(self, argv, prefix, tmp_path,
+                                               capsys):
         n2 = make_map(2, 2, [[((2, 0, 0), 1)], [((0, 2, 0), 1)],
                              [((0, 0, 2), 1)]])
+        sq = make_map(1, 2, [[((2, 0), 1)], [((0, 2), 1)]])
         paths = {"missing": str(tmp_path / "missing.json"),
                  "cube": write_doc(tmp_path, CUBE, "cube.json"),
                  "tri": write_doc(tmp_path, TRI, "tri.json"),
                  "n2": write_doc(tmp_path, n2, "n2.json"),
+                 "sq": write_doc(tmp_path, sq, "sq.json"),
                  "out": str(tmp_path / "fig.json"),
                  "dir": str(tmp_path)}
         assert cli.main([arg.format(**paths) for arg in argv]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
         lines = captured.err.splitlines()
-        assert len(lines) == 1 and lines[0].startswith("error: ")
+        assert len(lines) == 1 and lines[0].startswith(prefix)
 
     @pytest.mark.parametrize("primes, prefix", [
         ("4", "error: "), ("abc", "parse error: "), ("1000003", "error: "),
         ("5,3", "error: "), ("3,3", "parse error: "), (",", "parse error: "),
+        ("101,,103", "parse error: --probe-primes"),
     ], ids=["not-prime", "not-integer", "over-point-bound",
-            "divides-denominator", "repeated", "empty"])
+            "divides-denominator", "repeated", "empty", "empty-item"])
     def test_probe_primes_checked_before_classify(self, primes, prefix,
                                                   tmp_path, capsys,
                                                   monkeypatch):
@@ -371,6 +378,9 @@ class TestCLI:
         ["--n", "1", "--m", "0", "--coeffs=0,1"],
         ["--n", "1", "--m", "2", "--coeffs=,"],
         ["--n", "1", "--m", "2", "--coeffs=1,x"],
+        ["--n", "1", "--m", "2", "--coeffs=1,,0"],
+        ["--n", "1", "--m", "1", "--coeffs=1,1"],
+        ["--n", "1", "--m", "1", "--coeffs=1,1/1"],
     ])
     def test_verify_rejects_bad_box(self, argv, capsys, monkeypatch):
         monkeypatch.setattr(verify, "Random", _BoundedRandom)
@@ -401,6 +411,18 @@ class TestCLI:
             run_verification_suite(1, 2, [F(0), F(0)])
         report = run_verification_suite(1, 2, [F(0), F(1)], sample=3)
         assert report.maps_checked == 3
+
+    def test_verify_box_with_a_repeated_value_is_rejected_before_counting(
+            self, monkeypatch):
+        # 1 and 1/1 are one value, so every map would be counted twice.
+        def no_counting(n, m, coeffs):
+            raise AssertionError("a box with a repeated value was counted")
+
+        monkeypatch.setattr(verify, "count_candidates", no_counting)
+        for coeffs in ([F(1), F(1)], [F(0), F(1), F(1, 1)], [F(1), 1]):
+            for sample in (None, 1):
+                with pytest.raises(InvalidBox, match="twice"):
+                    run_verification_suite(1, 1, coeffs, sample=sample)
 
     def test_figure_command(self, tmp_path, capsys):
         f = make_map(2, 2, [[((2, 0, 0), 1)], [((0, 2, 0), 1)],

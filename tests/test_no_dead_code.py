@@ -37,7 +37,6 @@ ALLOWED = {
     "iterate": "criterion 8",
     "sylvester_resultant": "criterion 5",
     "is_indeterminate": "criteria 5 and 6",
-    "weights_of": "criterion 4",
 }
 
 _FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)

@@ -1,7 +1,7 @@
 """Sylvester and Macaulay resultants, morphism decisions, field probes."""
 
 from fractions import Fraction as F
-from itertools import permutations, product
+from itertools import combinations, permutations, product
 from random import Random
 
 import pytest
@@ -265,7 +265,7 @@ class TestMacaulay:
 
     @pytest.mark.parametrize("n,m,seed,shapes,lead,singular", [
         (3, 3, 2, [(336, 220), (120, 116), (4, 4)], (0, 1, 2, 3), False),
-        (3, 3, 10, [(336, 220), (120, 116), (4, 4)], (3, 2, 1, 0), True),
+        (3, 3, 5, [(336, 220), (120, 116), (4, 4)], (0, 1, 3, 2), True),
         (2, 3, 2, [(45, 36), (9, 9)], (0, 2, 1), False),
         (2, 3, 11, [(45, 36), (9, 9)], (0, 1, 2), True),
     ], ids=["dense-3-3", "matched-singular-3-3", "matched-lead",
@@ -275,7 +275,7 @@ class TestMacaulay:
         # Every level matrix as _koszul_determinant hands it to the kernel.
         # At (2, 3) seed 2, f_1 lacks x_1^3, and Macaulay's rows take x_1^3
         # from f_2 and x_2^3 from f_1, which makes their block nonsingular.
-        # At (3, 3) seed 10 and (2, 3) seed 11 the matched block is still
+        # At (3, 3) seed 5 and (2, 3) seed 11 the matched block is still
         # singular, so rows past Macaulay's get picked on level 1.
         f = random_map(Random(seed), n, m)
         assert _pure_power_matching(_scale_components_to_int(f)[0],
@@ -313,20 +313,57 @@ class TestMacaulay:
         assert macaulay_resultant(f).value == expected
 
     def test_level_one_order_cache_is_bounded(self):
-        # Component j = x_perm[j] holds the only pure power x_perm[j], so
-        # the 120 permutations at n = 4 give 120 matchings, each perm's
-        # inverse; a linear map's resultant is its determinant, here the
-        # sign of perm.
+        # Component j = x_perm[j]^2 holds the only pure power x_perm[j]^2,
+        # so the 120 permutations at (4, 2) give 120 matchings, each
+        # perm's inverse.
         _level_one_order.cache_clear()
         for perm in permutations(range(5)):
-            f = make_map(4, 1, [[(tuple(int(i == v) for i in range(5)), 1)]
-                                for v in perm])
-            lead = _pure_power_matching(_scale_components_to_int(f)[0], 4, 1)
+            power = [{tuple(2 * (i == v) for i in range(5)): 1}
+                     for v in perm]
+            lead = _pure_power_matching(power, 4, 2)
             assert [perm[j] for j in lead] == list(range(5))
-            assert macaulay_resultant(f).value == permutation_sign(perm)
+            _level_one_order(4, 2, lead)
         info = _level_one_order.cache_info()
         assert info.maxsize is not None
         assert info.currsize == info.maxsize < 120
+
+    def test_linear_map_resultant_is_its_determinant(self):
+        # At m = 1 the lead is the identity whatever the map; a permutation
+        # of the coordinates has the sign of perm as its determinant.
+        for perm in permutations(range(5)):
+            f = make_map(4, 1, [[(tuple(int(i == v) for i in range(5)), 1)]
+                                for v in perm])
+            assert _pure_power_matching(_scale_components_to_int(f)[0],
+                                        4, 1) == tuple(range(5))
+            assert macaulay_resultant(f).value == permutation_sign(perm)
+
+    @settings(max_examples=300, deadline=None, derandomize=True,
+              database=None)
+    @given(st.data())
+    def test_pure_power_matching_against_hall(self, data):
+        # Hall's theorem: the variables can be matched to distinct
+        # components holding their pure powers exactly when every set S of
+        # variables has at least |S| components holding some x_j^m, j in S.
+        n = data.draw(st.integers(1, 4))
+        m = data.draw(st.integers(2, 3))
+        holds = data.draw(st.lists(
+            st.lists(st.booleans(), min_size=n + 1, max_size=n + 1),
+            min_size=n + 1, max_size=n + 1))
+        mixed = (m - 1, 1) + (0,) * (n - 1)
+        comps = [{mixed: 1} | {tuple(m * (i == j) for i in range(n + 1)): 1
+                               for j in range(n + 1) if row[j]}
+                 for row in holds]
+        lead = _pure_power_matching(comps, n, m)
+        identity = tuple(range(n + 1))
+        assert sorted(lead) == list(identity)
+        hall = all(sum(any(row[j] for j in s) for row in holds) >= size
+                   for size in range(1, n + 2)
+                   for s in combinations(identity, size))
+        valid = all(holds[i][j] for j, i in enumerate(lead))
+        assert hall or lead == identity
+        assert valid or not hall
+        if all(holds[j][j] for j in identity):
+            assert lead == identity
 
 
 class TestCompositionLaw:
