@@ -9,7 +9,8 @@ Subcommands:
     figure <file> --out PATH
 
 Give --coeffs with '=' (--coeffs=-1,0,1): argparse reads a separate value
-that starts with '-' as an option.
+that starts with '-' as an option.  Each item of the integer lists (--c,
+--b, --probe-primes) is an optional sign and ASCII decimal digits.
 
 Reports go to standard out (canonical JSON except for analyze's default
 text view); diagnostics go to standard error.  Exit codes: 0 success,
@@ -24,6 +25,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import re
 import sys
 import time
 from typing import Sequence
@@ -41,12 +43,21 @@ EXIT_NOT_MORPHISM = 2
 EXIT_LAW_FAILURES = 5
 
 
+# An optional sign and ASCII digits, the integer form of documents'
+# coefficients; int() alone would also take '1_0', ' 2' or other scripts'
+# digits.
+_INTEGER = re.compile(r"[+-]?[0-9]+")
+
+
 def _int_list(text: str, flag: str) -> list[int]:
-    try:
-        return [int(x) for x in text.split(",")]
-    except ValueError:
-        raise ParseError(f"{flag}: expected a comma-separated integer list, "
-                         f"got {text!r}") from None
+    items = text.split(",")
+    if all(_INTEGER.fullmatch(x) for x in items):
+        try:
+            return [int(x) for x in items]
+        except ValueError:  # past int()'s limit on digits
+            pass
+    raise ParseError(f"{flag}: expected a comma-separated list of integers "
+                     f"in decimal digits, got {text!r}")
 
 
 def _render_text(report_dict: dict) -> str:

@@ -54,9 +54,11 @@ row of 220 at (3, 3).  A later level is restricted to its live columns by
 key, and no row is laid out dense; only linalg.rank_mod_p, the modular
 fast accept of is_morphism, does that.  On the 48 (3, 3) maps of the
 benchmark's analyze-corpus pools, main and held out, macaulay_resultant
-spends about three quarters of its time in linalg.pivot_rows on the
-336 x 220 level-1 and 120 x 116 level-2 blocks, nearly all of it in the
-right-looking row combinations; building the rows takes about a fifth.
+spends about 95 % of its time in linalg.pivot_rows on the 336 x 220
+level-1 and 120 x 116 level-2 blocks, nearly all of it in the
+right-looking row combinations.  Building the rows from the cached
+column tables of _koszul_shifts takes about 3 %; it took about 23 % when
+each entry built its exponent tuple and looked it up.
 Macaulay's 220 rows are singular for 25 of the 46 maps that reach the
 Koszul determinant, with 1 to 24 pivots missing.  pivot_rows then maps
 the 116 other level-1 rows to the reduced system on the free columns,
@@ -74,7 +76,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, lru_cache
-from itertools import combinations, permutations
+from itertools import combinations, combinations_with_replacement, permutations
 from math import comb, lcm
 
 from . import ffield, linalg
@@ -123,13 +125,21 @@ class ProbeReport:
 
 @lru_cache(maxsize=None)
 def monomials_of_degree(num_vars: int, degree: int) -> tuple[MultiIndex, ...]:
-    """All exponent tuples of the given total degree, descending lex."""
-    if num_vars == 1:
-        return ((degree,),)
+    """All exponent tuples of the given total degree, descending lex.
+
+    combinations_with_replacement lists the multisets of `degree` variable
+    indices in lexicographic order, which is descending lex on their
+    exponent tuples.  There is no recursion, so num_vars is bounded only
+    by the callers' size checks.  A negative degree has no monomials.
+    """
+    if degree < 0:
+        return ()
     out = []
-    for first in range(degree, -1, -1):
-        for rest in monomials_of_degree(num_vars - 1, degree - first):
-            out.append((first,) + rest)
+    for chosen in combinations_with_replacement(range(num_vars), degree):
+        e = [0] * num_vars
+        for i in chosen:
+            e[i] += 1
+        out.append(tuple(e))
     return tuple(out)
 
 
@@ -207,6 +217,24 @@ def _koszul_level(n: int, m: int, k: int) -> tuple[dict, dict]:
     return offset, {v: i for i, v in enumerate(monos)}
 
 
+@lru_cache(maxsize=32)
+def _koszul_shifts(n: int, m: int,
+                   k: int) -> dict[MultiIndex, tuple[int, ...]]:
+    """Column positions that a degree-m term e reaches on level k.
+
+    shifts[e][vi] is the position of e + v among the monomials of level
+    k-1, for v the vi-th monomial of level k.  A boundary term
+    f_i * v (x) e_face then sits at offset[face] + shifts[e][vi].  The
+    cache is bounded, since each table holds
+    C(n+m, n) * C(t-k*m+n, n) positions.
+    """
+    _, col_position = _koszul_level(n, m, k - 1)
+    _, position = _koszul_level(n, m, k)
+    return {e: tuple(col_position[tuple(x + y for x, y in zip(e, v))]
+                     for v in position)
+            for e in monomials_of_degree(n + 1, m)}
+
+
 def _koszul_rows(int_dicts: list[dict[MultiIndex, int]], n: int, m: int,
                  k: int) -> list[dict[int, int]]:
     """Matrix of the Koszul boundary from level k to level k-1.
@@ -216,19 +244,28 @@ def _koszul_rows(int_dicts: list[dict[MultiIndex, int]], n: int, m: int,
     {column: value} dict of its nonzeros, the row format of
     linalg.pivot_rows.  Level 1 lists every product
     (monomial of degree t-m) * f_i, component by component.
+
+    The columns come from the table _koszul_shifts(n, m, k), which lists
+    for each degree-m exponent e the positions of e + v over level k's
+    monomials v; it is built once per (n, m, k) and kept in an LRU cache
+    of 32 tables.  Each term (e, a) of a component becomes
+    (shifts[e], a) once, and each face of S fixes its column offset and
+    sign once, so an entry is one table read and one addition: no
+    exponent tuple is built per entry.
     """
     offset, position = _koszul_level(n, m, k)
-    col_offset, col_position = _koszul_level(n, m, k - 1)
+    col_offset, _ = _koszul_level(n, m, k - 1)
+    shifts = _koszul_shifts(n, m, k)
+    terms = [[(shifts[e], a) for e, a in comp.items()] for comp in int_dicts]
     rows = []
     for s in offset:
-        for v in position:
+        faces = [(col_offset[s[:idx] + s[idx + 1:]], -1 if idx % 2 else 1,
+                  terms[i]) for idx, i in enumerate(s)]
+        for vi in range(len(position)):
             row = {}
-            for idx, i in enumerate(s):
-                base = col_offset[s[:idx] + s[idx + 1:]]
-                sign = -1 if idx % 2 else 1
-                for e, a in int_dicts[i].items():
-                    row[base + col_position[tuple(x + y for x, y in
-                                                  zip(e, v))]] = sign * a
+            for base, sign, pairs in faces:
+                for shift, a in pairs:
+                    row[base + shift[vi]] = sign * a
             rows.append(row)
     return rows
 

@@ -275,6 +275,15 @@ class TestCLI:
         assert out["K"] == 0 and out["dropped_terms"] == 0
         assert out["map"] == map_to_document(TRI)
 
+    @pytest.mark.parametrize("c, b", [("+3,0", "0,-0"), ("3,+0", "+0,0")],
+                             ids=["plus-sign", "signed-zeros"])
+    def test_limit_takes_signed_ascii_integers(self, c, b, tmp_path, capsys):
+        path = write_doc(tmp_path, TRI)
+        assert cli.main(["limit", path, "--c", "3,0", "--b", "0,0"]) == 0
+        plain = capsys.readouterr().out
+        assert cli.main(["limit", path, "--c", c, "--b", b]) == 0
+        assert capsys.readouterr().out == plain
+
     def test_limit_dimension_error(self, tmp_path):
         path = write_doc(tmp_path, TRI)
         assert cli.main(["limit", path, "--c", "0,1,2", "--b", "0,0"]) == 1
@@ -325,12 +334,20 @@ class TestCLI:
           "--sample", "1000000000000"], "error: "),
         (["limit", "{sq}", "--c", "0,,1", "--b", "0,0"], "parse error: --c"),
         (["limit", "{sq}", "--c", "0,1", "--b", "0,,0"], "parse error: --b"),
+        (["limit", "{sq}", "--c", "1_0,0", "--b", "0,0"], "parse error: --c"),
+        (["limit", "{sq}", "--c", "0,0", "--b", " 2,0"], "parse error: --b"),
+        (["limit", "{sq}", "--c", "\u0661,0", "--b", "0,0"],
+         "parse error: --c"),
+        (["analyze", "{cube}", "--probe-primes", "1_01"],
+         "parse error: --probe-primes"),
     ], ids=["missing-file", "composite-prime", "oversized-probe",
             "figure-not-n2", "limit-weight-length", "verify-budget",
             "analyze-directory", "figure-out-directory",
             "limit-weights-longer-than-map", "verify-huge-n",
             "verify-huge-sample", "limit-empty-c-item",
-            "limit-empty-b-item"])
+            "limit-empty-b-item", "limit-underscore-digit",
+            "limit-space-before-digit", "limit-arabic-indic-digit",
+            "probe-underscore-digit"])
     def test_input_errors_print_one_error_line(self, argv, prefix, tmp_path,
                                                capsys):
         n2 = make_map(2, 2, [[((2, 0, 0), 1)], [((0, 2, 0), 1)],

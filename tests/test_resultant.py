@@ -16,9 +16,11 @@ from projstab import (BadPrime, SizeLimit, WrongDimension, ZeroMap,
 from projstab import linalg
 from projstab.ffield import PRIMALITY_BOUND, is_prime, reduce_map_mod_p
 from projstab.linalg import det_rational, permutation_sign
-from projstab.resultant import (_level_one_order, _pure_power_matching,
+from projstab.resultant import (_koszul_level, _koszul_rows, _koszul_shifts,
+                                _level_one_order, _pure_power_matching,
                                 _scale_components_to_int, monomials_of_degree)
-from helpers import (check_pivot_rows_contract, random_map,
+from helpers import (_descending_monomials, _reference_boundary,
+                     check_pivot_rows_contract, random_map,
                      reference_koszul_determinant)
 
 
@@ -327,6 +329,46 @@ class TestMacaulay:
         assert info.maxsize is not None
         assert info.currsize == info.maxsize < 120
 
+    @pytest.mark.parametrize("n,m,seed", [(2, 3, 2), (3, 3, 5), (3, 1, 7)])
+    def test_koszul_rows_match_reference_boundary(self, n, m, seed):
+        # Three maps per size: random with missing terms, f_0 without its
+        # pure power x_0^m, and one given zero coefficients that make_map
+        # drops.  Every level's rows, made dense, are the boundary matrix
+        # built from the formula alone, with no zero stored.
+        rng = Random(seed)
+        monos = monomials_of_degree(n + 1, m)
+        pure = tuple(m * (i == 0) for i in range(n + 1))
+        full = random_map(rng, n, m)
+        drawn = [[(e, rng.choice((-1, 0, 1))) for e in monos]
+                 for _ in range(n + 1)]
+        zero_dropped = make_map(n, m, drawn)
+        assert (sum(len(comp.terms) for comp in zero_dropped.components)
+                < sum(len(comp) for comp in drawn))
+        maps = [full,
+                make_map(n, m, [[(e, c) for e, c in comp.terms if e != pure]
+                                for comp in full.components]),
+                zero_dropped]
+        for f in maps:
+            int_dicts = _scale_components_to_int(f)[0]
+            for k in range(1, n + 2):
+                offset, position = _koszul_level(n, m, k - 1)
+                columns = range(len(offset) * len(position))
+                rows = _koszul_rows(int_dicts, n, m, k)
+                assert all(x for row in rows for x in row.values())
+                assert ([[row.get(c, 0) for c in columns] for row in rows]
+                        == _reference_boundary(int_dicts, n, m, k))
+
+    def test_koszul_shifts_cache_is_bounded(self):
+        # At m = 1 every level past the first has no monomials, so the
+        # tables are small; n <= 11 gives 78 distinct (n, m, k).
+        _koszul_shifts.cache_clear()
+        keys = [(n, 1, k) for n in range(12) for k in range(1, n + 2)]
+        for key in keys:
+            _koszul_shifts(*key)
+        info = _koszul_shifts.cache_info()
+        assert info.maxsize is not None
+        assert info.currsize == info.maxsize < len(keys)
+
     def test_linear_map_resultant_is_its_determinant(self):
         # At m = 1 the lead is the identity whatever the map; a permutation
         # of the coordinates has the sign of perm as its determinant.
@@ -402,6 +444,22 @@ class TestCompositionLaw:
             assert (macaulay_resultant(iterate(f, 2)).value
                     == r ** (m ** n + m ** (n + 1)))
             checked += 1
+
+
+class TestMonomials:
+    @pytest.mark.parametrize("num_vars", range(1, 6))
+    def test_descending_lex_order(self, num_vars):
+        for degree in range(6):
+            assert (list(monomials_of_degree(num_vars, degree))
+                    == _descending_monomials(num_vars, degree))
+
+    def test_no_recursion_limit(self):
+        # The coordinate linear map of P^1200: 1201 variables, past the
+        # interpreter's default recursion limit of 1000.
+        n = 1200
+        f = make_map(n, 1, [[(tuple(int(i == j) for i in range(n + 1)), 1)]
+                            for j in range(n + 1)])
+        assert is_morphism(f)
 
 
 class TestIsMorphism:
