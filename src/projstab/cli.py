@@ -9,8 +9,10 @@ Subcommands:
     figure <file> --out PATH
 
 Give --coeffs with '=' (--coeffs=-1,0,1): argparse reads a separate value
-that starts with '-' as an option.  Each item of the integer lists (--c,
---b, --probe-primes) is an optional sign and ASCII decimal digits.
+that starts with '-' as an option.  Each item of every number list is a
+map document coefficient, 'p' or 'p/q' in ASCII digits with an optional
+sign; in --c, --b and --probe-primes its value must be an integer, so
+'4/2' reads as 2.
 
 Reports go to standard out (canonical JSON except for analyze's default
 text view); diagnostics go to standard error.  Exit codes: 0 success,
@@ -25,7 +27,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import re
 import sys
 import time
 from typing import Sequence
@@ -43,21 +44,15 @@ EXIT_NOT_MORPHISM = 2
 EXIT_LAW_FAILURES = 5
 
 
-# An optional sign and ASCII digits, the integer form of documents'
-# coefficients; int() alone would also take '1_0', ' 2' or other scripts'
-# digits.
-_INTEGER = re.compile(r"[+-]?[0-9]+")
-
-
 def _int_list(text: str, flag: str) -> list[int]:
-    items = text.split(",")
-    if all(_INTEGER.fullmatch(x) for x in items):
-        try:
-            return [int(x) for x in items]
-        except ValueError:  # past int()'s limit on digits
-            pass
-    raise ParseError(f"{flag}: expected a comma-separated list of integers "
-                     f"in decimal digits, got {text!r}")
+    values = []
+    for item in text.split(","):
+        x = documents.parse_fraction(item, flag)
+        if x.denominator != 1:
+            raise ParseError(f"{flag}: {documents._quote(item)} is not "
+                             "an integer")
+        values.append(x.numerator)
+    return values
 
 
 def _render_text(report_dict: dict) -> str:
@@ -98,7 +93,8 @@ def _probe_primes(text: str, f) -> Sequence[int]:
     primes = (default_probe_primes(f.n) if text == "default"
               else _int_list(text, "--probe-primes"))
     if len(set(primes)) < len(primes):
-        raise ParseError(f"--probe-primes: a prime is repeated in {text!r}")
+        raise ParseError(f"--probe-primes: a prime is repeated in "
+                         f"{documents._quote(text)}")
     for p in primes:
         ffield.reduce_map_mod_p(f, p)
         ffield.check_point_count(f.n, p)
@@ -154,7 +150,7 @@ def cmd_decompose(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    coeffs = [documents.parse_fraction(part.strip(), "--coeffs")
+    coeffs = [documents.parse_fraction(part, "--coeffs")
               for part in args.coeffs.split(",")]
     report = verify_mod.run_verification_suite(
         args.n, args.m, coeffs, sample=args.sample, seed=args.seed)
@@ -212,9 +208,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--coeffs", required=True,
-                   help="comma list of rational coefficients, given as "
-                        "--coeffs=-1,0,1 (a separate value starting with '-' "
-                        "is read as an option)")
+                   help="comma list of rational coefficients in the map "
+                        "document grammar ('p' or 'p/q', no spaces), given "
+                        "as --coeffs=-1,0,1 (a separate value starting with "
+                        "'-' is read as an option)")
     p.add_argument("--sample", type=int, default=None,
                    help="seeded sample size instead of exhaustive enumeration")
     p.add_argument("--seed", type=int, default=0)

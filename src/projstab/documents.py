@@ -48,6 +48,11 @@ def format_fraction(x: Fraction) -> str:
 _RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
 
 
+def _quote(value: str) -> str:
+    """value quoted for an error line, cut at 40 characters."""
+    return repr(value if len(value) <= 40 else value[:37] + "...")
+
+
 def parse_fraction(value: Any, where: str = "coeff") -> Fraction:
     if isinstance(value, bool):
         raise ParseError(f"{where}: booleans are not coefficients")
@@ -61,8 +66,7 @@ def parse_fraction(value: Any, where: str = "coeff") -> Fraction:
                 return Fraction(value)
             except (ValueError, ZeroDivisionError) as exc:
                 reason = str(exc)
-        shown = value if len(value) <= 40 else value[:37] + "..."
-        raise ParseError(f"{where}: bad rational {shown!r}: {reason}")
+        raise ParseError(f"{where}: bad rational {_quote(value)}: {reason}")
     raise ParseError(f"{where}: expected an integer or 'p/q' string, "
                      f"got {type(value).__name__}")
 

@@ -214,7 +214,7 @@ def det_rational(m: Matrix) -> Fraction:
     scaled: list[dict[int, int]] = []
     scale = 1
     for row in m:
-        denom = lcm(*(x.denominator for x in row)) if row else 1
+        denom = lcm(*(x.denominator for x in row))
         scale *= denom
         scaled.append({c: int(x * denom) for c, x in enumerate(row) if x})
     return Fraction(pivot_rows(scaled, len(m))[1], scale)

@@ -57,8 +57,7 @@ benchmark's analyze-corpus pools, main and held out, macaulay_resultant
 spends about 95 % of its time in linalg.pivot_rows on the 336 x 220
 level-1 and 120 x 116 level-2 blocks, nearly all of it in the
 right-looking row combinations.  Building the rows from the cached
-column tables of _koszul_shifts takes about 3 %; it took about 23 % when
-each entry built its exponent tuple and looked it up.
+column tables of _koszul_shifts takes about 3 %.
 Macaulay's 220 rows are singular for 25 of the 46 maps that reach the
 Koszul determinant, with 1 to 24 pivots missing.  pivot_rows then maps
 the 116 other level-1 rows to the reduced system on the free columns,
@@ -123,7 +122,7 @@ class ProbeReport:
     zeros_found: tuple[tuple[int, ...], ...]
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=32)
 def monomials_of_degree(num_vars: int, degree: int) -> tuple[MultiIndex, ...]:
     """All exponent tuples of the given total degree, descending lex.
 
@@ -175,8 +174,7 @@ def _scale_components_to_int(f: ProjectiveMap) -> tuple[list[dict[MultiIndex, in
     correction = Fraction(1)
     deg = f.m ** f.n
     for comp in f.components:
-        denoms = [c.denominator for _, c in comp.terms]
-        mult = lcm(*denoms) if denoms else 1
+        mult = lcm(*(c.denominator for _, c in comp.terms))
         dicts.append({e: int(c * mult) for e, c in comp.terms})
         correction *= Fraction(mult) ** deg
     return dicts, correction
@@ -202,7 +200,7 @@ def _explicit_zero(f: ProjectiveMap) -> bool:
             or not all(vertex_coverage(f)))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=32)
 def _koszul_level(n: int, m: int, k: int) -> tuple[dict, dict]:
     """Index of the basis e_S (x) v of level k at the critical degree.
 

@@ -8,11 +8,13 @@ family (c = t*1 with b = (mt - C)*1), so torus_rank = dim - 2 counts the
 genuinely nontrivial diagonal torus directions.
 
 Block structure is the combinatorial shadow of invariant subspaces: a pair
-(V', H') with |V'| = |H'| such that the H' components involve only the V'
-variables.  For a morphism with a nontrivial stabilizer direction, the
-components sitting on the top-level hyperplane of the weight function form
-such a block; conversely every block yields a destabilizing one-parameter
-subgroup whose limit keeps exactly the minimal-weight terms.
+(V', H') with |V'| = |H'| such that vars(f_j), the variables some term of
+f_j involves, lies in V' for each j in H'.  Each vars(f_j) is read once per
+call and every face question is a subset test on them.  For a morphism with
+a nontrivial stabilizer direction, the components sitting on the top-level
+hyperplane of the weight function form such a block; conversely every block
+yields a destabilizing one-parameter subgroup whose limit keeps exactly the
+minimal-weight terms.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from math import lcm
 
 from . import linalg
 from .errors import DimensionMismatch, InvalidBlock, NotASolution, SizeLimit
-from .poly import MultiIndex, ProjectiveMap, _map_from_dicts
+from .poly import HomogeneousPoly, MultiIndex, ProjectiveMap, _map_from_dicts
 from .resultant import ResultantValue, is_morphism, macaulay_resultant
 from .weights import OnePS, weight, weight_profile
 
@@ -162,14 +164,9 @@ def hyperplane_partition(f: ProjectiveMap, sol: StabilizerSolution
         equal)
 
 
-def _face_components(f: ProjectiveMap, vset: frozenset[int]) -> frozenset[int]:
-    """Components whose support involves only the variables in vset."""
-    out = []
-    for j, comp in enumerate(f.components):
-        if all(all(k == 0 or i in vset for i, k in enumerate(e))
-               for e, _ in comp.terms):
-            out.append(j)
-    return frozenset(out)
+def _variables(comp: HomogeneousPoly) -> frozenset[int]:
+    """vars(f_j): the variables that some term of the component involves."""
+    return frozenset(i for e, _ in comp.terms for i, k in enumerate(e) if k)
 
 
 def _scan_blocks(f: ProjectiveMap):
@@ -177,13 +174,14 @@ def _scan_blocks(f: ProjectiveMap):
         raise SizeLimit(f"a block scan of {f.num_vars} variables would visit "
                         f"2^{f.num_vars} subsets, above the "
                         f"{SUBSET_SCAN_LIMIT} bound")
+    comp_vars = [_variables(comp) for comp in f.components]
     blocks: list[BlockStructure] = []
     obstructions: list[MorphismObstruction] = []
     indices = range(f.num_vars)
     for size in range(1, f.num_vars):
         for subset in combinations(indices, size):
             vset = frozenset(subset)
-            hset = _face_components(f, vset)
+            hset = frozenset(j for j, vs in enumerate(comp_vars) if vs <= vset)
             if len(hset) == size:
                 blocks.append(BlockStructure(vset, hset, "SupportCombinatorics"))
             elif len(hset) > size:
@@ -194,9 +192,10 @@ def _scan_blocks(f: ProjectiveMap):
 def detect_blocks(f: ProjectiveMap) -> list[BlockStructure]:
     """All blocks (V', H') with |H'(V')| = |V'|, smallest V' first.
 
-    Subsets are enumerated by size then lexicographically, which fixes the
-    block that recursive splitting consumes first.  Raises SizeLimit before
-    visiting more than SUBSET_SCAN_LIMIT subsets.
+    H'(V') = {j : vars(f_j) in V'}, zero components included.  Subsets are
+    enumerated by size then lexicographically, which fixes the block that
+    recursive splitting consumes first.  Raises SizeLimit before visiting
+    more than SUBSET_SCAN_LIMIT subsets.
     """
     return _scan_blocks(f)[0]
 
@@ -219,6 +218,9 @@ def block_from_stabilizer(f: ProjectiveMap, sol: StabilizerSolution
 
 
 def validate_block(f: ProjectiveMap, block: BlockStructure) -> None:
+    """InvalidBlock unless V' is proper and nonempty, |H'| = |V'|, every
+    index is in range and vars(f_j) lies in V' for each j in H' (the least
+    j that fails is named)."""
     nv = f.num_vars
     if not block.variables or len(block.variables) >= nv:
         raise InvalidBlock(f"V' = {sorted(block.variables)} is not a proper "
@@ -228,11 +230,8 @@ def validate_block(f: ProjectiveMap, block: BlockStructure) -> None:
     if any(i < 0 or i >= nv for i in block.variables | block.components):
         raise InvalidBlock("index out of range")
     for j in sorted(block.components):
-        for e, _ in f.components[j].terms:
-            if any(k > 0 and i not in block.variables
-                   for i, k in enumerate(e)):
-                raise InvalidBlock(
-                    f"component {j} uses a variable outside V'")
+        if not _variables(f.components[j]) <= block.variables:
+            raise InvalidBlock(f"component {j} uses a variable outside V'")
 
 
 def block_to_1ps(block: BlockStructure, f: ProjectiveMap) -> OnePS:

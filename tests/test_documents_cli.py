@@ -275,8 +275,10 @@ class TestCLI:
         assert out["K"] == 0 and out["dropped_terms"] == 0
         assert out["map"] == map_to_document(TRI)
 
-    @pytest.mark.parametrize("c, b", [("+3,0", "0,-0"), ("3,+0", "+0,0")],
-                             ids=["plus-sign", "signed-zeros"])
+    @pytest.mark.parametrize("c, b", [("+3,0", "0,-0"), ("3,+0", "+0,0"),
+                                      ("6/2,0", "0/7,0")],
+                             ids=["plus-sign", "signed-zeros",
+                                  "integer-fractions"])
     def test_limit_takes_signed_ascii_integers(self, c, b, tmp_path, capsys):
         path = write_doc(tmp_path, TRI)
         assert cli.main(["limit", path, "--c", "3,0", "--b", "0,0"]) == 0
@@ -340,6 +342,11 @@ class TestCLI:
          "parse error: --c"),
         (["analyze", "{cube}", "--probe-primes", "1_01"],
          "parse error: --probe-primes"),
+        (["limit", "{sq}", "--c", "1" * 5000 + ",0", "--b", "0,0"],
+         "parse error: --c"),
+        (["limit", "{sq}", "--c", "1/2,0", "--b", "0,0"], "parse error: --c"),
+        (["verify", "--n", "1", "--m", "2", "--coeffs= 1,0"],
+         "parse error: --coeffs"),
     ], ids=["missing-file", "composite-prime", "oversized-probe",
             "figure-not-n2", "limit-weight-length", "verify-budget",
             "analyze-directory", "figure-out-directory",
@@ -347,7 +354,8 @@ class TestCLI:
             "verify-huge-sample", "limit-empty-c-item",
             "limit-empty-b-item", "limit-underscore-digit",
             "limit-space-before-digit", "limit-arabic-indic-digit",
-            "probe-underscore-digit"])
+            "probe-underscore-digit", "limit-5000-digit-item",
+            "limit-fraction-weight", "verify-space-before-coeff"])
     def test_input_errors_print_one_error_line(self, argv, prefix, tmp_path,
                                                capsys):
         n2 = make_map(2, 2, [[((2, 0, 0), 1)], [((0, 2, 0), 1)],
@@ -365,6 +373,7 @@ class TestCLI:
         assert captured.out == ""
         lines = captured.err.splitlines()
         assert len(lines) == 1 and lines[0].startswith(prefix)
+        assert len(lines[0]) < 300
 
     @pytest.mark.parametrize("primes, prefix", [
         ("4", "error: "), ("abc", "parse error: "), ("1000003", "error: "),

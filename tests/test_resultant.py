@@ -508,6 +508,20 @@ class TestIsMorphism:
         basis = sympy.groebner(polys, *xs, order="grevlex")
         assert is_morphism(f) == basis.is_zero_dimensional
 
+    def test_listing_caches_are_bounded(self):
+        # The coordinate linear maps of P^0 .. P^39 are 40 (n, m) classes,
+        # each listing the monomials of degrees 1 and 0 in n+1 variables:
+        # more keys than either cache keeps.
+        caches = (monomials_of_degree, _koszul_level)
+        for cached in caches:
+            cached.cache_clear()
+        for n in range(40):
+            assert is_morphism(_power_map(n, 1))
+        for cached in caches:
+            info = cached.cache_info()
+            assert info.maxsize is not None
+            assert info.currsize == info.maxsize < 40
+
 
 class TestProbe:
     def test_common_zero_found(self):

@@ -1,6 +1,7 @@
 """Stabilizer systems, blocks, destabilizing subgroups, limits, labels."""
 
 from fractions import Fraction as F
+from itertools import combinations
 from random import Random
 
 import pytest
@@ -12,7 +13,8 @@ from projstab import (DimensionMismatch, InvalidBlock, NotASolution, OnePS,
                       block_from_stabilizer, block_to_1ps, classify,
                       detect_blocks, hyperplane_partition, is_morphism,
                       limit_map, make_map, stabilizer_space, weight_profile)
-from projstab.stability import BlockStructure, solution_satisfies
+from projstab.stability import (BlockStructure, solution_satisfies,
+                                validate_block)
 from projstab.resultant import monomials_of_degree
 from helpers import random_map
 
@@ -150,6 +152,29 @@ class TestHyperplanePartition:
             hyperplane_partition(CUBE, sol)
 
 
+@st.composite
+def _random_supports(draw):
+    """Maps with n <= 3, m <= 3 and at most three terms per component, so
+    blocks and obstructions are common; a component may be zero."""
+    n = draw(st.integers(1, 3))
+    m = draw(st.integers(1, 3))
+    monos = monomials_of_degree(n + 1, m)
+    comps = [draw(st.lists(st.sampled_from(monos), max_size=3, unique=True))
+             for _ in range(n + 1)]
+    try:
+        return make_map(n, m, [[(e, 1) for e in comp] for comp in comps])
+    except ZeroMap:
+        assume(False)
+
+
+def _face_by_definition(f, vset):
+    """H'(V'), term by term: the components none of whose terms has a
+    positive exponent on a variable outside vset."""
+    return frozenset(j for j, comp in enumerate(f.components)
+                     if not any(e[i] > 0 for e, _ in comp.terms
+                                for i in range(f.num_vars) if i not in vset))
+
+
 class TestDetectBlocks:
     def test_subset_scan_bound(self):
         # A 40-variable diagonal linear map passes the matrix bound, but its
@@ -188,6 +213,30 @@ class TestDetectBlocks:
         assert len(obs) == 1
         assert sorted(obs[0].variables) == [0]
         assert sorted(obs[0].components) == [0, 1]
+
+    @settings(max_examples=200, deadline=None, derandomize=True,
+              database=None)
+    @given(_random_supports())
+    def test_faces_match_definition(self, f):
+        nv = f.num_vars
+        faces = {v: _face_by_definition(f, v)
+                 for size in range(1, nv)
+                 for v in map(frozenset, combinations(range(nv), size))}
+        assert [(b.variables, b.components) for b in detect_blocks(f)] == \
+            [(v, h) for v, h in faces.items() if len(h) == len(v)]
+        assert [(o.variables, o.components)
+                for o in classify(f).obstructions] == \
+            [(v, h) for v, h in faces.items() if len(h) > len(v)]
+        for v, face in faces.items():
+            for h in map(frozenset, combinations(range(nv), len(v))):
+                block = BlockStructure(v, h, "SupportCombinatorics")
+                offenders = sorted(h - face)
+                if offenders:
+                    with pytest.raises(InvalidBlock,
+                                       match=f"^component {offenders[0]} "):
+                        validate_block(f, block)
+                else:
+                    validate_block(f, block)
 
     def test_obstruction_means_non_morphism(self):
         rng = Random(211)
