@@ -497,3 +497,24 @@ def test_analyze_json_matches_golden(name, capsys):
     assert code == (0 if report["is_morphism"] else 2)
     assert dumps_canonical(report) == (
         GOLDEN / f"{name}.report.json").read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("name", sorted(
+    p.name[:-len(".probed.report.json")]
+    for p in GOLDEN.glob("*.probed.report.json")))
+def test_probed_analyze_json_matches_golden(name, capsys):
+    # Each <name>.probed.report.json holds `analyze --json --probe-primes`
+    # on <name>.map.json, with the primes its own probes list, so a change
+    # to the F_p scan that moves, adds or drops a zero fails here.  Each
+    # map has a prime dividing its resultant among them, whose probe finds
+    # a zero; the non-morphism has several zeros at p = 2 and 3, primes at
+    # or below the degree; 101 is one of the default probe primes.
+    golden = (GOLDEN / f"{name}.probed.report.json").read_text(
+        encoding="utf-8")
+    primes = ",".join(str(pr["prime"]) for pr in json.loads(golden)["probes"])
+    code = cli.main(["analyze", str(GOLDEN / f"{name}.map.json"), "--json",
+                     "--probe-primes", primes])
+    report = json.loads(capsys.readouterr().out)
+    del report["timing"]
+    assert code == (0 if report["is_morphism"] else 2)
+    assert dumps_canonical(report) == golden
