@@ -2,37 +2,34 @@
 
 Projective points are enumerated in a fixed canonical order, one affine
 chart at a time: chart `lead` has x_0 = ... = x_(lead-1) = 0 and
-x_lead = 1, and its remaining n - lead coordinates run over F_p^(n-lead)
-in itertools.product order.  Charts come in the order lead = 0, 1, ..., n,
+x_lead = 1, and its remaining k = n - lead coordinates run over F_p^k in
+itertools.product order.  Charts come in the order lead = 0, 1, ..., n,
 ending with the single point (0,...,0,1).  Every representative has first
 nonzero coordinate 1, so reports need no further normalization and carry
 no duplicates.
 
-common_zeros_mod_p, the one scan, is one loop over the charts, and on each
-chart it is a sieve.  A component with no reduced term left on the chart
-(each term has a factor x_i with i < lead or a coefficient that is 0 mod
-p) vanishes at every point of it and is dropped.  The first component left
-is evaluated on the whole chart by _blocks, which groups its terms by the
-exponent of the first free coordinate, evaluates each group on the
-remaining coordinates, and for each value y of the first free coordinate
-combines the group values with one multiply-add list comprehension per
-group, so no list is longer than p^(n-1).  Its zeros are found with
-list.index, and only there are the other components evaluated, point by
-point from the power table.  On a chart with k free coordinates the
-restriction of a component left is a nonzero polynomial of degree at most m,
-so for m < p it has at most m * p^(k-1) zeros in F_p^k (Schwartz-Zippel):
-the pointwise work covers at most a share m/p of the chart.  When no
-component is left, every point of the chart is a common zero.
-
-Inverses modulo p come from Fermat's little theorem, which holds only for
-prime p, so every modulus is first proven prime by a deterministic
-Miller-Rabin test.
+common_zeros_mod_p, the one scan, goes through each chart line by line.
+A component with no reduced term left on the chart (each term has a factor
+x_i with i < lead or a coefficient that is 0 mod p) vanishes on all of it
+and is dropped; with none left, the whole chart is zero.  A line fixes the
+first k-1 free coordinates to q, and each component left restricts to a
+polynomial of degree at most m in the last coordinate t, its coefficients
+on all p^(k-1) lines read from the power table, one comprehension a term.  The line's zeros are the
+roots of the gcd of these restrictions, by Euclid's algorithm over F_p
+(von zur Gathen and Gerhard, Modern Computer Algebra, ch. 3), stopped once
+it is a nonzero constant: then none; the whole line for the zero
+polynomial; -g_0/g_1 for degree 1; else the gcd is evaluated on F_p from
+the power table.  A chart costs p^(k-1) lines of O(terms + m^2) each, plus
+an evaluation over F_p on each line where the restrictions share a factor
+of degree 2 or more, which is rare unless the components share one mod p.
+Every modulus is first proven prime by a deterministic Miller-Rabin test,
+so every nonzero residue has an inverse.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
 from itertools import product
-from typing import Iterator
 
 from .errors import BadPrime, SizeLimit
 from .poly import MultiIndex, ProjectiveMap
@@ -73,6 +70,13 @@ def is_prime(p: int) -> bool:
     return True
 
 
+def _named(x: int | Fraction) -> str:
+    """x for an error line: itself up to 40 characters, else its size."""
+    text = str(x)
+    return text if len(text) <= 40 else (
+        f"<{sum(ch.isdigit() for ch in text)} digits>")
+
+
 def reduce_map_mod_p(f: ProjectiveMap, p: int) -> list[list[tuple[MultiIndex, int]]]:
     """Component term lists with coefficients reduced modulo p.
 
@@ -82,7 +86,7 @@ def reduce_map_mod_p(f: ProjectiveMap, p: int) -> list[list[tuple[MultiIndex, in
     """
     if not 2 <= p < PRIMALITY_BOUND:
         raise BadPrime(f"modulus must satisfy 2 <= p < {PRIMALITY_BOUND}, "
-                       f"got {p}")
+                       f"got {_named(p)}")
     if not is_prime(p):
         raise BadPrime(f"modulus {p} is not prime")
     reduced = []
@@ -91,9 +95,9 @@ def reduce_map_mod_p(f: ProjectiveMap, p: int) -> list[list[tuple[MultiIndex, in
         for e, c in comp.terms:
             den = c.denominator % p
             if den == 0:
-                raise BadPrime(
-                    f"denominator of coefficient {c} vanishes mod {p}")
-            a = (c.numerator % p) * pow(den, p - 2, p) % p
+                raise BadPrime(f"denominator of coefficient {_named(c)} "
+                               f"vanishes mod {p}")
+            a = c.numerator * pow(den, -1, p) % p
             if a:
                 terms.append((e, a))
         reduced.append(terms)
@@ -121,85 +125,90 @@ def _power_table(p: int, max_exp: int) -> list[list[int]]:
     return table
 
 
-def _group_by_first(terms):
-    """Terms grouped by their first exponent, each with that exponent cut off."""
-    groups: dict[int, list[tuple[MultiIndex, int]]] = {}
+def _line_coefficients(terms, k: int, p: int, table) -> list[list[int]]:
+    """coeffs[d][i]: coefficient of t^d on line i of F_p^k, k >= 1, with t
+    the last coordinate and the lines in itertools.product order.  Each
+    term adds a times its monomial in the other k-1 coordinates, whose
+    values are built once per exponent from rows of table."""
+    lines = p ** (k - 1)
+    coeffs = [[0] * lines for _ in range(1 + max(e[-1] for e, _ in terms))]
+    monomials: dict[MultiIndex, list[int]] = {}
     for e, a in terms:
-        groups.setdefault(e[0], []).append((e[1:], a))
-    return sorted(groups.items())
+        head = e[:-1]
+        if head not in monomials:
+            vals = [1]
+            for d in head:
+                vals = [u * x % p for u in vals for x in table[d]]
+            monomials[head] = vals
+        coeffs[e[-1]] = [u + a * v for u, v in zip(coeffs[e[-1]],
+                                                   monomials[head])]
+    return [[u % p for u in row] for row in coeffs]
 
 
-def _blocks(terms, k: int, p: int, table) -> Iterator[list[int]]:
-    """Values on F_p^k, k >= 1, one list per value y of the first coordinate.
-
-    The terms sharing the exponent d of the first coordinate are evaluated
-    once on F_p^(k-1), giving G_d; the list for y is sum_d y^d * G_d, one
-    multiply-add comprehension per group.  At y = 0 only G_0 survives, and
-    the lowest group needs no multiplication when its factor is 1.
-    """
-    size = p ** (k - 1)
-    groups = [(d, _values(rest, k - 1, p, table))
-              for d, rest in _group_by_first(terms)] or [(0, [0] * size)]
-    (d0, first), rest = groups[0], groups[1:]
-    yield first if d0 == 0 else [0] * size
-    for y in range(1, p):
-        c = table[d0][y]
-        if not rest:
-            yield first if c == 1 else [c * v % p for v in first]
-            continue
-        acc = first if c == 1 else [c * v for v in first]
-        for d, vals in rest[:-1]:
-            c = table[d][y]
-            acc = [u + c * v for u, v in zip(acc, vals)]
-        d, vals = rest[-1]
-        c = table[d][y]
-        yield [(u + c * v) % p for u, v in zip(acc, vals)]
+def _gcd(a: list[int], b: list[int], p: int) -> list[int]:
+    """A gcd over F_p, not made monic, of nonzero a and b, which it uses up;
+    coefficient lists start at degree 0 and end nonzero."""
+    if len(a) < len(b):
+        a, b = b, a
+    while len(b) > 1:
+        inv = pow(b[-1], -1, p)
+        top = len(b) - 1
+        while len(a) > top:
+            c = a.pop() * inv % p
+            if c:
+                s = len(a) - top
+                for i in range(top):
+                    a[s + i] = (a[s + i] - c * b[i]) % p
+        while a and not a[-1]:
+            a.pop()
+        if not a:
+            return b
+        a, b = b, a
+    return b
 
 
-def _values(terms, k: int, p: int, table) -> list[int]:
-    """Values on all of F_p^k in itertools.product order, reduced mod p.
-
-    With one coordinate left, each term adds a times a column of table.
-    """
-    if k == 0:
-        return [sum(a for _, a in terms) % p]
-    if k == 1:
-        acc = [0] * p
-        for (d,), a in terms:
-            acc = [u + a * x for u, x in zip(acc, table[d])]
-        return [u % p for u in acc]
-    return [v for block in _blocks(terms, k, p, table) for v in block]
-
-
-def _vanishes(terms, point: tuple[int, ...], p: int, table) -> bool:
-    """Whether a reduced term list vanishes at one point of F_p^k."""
-    total = 0
-    for e, a in terms:
-        for d, x in zip(e, point):
-            a *= table[d][x]
-        total += a
-    return total % p == 0
+def _line_zeros(polys, p: int, table) -> list[int] | range:
+    """Common roots in F_p, ascending, of one line's restrictions (all of
+    F_p if they are all zero); a gcd of degree 2 or more is made monic and
+    compared with -g_0 on F_p, from a table built here if none is given."""
+    g = None
+    for poly in polys:
+        h = list(poly)
+        while h and not h[-1]:
+            h.pop()
+        if h:
+            g = h if g is None else _gcd(g, h, p)
+            if len(g) == 1:
+                return []
+    if g is None:
+        return range(p)
+    inv = pow(g[-1], -1, p)
+    if len(g) == 2:
+        return [-g[0] * inv % p]
+    table = table or _power_table(p, len(g) - 1)
+    acc = table[len(g) - 1]
+    for d in range(1, len(g) - 1):
+        if g[d]:
+            c = g[d] * inv
+            acc = [u + c * x for u, x in zip(acc, table[d])]
+    target = -g[0] * inv % p
+    return [x for x, v in enumerate(acc) if v % p == target]
 
 
 def common_zeros_mod_p(f: ProjectiveMap, p: int) -> list[tuple[int, ...]]:
     """All points of P^n(F_p) where every component vanishes, in canonical
-    order.
+    order, found line by line as the roots of a gcd.
 
-    Each chart is sieved: the components whose terms all vanish on it are
-    dropped, the first remaining one is evaluated on the whole chart by
-    _blocks, and the others only at its zeros, point by point.  With no
-    component left, every point of the chart is a zero.  A nonzero form of
-    degree m < p has at most m * p^(k-1) zeros on F_p^k (Schwartz-Zippel),
-    so the pointwise work is a small share of the chart; for m >= p it can
-    be the whole chart, and the scan is slower but still exhaustive.
-
-    Raises SizeLimit before scanning more than POINT_LIMIT points.  The
-    power table, m+1 lists of p residues, is built only for n >= 1: the
-    one point of P^0 is evaluated without it.
+    A chart with k free coordinates costs p^(k-1) lines of O(terms + m^2)
+    each, plus an evaluation over F_p on each line whose gcd has degree 2
+    or more, as on every line when the components share such a factor mod
+    p.  Raises SizeLimit before scanning more than POINT_LIMIT points.  The
+    power table is built up front only for n >= 2, where a scan has more
+    than one line.
     """
     reduced = reduce_map_mod_p(f, p)
     check_point_count(f.n, p)
-    table = _power_table(p, f.m) if f.n else None
+    table = _power_table(p, f.m) if f.n >= 2 else None
     zeros = []
     for lead in range(f.n + 1):
         k = f.n - lead
@@ -211,22 +220,12 @@ def common_zeros_mod_p(f: ProjectiveMap, p: int) -> list[tuple[int, ...]]:
             zeros.extend(prefix + point
                          for point in product(range(p), repeat=k))
             continue
-        sieve, others = live[0], live[1:]
-        blocks = (_blocks(sieve, k, p, table) if k
-                  else [_values(sieve, 0, p, table)])
-        offset = 0
-        for block in blocks:
-            i = -1
-            try:
-                while True:
-                    i = block.index(0, i + 1)
-                    q, point = offset + i, ()
-                    for _ in range(k):
-                        q, digit = divmod(q, p)
-                        point = (digit,) + point
-                    if all(_vanishes(t, point, p, table) for t in others):
-                        zeros.append(prefix + point)
-            except ValueError:
-                pass
-            offset += len(block)
+        if k == 0:
+            continue  # every live component is a nonzero multiple of x_n^m
+        restrictions = [zip(*_line_coefficients(terms, k, p, table))
+                        for terms in live]
+        for q, *polys in zip(product(range(p), repeat=k - 1), *restrictions):
+            roots = _line_zeros(polys, p, table)
+            if roots:
+                zeros.extend(prefix + q + (t,) for t in roots)
     return zeros

@@ -347,6 +347,8 @@ class TestCLI:
         (["limit", "{sq}", "--c", "1/2,0", "--b", "0,0"], "parse error: --c"),
         (["verify", "--n", "1", "--m", "2", "--coeffs= 1,0"],
          "parse error: --coeffs"),
+        (["analyze", "{cube}", "--probe-primes", "7" * 4000], "error: "),
+        (["analyze", "{bigden}", "--probe-primes", "5"], "error: "),
     ], ids=["missing-file", "composite-prime", "oversized-probe",
             "figure-not-n2", "limit-weight-length", "verify-budget",
             "analyze-directory", "figure-out-directory",
@@ -355,17 +357,20 @@ class TestCLI:
             "limit-empty-b-item", "limit-underscore-digit",
             "limit-space-before-digit", "limit-arabic-indic-digit",
             "probe-underscore-digit", "limit-5000-digit-item",
-            "limit-fraction-weight", "verify-space-before-coeff"])
+            "limit-fraction-weight", "verify-space-before-coeff",
+            "probe-4000-digit-modulus", "probe-prime-divides-3006-digit-den"])
     def test_input_errors_print_one_error_line(self, argv, prefix, tmp_path,
                                                capsys):
         n2 = make_map(2, 2, [[((2, 0, 0), 1)], [((0, 2, 0), 1)],
                              [((0, 0, 2), 1)]])
         sq = make_map(1, 2, [[((2, 0), 1)], [((0, 2), 1)]])
+        bigden = make_map(1, 1, [[((1, 0), F(1, 5 ** 4300))], [((0, 1), 1)]])
         paths = {"missing": str(tmp_path / "missing.json"),
                  "cube": write_doc(tmp_path, CUBE, "cube.json"),
                  "tri": write_doc(tmp_path, TRI, "tri.json"),
                  "n2": write_doc(tmp_path, n2, "n2.json"),
                  "sq": write_doc(tmp_path, sq, "sq.json"),
+                 "bigden": write_doc(tmp_path, bigden, "bigden.json"),
                  "out": str(tmp_path / "fig.json"),
                  "dir": str(tmp_path)}
         assert cli.main([arg.format(**paths) for arg in argv]) == 1

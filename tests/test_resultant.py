@@ -613,16 +613,16 @@ def _pointwise_zeros(f, p):
 
 
 @st.composite
-def _maps_mod_p(draw):
-    """A sparse map with n in {1, 2, 3} and a prime p in {2, 3, 5, 7}.
+def _maps_mod_p(draw, primes=(2, 3, 5, 7), max_n=3):
+    """A sparse map with 1 <= n <= max_n and a prime p from primes.
 
     Coefficients are rationals with denominators prime to p.  Each
     component only uses a drawn set of variables, which may be empty (a
     zero component), so blocks and common zeros are frequent.
     """
-    n = draw(st.integers(1, 3))
+    n = draw(st.integers(1, max_n))
     m = draw(st.integers(1, 3 if n < 3 else 2))
-    p = draw(st.sampled_from((2, 3, 5, 7)))
+    p = draw(st.sampled_from(primes))
     coeff = st.builds(F, st.integers(-3, 3),
                       st.sampled_from([d for d in (1, 2, 3, 4, 5, 7) if d % p]))
     comps = []
@@ -647,12 +647,21 @@ class TestChartScanOracle:
         f, p = case
         assert ff_zero_probe(f, p).zeros_found == _pointwise_zeros(f, p)
 
-    # The scan evaluates the first component that survives on a chart
-    # everywhere and the others only at its zeros; these maps reach each
-    # branch of that sieve.
+    # The property above draws p <= 7, where F_p has at most six nonzero
+    # residues to invert; this one runs Euclid's steps over F_11, F_13 and
+    # F_31, at n <= 2 so that the pointwise oracle stays affordable.
+    @settings(max_examples=40, deadline=None, derandomize=True,
+              database=None)
+    @given(_maps_mod_p(primes=(11, 13, 31), max_n=2))
+    def test_probe_matches_pointwise_evaluation_larger_primes(self, case):
+        f, p = case
+        assert ff_zero_probe(f, p).zeros_found == _pointwise_zeros(f, p)
+
+    # The scan drops the components with no term left on a chart, restricts
+    # the others to each line in the chart's last coordinate and takes the
+    # roots of their gcd; these maps reach each branch of that scan.
     @pytest.mark.parametrize("f, p, count", [
-        # 3x0^2 + 6x1x2 is 0 mod 3, so a later component is the sieve on
-        # every chart.
+        # 3x0^2 + 6x1x2 is 0 mod 3, so it is dropped on every chart.
         (make_map(2, 2, [[((2, 0, 0), 3), ((0, 1, 1), 6)],
                          [((1, 1, 0), 1)],
                          [((0, 0, 2), 1), ((2, 0, 0), -1), ((0, 2, 0), 1)]]),
@@ -670,13 +679,63 @@ class TestChartScanOracle:
         (make_map(3, 2, [[((1, 0, 1, 0), 1)], [((0, 1, 0, 1), 1)],
                          [((1, 0, 0, 1), 1), ((0, 1, 1, 0), -1)],
                          [((0, 0, 2, 0), 1), ((0, 0, 0, 2), 1)]]), 31, 32),
+        # (x0 + 2x2)x1, (x0 + 2x2 + 7x1)x2 and (x0 + 9x2)(x0 - x1) share
+        # x0 + 2x2 mod 7 only: every line has the root of 1 + 2t (or 2t),
+        # so each gcd has degree 1.
+        (make_map(2, 2, [[((1, 1, 0), 1), ((0, 1, 1), 2)],
+                         [((1, 0, 1), 1), ((0, 0, 2), 2), ((0, 1, 1), 7)],
+                         [((2, 0, 0), 1), ((1, 1, 0), -1), ((1, 0, 1), 9),
+                          ((0, 1, 1), -9)]]), 7, 8),
+        # (x1^2 + x2^2)x_j, with 7x0^2x2 added to the last, share
+        # x1^2 + x2^2 mod 7.  It has no root on a line with x1 != 0 (-1 is
+        # no square mod 7), so those gcds of degree 2 are evaluated to find
+        # nothing; on the line x1 = 0 the gcd t^2 gives (1, 0, 0).
+        (make_map(2, 3, [[((1, 2, 0), 1), ((1, 0, 2), 1)],
+                         [((0, 3, 0), 1), ((0, 1, 2), 1)],
+                         [((0, 2, 1), 1), ((0, 0, 3), 1), ((2, 0, 1), 7)]]),
+         7, 1),
+        # x1x2 and x1(x2 - x0) vanish on the line x1 = 0 only, where the gcd
+        # is x0^2 - x2^2 + x1^2 alone, with the roots t = 1, 4.
+        (make_map(2, 2, [[((0, 1, 1), 1)], [((0, 1, 1), 1), ((1, 1, 0), -1)],
+                         [((2, 0, 0), 1), ((0, 0, 2), -1), ((0, 2, 0), 1)]]),
+         5, 2),
+        # x0x1, x1x2 and x1^2 all vanish on the line x1 = 0: the whole line.
+        (make_map(2, 2, [[((1, 1, 0), 1)], [((0, 1, 1), 1)],
+                         [((0, 2, 0), 1)]]), 5, 6),
+        # m >= p: x1^3 - x0^2x1 is 0 on every line of chart x0 = 1 mod 3,
+        # and x2^3 - x0^2x2 is a nonzero cubic with every t in F_3 as a
+        # root, so the gcd is qt + 1, from x0x1x2 + x0^3, with a root for
+        # each q != 0.
+        (make_map(2, 3, [[((0, 3, 0), 1), ((2, 1, 0), -1)],
+                         [((0, 0, 3), 1), ((2, 0, 1), -1)],
+                         [((1, 1, 1), 1), ((3, 0, 0), 1)]]), 3, 2),
     ], ids=["first-component-zero-mod-p", "form-vanishing-everywhere",
             "chart-with-no-live-component", "p0-zero", "p0-nonzero",
-            "n3-p31"])
+            "n3-p31", "linear-factor-shared-mod-p",
+            "rootless-quadratic-factor-shared-mod-7",
+            "restrictions-vanish-on-one-line", "whole-line-zero",
+            "m-at-least-p"])
     def test_sieve_edge_cases(self, f, p, count):
         zeros = ff_zero_probe(f, p).zeros_found
         assert zeros == _pointwise_zeros(f, p)
         assert len(zeros) == count
+
+    def test_line_scan_large_prime_n1(self):
+        # (x1 - 5x0)(x1 + x0) and (x1 - 5x0)(x1 - 2x0): one common root at
+        # p = 999983.  P^1(F_p) has about 10^6 points, too many for the
+        # exact pointwise oracle (tens of microseconds a point), so sympy's
+        # gcd over F_p of the restrictions to x0 = 1 is the oracle here,
+        # with (0, 1) checked by hand: both forms are x1^2 there.
+        p = 999983
+        f = make_map(1, 2, [[((0, 2), 1), ((1, 1), -4), ((2, 0), -5)],
+                            [((0, 2), 1), ((1, 1), -7), ((2, 0), 10)]])
+        t = sympy.Symbol("t")
+        g = sympy.gcd(*(sympy.Poly(sum(int(c) * t ** e[1]
+                                       for e, c in comp.terms), t, modulus=p)
+                        for comp in f.components)).monic()
+        assert g.degree() == 1
+        zeros = ff_zero_probe(f, p).zeros_found
+        assert zeros == ((1, int(-g.nth(0)) % p),) == ((1, 5),)
 
     @settings(max_examples=150, deadline=None, derandomize=True,
               database=None)
