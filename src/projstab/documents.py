@@ -138,16 +138,23 @@ def loads_map(text: str) -> ProjectiveMap:
 # keeps a huge or endless input (such as /dev/zero) from filling memory.
 DOCUMENT_BYTE_LIMIT = 1 << 24
 
+# Documents are read in chunks of this many bytes: one read of the whole
+# limit would allocate all of it up front, even for a small document.
+_READ_CHUNK = 1 << 16
+
 
 def load_map_file(path: str) -> ProjectiveMap:
     """Parse the map document at path; ParseError past DOCUMENT_BYTE_LIMIT
     bytes or on text that is not UTF-8."""
+    chunks, size = [], 0
     with open(path, "rb") as fh:
-        data = fh.read(DOCUMENT_BYTE_LIMIT + 1)
-    if len(data) > DOCUMENT_BYTE_LIMIT:
+        while size <= DOCUMENT_BYTE_LIMIT and (chunk := fh.read(_READ_CHUNK)):
+            chunks.append(chunk)
+            size += len(chunk)
+    if size > DOCUMENT_BYTE_LIMIT:
         raise ParseError(f"{path} is larger than {DOCUMENT_BYTE_LIMIT} bytes")
     try:
-        text = data.decode("utf-8")
+        text = b"".join(chunks).decode("utf-8")
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path} is not UTF-8 text: {exc.reason}") from None
     return loads_map(text)

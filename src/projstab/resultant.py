@@ -66,10 +66,12 @@ one by one against the 200 or so pivot rows of Macaulay's block.
 
 ff_zero_probe is the independent cross-check: an exhaustive scan for
 common zeros over a small prime field (ffield.common_zeros_mod_p, which
-goes through each chart line by line and takes the roots of the gcd of
-the components restricted to the line).  It shares no code with the
-Koszul elimination, and any zero it finds forces the exact resultant to
-reduce to 0 modulo that prime.
+goes through each chart line by line, keeps only the lines where the
+Bezout resultant in t of the first two components restricted to the line
+vanishes, and there takes the roots of their gcd at which the other
+components vanish).  It shares no code with the Koszul elimination, and
+any zero it finds forces the exact resultant to reduce to 0 modulo that
+prime.
 """
 
 from __future__ import annotations

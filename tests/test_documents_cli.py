@@ -234,6 +234,15 @@ class TestCLI:
         lines = captured.err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("parse error:")
 
+    @pytest.mark.skipif(not Path("/dev/zero").exists(),
+                        reason="needs /dev/zero")
+    def test_analyze_endless_document_is_a_parse_error(self, capsys):
+        assert cli.main(["analyze", "/dev/zero"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("parse error:")
+
     def test_analyze_rejects_oversized_probe(self, tmp_path, capsys):
         good = write_doc(tmp_path, CUBE)
         assert cli.main(["analyze", good, "--probe-primes", "1000003"]) == 1
@@ -484,6 +493,10 @@ class TestCLI:
     def test_load_map_file(self, tmp_path):
         path = write_doc(tmp_path, CUBE)
         assert load_map_file(path) == CUBE
+        # The same document padded across several read chunks.
+        padded = tmp_path / "padded.json"
+        padded.write_bytes(Path(path).read_bytes() + b" " * 200000)
+        assert load_map_file(str(padded)) == CUBE
 
 
 @pytest.mark.parametrize("name", sorted(

@@ -2,6 +2,7 @@
 
 from fractions import Fraction as F
 from itertools import combinations, permutations, product
+from math import prod
 from random import Random
 
 import pytest
@@ -13,9 +14,10 @@ from projstab import (BadPrime, SizeLimit, WrongDimension, ZeroMap,
                       ff_zero_probe, is_morphism, iterate, verify_preimage,
                       macaulay_resultant, make_linear_change, make_map,
                       sylvester_resultant)
-from projstab import linalg
+from projstab import ffield, linalg
 from projstab.ffield import PRIMALITY_BOUND, is_prime, reduce_map_mod_p
 from projstab.linalg import det_rational, permutation_sign
+from projstab.poly import _dict_mul
 from projstab.resultant import (_koszul_level, _koszul_rows, _koszul_shifts,
                                 _level_one_order, _pure_power_matching,
                                 _scale_components_to_int, monomials_of_degree)
@@ -593,12 +595,11 @@ class TestProbe:
 
 
 def _canonical_points(n, p):
-    """P^n(F_p) by brute force: every normalized tuple, sorted by the index
-    of its leading 1 and then lexicographically."""
-    pts = [pt for pt in product(range(p), repeat=n + 1)
-           if any(pt) and pt[next(i for i, x in enumerate(pt) if x)] == 1]
-    return sorted(pts, key=lambda pt: (next(i for i, x in enumerate(pt) if x),
-                                       pt))
+    """P^n(F_p) chart by chart: the points whose first nonzero coordinate
+    is a 1 at position lead, for lead = 0, ..., n, each chart in
+    lexicographic order."""
+    return [(0,) * lead + (1,) + rest for lead in range(n + 1)
+            for rest in product(range(p), repeat=n - lead)]
 
 
 def _vanish_mod_p(values, p):
@@ -607,9 +608,16 @@ def _vanish_mod_p(values, p):
 
 
 def _pointwise_zeros(f, p):
-    """Common zeros of f in P^n(F_p), each point evaluated exactly."""
-    return tuple(pt for pt in _canonical_points(f.n, p)
-                 if all(_vanish_mod_p(evaluate(f, pt), p)))
+    """Common zeros of f in P^n(F_p), each point evaluated from the
+    coefficients reduced mod p once."""
+    residues = [[(e, c.numerator * pow(c.denominator, -1, p) % p)
+                 for e, c in comp.terms] for comp in f.components]
+
+    def vanishes(pt):
+        return all(sum(a * prod(map(pow, pt, e)) for e, a in terms) % p == 0
+                   for terms in residues)
+
+    return tuple(filter(vanishes, _canonical_points(f.n, p)))
 
 
 @st.composite
@@ -637,8 +645,40 @@ def _maps_mod_p(draw, primes=(2, 3, 5, 7), max_n=3):
         assume(False)
 
 
+@st.composite
+def _maps_at_default_primes(draw):
+    """A dense map with n = 2, m in {2, 3} and p in {101, 103, 107}: either
+    with a planted rational common zero or with the first two components
+    sharing a linear factor, so that the probe's resultant filter both
+    drops lines and keeps them."""
+    m = draw(st.sampled_from((2, 3)))
+    p = draw(st.sampled_from((101, 103, 107)))
+    small = st.integers(-3, 3)
+
+    def form(d):
+        return {e: draw(small) for e in monomials_of_degree(3, d)}
+
+    if draw(st.booleans()):
+        comps = [form(m) for _ in range(3)]
+        point = [draw(small) for _ in range(3)]
+        j = draw(st.integers(0, 2))
+        point[j] = 1
+        pure = tuple(m if i == j else 0 for i in range(3))
+        for comp in comps:
+            comp[pure] = comp.get(pure, 0) - sum(
+                c * prod(map(pow, point, e)) for e, c in comp.items())
+    else:
+        factor = form(1)
+        comps = [_dict_mul(factor, form(m - 1)) for _ in range(2)] + [form(m)]
+    try:
+        return make_map(2, m, [[(e, c) for e, c in comp.items() if c]
+                               for comp in comps]), p
+    except ZeroMap:
+        assume(False)
+
+
 class TestChartScanOracle:
-    """Both chart-wise scans against per-point exact evaluation."""
+    """Both chart-wise scans against evaluation point by point."""
 
     @settings(max_examples=150, deadline=None, derandomize=True,
               database=None)
@@ -657,9 +697,34 @@ class TestChartScanOracle:
         f, p = case
         assert ff_zero_probe(f, p).zeros_found == _pointwise_zeros(f, p)
 
+    # The default probe primes of n <= 2, where the filter drops most lines
+    # of chart 0 unless the first two components share a factor.
+    @settings(max_examples=30, deadline=None, derandomize=True,
+              database=None)
+    @given(_maps_at_default_primes())
+    def test_probe_matches_pointwise_evaluation_default_primes(self, case):
+        f, p = case
+        assert ff_zero_probe(f, p).zeros_found == _pointwise_zeros(f, p)
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7])
+    def test_canonical_points_match_brute_force(self, p):
+        # The definition by brute force: every tuple of F_p^(n+1) whose
+        # first nonzero entry is 1, by the index of that 1 and then
+        # lexicographically.
+        def lead(pt):
+            return next(i for i, x in enumerate(pt) if x)
+
+        for n in range(4):
+            brute = sorted((pt for pt in product(range(p), repeat=n + 1)
+                            if any(pt) and pt[lead(pt)] == 1),
+                           key=lambda pt: (lead(pt), pt))
+            assert _canonical_points(n, p) == brute
+
     # The scan drops the components with no term left on a chart, restricts
-    # the others to each line in the chart's last coordinate and takes the
-    # roots of their gcd; these maps reach each branch of that scan.
+    # the others to each line in the chart's last coordinate, keeps the
+    # lines where a Bezout resultant of the first two vanishes and takes
+    # the roots of their gcd at which the others vanish; these maps reach
+    # each branch of that scan.
     @pytest.mark.parametrize("f, p, count", [
         # 3x0^2 + 6x1x2 is 0 mod 3, so it is dropped on every chart.
         (make_map(2, 2, [[((2, 0, 0), 3), ((0, 1, 1), 6)],
@@ -709,23 +774,85 @@ class TestChartScanOracle:
         (make_map(2, 3, [[((0, 3, 0), 1), ((2, 1, 0), -1)],
                          [((0, 0, 3), 1), ((2, 0, 1), -1)],
                          [((1, 1, 1), 1), ((3, 0, 0), 1)]]), 3, 2),
+        # On chart 0 the filter pads x1^2 - x0^2, constant in t = x2, to the
+        # degree of x2^2 - x0^2; with x1x2 - x0^2 that leaves (1, 1, 1) and
+        # (1, 6, 6).
+        (make_map(2, 2, [[((0, 2, 0), 1), ((2, 0, 0), -1)],
+                         [((0, 0, 2), 1), ((2, 0, 0), -1)],
+                         [((0, 1, 1), 1), ((2, 0, 0), -1)]]), 7, 2),
+        # x1x2^2 + x0^2x2 - x0^3 is q t^2 + t - 1 on the line x1 = q: its
+        # degree drops at q = 0, where it shares the root t = 1 with
+        # x2^3 - x0^3 and x1(x2^2 - x0^2) vanishes; (0, 1, 0) is the other.
+        (make_map(2, 3, [[((0, 1, 2), 1), ((2, 0, 1), 1), ((3, 0, 0), -1)],
+                         [((0, 0, 3), 1), ((3, 0, 0), -1)],
+                         [((0, 1, 2), 1), ((2, 1, 0), -1)]]), 7, 2),
+        # Only x1x3 - x2^2 is live on the chart x0 = 0, x1 = 1, which has 5
+        # lines and nothing to filter: all of x3 = x2^2 there, plus
+        # (1, 0, 0, 0) and (0, 0, 0, 1).
+        (make_map(3, 2, [[((1, 1, 0, 0), 1)], [((1, 0, 1, 0), 1)],
+                         [((1, 0, 0, 1), 1)],
+                         [((0, 1, 0, 1), 1), ((0, 0, 2, 0), -1)]]), 5, 7),
+        # (x1 + 2x2)x0 and (x1 + 2x2 + 5x0)x1 share x1 + 2x2 mod 5, so the
+        # filter keeps every line of chart 0; x2^2 - x0^2 leaves (1, 3, 1)
+        # and (1, 2, 4).
+        (make_map(2, 2, [[((1, 1, 0), 1), ((1, 0, 1), 2)],
+                         [((0, 2, 0), 1), ((0, 1, 1), 2), ((1, 1, 0), 5)],
+                         [((0, 0, 2), 1), ((2, 0, 0), -1)]]), 5, 2),
+        # x1^2 - x0^2 and x0x1 - x0^2 are constant in t = x2 (D = 0) and both
+        # vanish on the line x1 = 1 only, where x2^2 - x0^2 has t = 1, 6.
+        (make_map(2, 2, [[((0, 2, 0), 1), ((2, 0, 0), -1)],
+                         [((1, 1, 0), 1), ((2, 0, 0), -1)],
+                         [((0, 0, 2), 1), ((2, 0, 0), -1)]]), 7, 2),
     ], ids=["first-component-zero-mod-p", "form-vanishing-everywhere",
             "chart-with-no-live-component", "p0-zero", "p0-nonzero",
             "n3-p31", "linear-factor-shared-mod-p",
             "rootless-quadratic-factor-shared-mod-7",
             "restrictions-vanish-on-one-line", "whole-line-zero",
-            "m-at-least-p"])
+            "m-at-least-p", "first-two-of-different-degree-in-t",
+            "leading-coefficient-vanishes-on-one-line",
+            "one-live-component-on-a-plane-chart", "first-two-share-a-factor",
+            "first-two-constant-in-t"])
     def test_sieve_edge_cases(self, f, p, count):
         zeros = ff_zero_probe(f, p).zeros_found
         assert zeros == _pointwise_zeros(f, p)
         assert len(zeros) == count
 
+    def test_bezout_determinant_is_formal_resultant(self):
+        # On each line, det B = +-Res_{D,D}(a, b), the 2D x 2D Sylvester
+        # determinant at the formal degree D of the longer input, also
+        # where leading coefficients vanish on some lines or where one
+        # input is given without its top rows; and a line whose resultant
+        # is 0 mod p is never dropped.
+        rng = Random(41)
+        p = 1000003
+        for _ in range(40):
+            d = rng.randint(1, 4)
+            a, b = ([[rng.randint(-9, 9) * (rng.random() > 0.2)
+                      for _ in range(2)] for _ in range(d + 1)]
+                    for _ in range(2))
+            short = rng.randint(1, d + 1)
+            a, b = (a[:short], b) if rng.random() < 0.5 else (a, b[:short])
+            matrix = ffield._bezout_matrix(a, b, p)
+            keep = ffield._may_share_root(a, b, p)
+            assert len(matrix) == d
+            for line in range(2):
+                ca, cb = ([row[line] for row in v] + [0] * (d + 1 - len(v))
+                          for v in (a, b))
+                sylvester = sympy.Matrix(
+                    [[0] * s + ca[::-1] + [0] * (d - 1 - s) for s in range(d)]
+                    + [[0] * s + cb[::-1] + [0] * (d - 1 - s)
+                       for s in range(d)]).det() % p
+                det = sympy.Matrix([[entry[line] for entry in row]
+                                    for row in matrix]).det() % p
+                assert det in (sylvester, -sylvester % p)
+                assert keep[line] or sylvester
+
     def test_line_scan_large_prime_n1(self):
         # (x1 - 5x0)(x1 + x0) and (x1 - 5x0)(x1 - 2x0): one common root at
         # p = 999983.  P^1(F_p) has about 10^6 points, too many for the
-        # exact pointwise oracle (tens of microseconds a point), so sympy's
-        # gcd over F_p of the restrictions to x0 = 1 is the oracle here,
-        # with (0, 1) checked by hand: both forms are x1^2 there.
+        # pointwise oracle (several seconds), so sympy's gcd over F_p of the
+        # restrictions to x0 = 1 is the oracle here, with (0, 1) checked by
+        # hand: both forms are x1^2 there.
         p = 999983
         f = make_map(1, 2, [[((0, 2), 1), ((1, 1), -4), ((2, 0), -5)],
                             [((0, 2), 1), ((1, 1), -7), ((2, 0), 10)]])
