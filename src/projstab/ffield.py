@@ -127,10 +127,10 @@ def check_point_count(n: int, p: int) -> None:
 
 
 def _power_table(p: int, max_exp: int) -> list[list[int]]:
-    """table[k][x] = x^k mod p for 0 <= k <= max_exp, 0 <= x < p."""
-    table = [[1] * p]
-    for _ in range(max_exp):
-        table.append([u * x % p for u, x in zip(table[-1], range(p))])
+    """table[k][x] = x^k mod p for 0 <= k <= max(max_exp, 1), 0 <= x < p."""
+    table = [[1] * p, list(range(p))]
+    while len(table) <= max_exp:
+        table.append([u * x % p for u, x in zip(table[-1], table[1])])
     return table
 
 
@@ -146,8 +146,8 @@ def _line_coefficients(terms, k: int, p: int, table, monomials,
     for e, a in terms:
         head = e[:-1]
         if head not in monomials:
-            vals = [1]
-            for d in head:
+            vals = table[head[0]] if head else [1]
+            for d in head[1:]:
                 vals = [u * x % p for u in vals for x in table[d]]
             monomials[head] = vals
         vals = monomials[head]
