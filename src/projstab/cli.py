@@ -12,7 +12,8 @@ Give --coeffs with '=' (--coeffs=-1,0,1): argparse reads a separate value
 that starts with '-' as an option.  Each item of every number list is a
 map document coefficient, 'p' or 'p/q' in ASCII digits with an optional
 sign; in --c, --b and --probe-primes its value must be an integer, so
-'4/2' reads as 2.
+'4/2' reads as 2.  analyze runs its probes before classify, so a bad prime
+fails, in its own probe, before any classification work.
 
 Reports go to standard out (canonical JSON except for analyze's default
 text view); diagnostics go to standard error.  Exit codes: 0 success,
@@ -31,9 +32,10 @@ import sys
 import time
 from typing import Sequence
 
-from . import documents, ffield, figures, verify as verify_mod
+from . import documents, figures, verify as verify_mod
 from .decompose import decompose_fully, splitting_types_all_blocks
 from .errors import NotAMorphism, ParseError, ProjstabError
+from .poly import _quote, parse_fraction
 from .resultant import default_probe_primes, ff_zero_probe
 from .stability import classify, limit_map
 from .weights import OnePS
@@ -47,10 +49,9 @@ EXIT_LAW_FAILURES = 5
 def _int_list(text: str, flag: str) -> list[int]:
     values = []
     for item in text.split(","):
-        x = documents.parse_fraction(item, flag)
+        x = parse_fraction(item, flag)
         if x.denominator != 1:
-            raise ParseError(f"{flag}: {documents._quote(item)} is not "
-                             "an integer")
+            raise ParseError(f"{flag}: {_quote(item)} is not an integer")
         values.append(x.numerator)
     return values
 
@@ -83,37 +84,29 @@ def _render_text(report_dict: dict) -> str:
 
 
 def _probe_primes(text: str, f) -> Sequence[int]:
-    """The --probe-primes list for f, each prime checked as its probe will
-    check it (a proven prime, no denominator of f vanishing mod p, P^n(F_p)
-    within the point bound), so that a bad value fails before classify.
-    The empty default means no probe; a given list must name each prime
-    once."""
+    """The --probe-primes list for f, each prime named once; the empty
+    default means no probe.  Each prime is checked by its own probe, which
+    cmd_analyze runs before classify."""
     if not text:
         return ()
     primes = (default_probe_primes(f.n) if text == "default"
               else _int_list(text, "--probe-primes"))
     if len(set(primes)) < len(primes):
         raise ParseError(f"--probe-primes: a prime is repeated in "
-                         f"{documents._quote(text)}")
-    for p in primes:
-        ffield.reduce_map_mod_p(f, p)
-        ffield.check_point_count(f.n, p)
+                         f"{_quote(text)}")
     return primes
 
 
 def cmd_analyze(args) -> int:
     f = documents.load_map_file(args.file)
-    primes = _probe_primes(args.probe_primes, f)
     start = time.monotonic()
+    probes = [ff_zero_probe(f, p) for p in _probe_primes(args.probe_primes, f)]
     report = classify(f)
     out = documents.classification_to_dict(report)
-    if args.probe_primes:
-        probes = []
-        for p in primes:
-            pr = ff_zero_probe(f, p)
-            probes.append({"prime": pr.prime,
-                           "zeros_found": [list(z) for z in pr.zeros_found]})
-        out["probes"] = probes
+    if probes:
+        out["probes"] = [{"prime": pr.prime,
+                          "zeros_found": [list(z) for z in pr.zeros_found]}
+                         for pr in probes]
     out["timing"] = {"elapsed_seconds": round(time.monotonic() - start, 3)}
     if args.json:
         sys.stdout.write(documents.dumps_canonical(out))
@@ -150,7 +143,7 @@ def cmd_decompose(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    coeffs = [documents.parse_fraction(part, "--coeffs")
+    coeffs = [parse_fraction(part, "--coeffs")
               for part in args.coeffs.split(",")]
     report = verify_mod.run_verification_suite(
         args.n, args.m, coeffs, sample=args.sample, seed=args.seed)

@@ -12,12 +12,12 @@ A map document is a single self-describing JSON object:
     }
 
 Coefficients are strings ("p", "-p/q", always reduced) so no host ever
-rounds them; integer JSON literals are also accepted on input.  A string
-coefficient must be decimal digits with an optional sign and an optional
-"/q": decimals, exponents, spaces and underscores are rejected.  Canonical
-output sorts terms in descending lexicographic exponent order and object
-keys alphabetically, so parse -> serialize -> parse is the identity and
-serialized bytes are stable across runs.
+rounds them; integer JSON literals are also accepted on input.  They are
+read by poly.parse_fraction, the package's one rational grammar: decimal
+digits, an optional sign and "/q"; decimals, exponents, spaces and
+underscores are rejected.  Canonical output sorts terms in descending
+lexicographic exponent order and object keys alphabetically, so parse ->
+serialize -> parse is the identity and serialized bytes are stable.
 
 Report serialization follows the same rules: every exact quantity is a
 string or integer, sets become sorted lists, and the only nondeterministic
@@ -27,48 +27,18 @@ fields live in the explicitly labeled "timing" block.
 from __future__ import annotations
 
 import json
-import re
 from fractions import Fraction
 from typing import Any
 
 from .errors import ParseError
-from .poly import ProjectiveMap, make_map
+from .poly import ProjectiveMap, make_map, parse_fraction
 from .stability import ClassificationReport
 from .decompose import DecompositionTree
 from . import errors as _errors
 
 
 def format_fraction(x: Fraction) -> str:
-    return str(Fraction(x))
-
-
-# The documented coefficient forms "p" and "p/q", each with an optional sign
-# on the numerator.  Nothing else reaches Fraction(), so its cost is bounded
-# by Python's limit on the digits of an int conversion.
-_RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
-
-
-def _quote(value: str) -> str:
-    """value quoted for an error line, cut at 40 characters."""
-    return repr(value if len(value) <= 40 else value[:37] + "...")
-
-
-def parse_fraction(value: Any, where: str = "coeff") -> Fraction:
-    if isinstance(value, bool):
-        raise ParseError(f"{where}: booleans are not coefficients")
-    if isinstance(value, int):
-        return Fraction(value)
-    if isinstance(value, str):
-        if not _RATIONAL.fullmatch(value):
-            reason = "expected 'p' or 'p/q' in decimal digits"
-        else:
-            try:
-                return Fraction(value)
-            except (ValueError, ZeroDivisionError) as exc:
-                reason = str(exc)
-        raise ParseError(f"{where}: bad rational {_quote(value)}: {reason}")
-    raise ParseError(f"{where}: expected an integer or 'p/q' string, "
-                     f"got {type(value).__name__}")
+    return str(x)
 
 
 def map_to_document(f: ProjectiveMap) -> dict:
@@ -82,20 +52,12 @@ def map_to_document(f: ProjectiveMap) -> dict:
     }
 
 
-def _is_int(value: Any) -> bool:
-    # JSON true/false load as bool, a subclass of int; they are not numbers.
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
 def document_to_map(doc: Any) -> ProjectiveMap:
     if not isinstance(doc, dict):
         raise ParseError("document root must be an object")
     for key in ("n", "m", "components"):
         if key not in doc:
             raise ParseError(f"missing required key {key!r}")
-    n, m = doc["n"], doc["m"]
-    if not _is_int(n) or not _is_int(m):
-        raise ParseError("'n' and 'm' must be integers")
     comps = doc["components"]
     if not isinstance(comps, list):
         raise ParseError("'components' must be a list of term lists")
@@ -108,15 +70,13 @@ def document_to_map(doc: Any) -> ProjectiveMap:
             where = f"components[{j}][{k}]"
             if not isinstance(term, dict) or "exp" not in term or "coeff" not in term:
                 raise ParseError(f"{where}: term needs 'exp' and 'coeff'")
-            exp = term["exp"]
-            if (not isinstance(exp, list)
-                    or not all(_is_int(x) for x in exp)):
+            if not isinstance(term["exp"], list):
                 raise ParseError(f"{where}.exp: expected a list of integers")
-            terms.append((tuple(exp), parse_fraction(term["coeff"],
-                                                     f"{where}.coeff")))
+            terms.append((term["exp"], parse_fraction(term["coeff"],
+                                                      f"{where}.coeff")))
         term_lists.append(terms)
     try:
-        return make_map(n, m, term_lists)
+        return make_map(doc["n"], doc["m"], term_lists)
     except (_errors.DegreeMismatch, _errors.DimensionMismatch,
             _errors.ZeroMap) as exc:
         raise ParseError(f"invalid map: {exc}") from exc

@@ -14,7 +14,7 @@ class ProjstabError(Exception):
 
 
 class DegreeMismatch(ProjstabError):
-    """A multi-index does not sum to the declared degree."""
+    """An exponent or weight is not an int, or does not sum to the degree."""
 
 
 class DimensionMismatch(ProjstabError):

@@ -37,11 +37,10 @@ so every nonzero residue has an inverse.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import compress, product
 
 from .errors import BadPrime, SizeLimit
-from .poly import MultiIndex, ProjectiveMap
+from .poly import MultiIndex, ProjectiveMap, _quote
 
 # Miller-Rabin with the first 13 primes as bases decides primality of every
 # n below PRIMALITY_BOUND (Sorenson and Webster, Math. Comp. 2017; the bound
@@ -79,13 +78,6 @@ def is_prime(p: int) -> bool:
     return True
 
 
-def _named(x: int | Fraction) -> str:
-    """x for an error line: itself up to 40 characters, else its size."""
-    text = str(x)
-    return text if len(text) <= 40 else (
-        f"<{sum(ch.isdigit() for ch in text)} digits>")
-
-
 def reduce_map_mod_p(f: ProjectiveMap, p: int) -> list[list[tuple[MultiIndex, int]]]:
     """Component term lists with coefficients reduced modulo p.
 
@@ -95,7 +87,7 @@ def reduce_map_mod_p(f: ProjectiveMap, p: int) -> list[list[tuple[MultiIndex, in
     """
     if not 2 <= p < PRIMALITY_BOUND:
         raise BadPrime(f"modulus must satisfy 2 <= p < {PRIMALITY_BOUND}, "
-                       f"got {_named(p)}")
+                       f"got {_quote(str(p))}")
     if not is_prime(p):
         raise BadPrime(f"modulus {p} is not prime")
     reduced = []
@@ -104,7 +96,7 @@ def reduce_map_mod_p(f: ProjectiveMap, p: int) -> list[list[tuple[MultiIndex, in
         for e, c in comp.terms:
             den = c.denominator % p
             if den == 0:
-                raise BadPrime(f"denominator of coefficient {_named(c)} "
+                raise BadPrime(f"denominator of coefficient {_quote(str(c))} "
                                f"vanishes mod {p}")
             a = c.numerator * pow(den, -1, p) % p
             if a:

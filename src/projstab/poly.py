@@ -14,15 +14,22 @@ A HomogeneousPoly stores only its terms: its degree and variable count are
 those of the map that holds it.  Everything here is immutable and pure:
 operations return new objects and never touch their inputs, so values can
 be shared freely across threads.
+
+Every number a caller gives is read here, once, where it enters, and never
+rounded.  A rational is a Fraction, an int or "p" / "p/q" in ASCII digits
+(parse_fraction; ParseError on a bool, a float, "1e3", " 2 " or "1/0"); an
+exponent entry or a weight is an int, not a bool (require_ints).
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence, Union
+from typing import Any, Iterable, Mapping, Sequence, Union
 
-from .errors import DegreeMismatch, DimensionMismatch, SingularMatrix, ZeroMap
+from .errors import (DegreeMismatch, DimensionMismatch, ParseError,
+                     SingularMatrix, ZeroMap)
 from . import linalg
 
 MultiIndex = tuple[int, ...]
@@ -30,6 +37,43 @@ CoeffLike = Union[int, str, Fraction]
 
 # Sparse polynomial used internally: exponent tuple -> nonzero Fraction.
 TermDict = dict[MultiIndex, Fraction]
+
+# The documented coefficient forms "p" and "p/q", each with an optional sign
+# on the numerator.  Nothing else reaches int(), so its cost is bounded
+# by Python's limit on the digits of an int conversion.
+_RATIONAL = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
+
+
+def _quote(value: str) -> str:
+    """value quoted for an error line, cut at 40 characters."""
+    return repr(value if len(value) <= 40 else value[:37] + "...")
+
+
+def parse_fraction(value: Any, where: str = "coeff") -> Fraction:
+    """The one reader of rationals; a Fraction is returned as it is."""
+    if isinstance(value, str):
+        match = _RATIONAL.fullmatch(value)
+        reason = "expected 'p' or 'p/q' in decimal digits"
+        try:
+            if match:
+                return Fraction(int(match[1]), int(match[2] or 1))
+        except (ValueError, ZeroDivisionError) as exc:
+            reason = str(exc)
+        raise ParseError(f"{where}: bad rational {_quote(value)}: {reason}")
+    if isinstance(value, int) and not isinstance(value, bool):
+        return Fraction(value)
+    if isinstance(value, Fraction):
+        return value
+    raise ParseError(f"{where}: expected an integer or 'p/q' string, "
+                     f"got {type(value).__name__}")
+
+
+def require_ints(what: str, values: Iterable) -> None:
+    """The one integer rule: every value an int, never a bool."""
+    for x in values:
+        if type(x) is not int:
+            raise DegreeMismatch(f"{what} {type(x).__name__} "
+                                 f"{_quote(str(x))} is not an integer")
 
 
 def _sorted_terms(d: TermDict) -> tuple[tuple[MultiIndex, Fraction], ...]:
@@ -73,12 +117,14 @@ class HomogeneousPoly:
 
         Duplicate exponents are summed; zero results are dropped.  Raises
         DimensionMismatch / DegreeMismatch unless every exponent has
-        num_vars entries, none negative, summing to degree.
+        num_vars int entries, none negative, summing to degree, and
+        ParseError for a coefficient that parse_fraction refuses.
         """
         pairs = terms.items() if isinstance(terms, Mapping) else terms
         acc: TermDict = {}
         for exp, coeff in pairs:
-            e = tuple(int(x) for x in exp)
+            e = tuple(exp)
+            require_ints("exponent entry", e)
             if len(e) != num_vars:
                 raise DimensionMismatch(
                     f"exponent {e} has length {len(e)}, expected {num_vars}")
@@ -87,11 +133,11 @@ class HomogeneousPoly:
             if sum(e) != degree:
                 raise DegreeMismatch(
                     f"exponent {e} has total degree {sum(e)}, expected {degree}")
-            c = acc.get(e, Fraction(0)) + Fraction(coeff)
+            c = parse_fraction(coeff)
+            if e in acc:
+                c += acc.pop(e)
             if c:
                 acc[e] = c
-            elif e in acc:
-                del acc[e]
         return HomogeneousPoly(_sorted_terms(acc))
 
     def as_dict(self) -> TermDict:
@@ -109,7 +155,7 @@ class HomogeneousPoly:
             term = c
             for x, k in zip(point, e):
                 if k:
-                    term *= Fraction(x) ** k
+                    term *= x ** k
             total += term
         return total
 
@@ -157,9 +203,10 @@ class LinearChange:
 
 def make_linear_change(source: Sequence[Sequence[CoeffLike]],
                        target: Sequence[Sequence[CoeffLike]]) -> LinearChange:
-    """Validate and freeze a coordinate-change pair; raises SingularMatrix."""
+    """Validate and freeze a coordinate-change pair; raises SingularMatrix,
+    and ParseError for an entry that parse_fraction refuses."""
     def freeze(mat, name):
-        rows = tuple(tuple(Fraction(x) for x in row) for row in mat)
+        rows = tuple(tuple(parse_fraction(x, name) for x in r) for r in mat)
         size = len(rows)
         if any(len(r) != size for r in rows):
             raise DimensionMismatch(f"{name} matrix is not square")
@@ -179,9 +226,11 @@ def make_map(n: int, m: int,
     n may be 0 (a single form in one variable); this is what the leaves of
     a recursive splitting look like.  Requires m >= 1, exactly n+1
     component term lists, and at least one nonzero component after
-    cancellation (ZeroMap otherwise).  Individual zero components are
-    allowed; they simply make the map a non-morphism later.
+    cancellation (ZeroMap otherwise), n and m ints (DegreeMismatch), and
+    terms that from_terms accepts.  Individual zero components are allowed;
+    they simply make the map a non-morphism later.
     """
+    require_ints("n or m", (n, m))
     if n < 0:
         raise DimensionMismatch(f"n must be >= 0, got {n}")
     if m < 1:
@@ -203,11 +252,12 @@ def _map_from_dicts(n: int, m: int, dicts: Sequence[TermDict]) -> ProjectiveMap:
 
 
 def evaluate(f: ProjectiveMap, point: Sequence[CoeffLike]) -> tuple[Fraction, ...]:
-    """Exact value (f_0(p), ..., f_n(p)); point should not be all-zero."""
+    """Exact value (f_0(p), ..., f_n(p)); point should not be all-zero.
+    Raises ParseError for a coordinate that parse_fraction refuses."""
     if len(point) != f.num_vars:
         raise DimensionMismatch(
             f"point has {len(point)} coordinates, expected {f.num_vars}")
-    p = [Fraction(x) for x in point]
+    p = [parse_fraction(x, "point") for x in point]
     return tuple(comp.evaluate(p) for comp in f.components)
 
 
@@ -245,7 +295,7 @@ def apply_linear_change(f: ProjectiveMap, change: LinearChange) -> ProjectiveMap
     unit = [tuple(int(k == j) for j in range(size)) for k in range(size)]
 
     def linear_map(mat) -> ProjectiveMap:
-        return _map_from_dicts(f.n, 1, [{unit[k]: Fraction(x) for k, x
+        return _map_from_dicts(f.n, 1, [{unit[k]: x for k, x
                                          in enumerate(row) if x}
                                         for row in mat])
 

@@ -14,17 +14,20 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import DimensionMismatch
-from .poly import MultiIndex, ProjectiveMap
+from .poly import MultiIndex, ProjectiveMap, require_ints
 
 
 @dataclass(frozen=True)
 class OnePS:
-    """Integer weight pair (c for the source, b for the target)."""
+    """Integer weight pair (c for the source, b for the target); raises
+    DegreeMismatch for a weight that is not an int, DimensionMismatch for
+    unequal lengths."""
 
     c: tuple[int, ...]
     b: tuple[int, ...]
 
     def __post_init__(self):
+        require_ints("weight", (*self.c, *self.b))
         if len(self.c) != len(self.b):
             raise DimensionMismatch(
                 f"weight vectors have lengths {len(self.c)} and {len(self.b)}")
@@ -50,7 +53,7 @@ def weight(c: Sequence[int], index: Sequence[int]) -> int:
     if len(c) != len(index):
         raise DimensionMismatch(
             f"weight vector has length {len(c)}, index has {len(index)}")
-    return sum(int(a) * int(b) for a, b in zip(c, index))
+    return sum(a * b for a, b in zip(c, index))
 
 
 def weight_profile(f: ProjectiveMap, ops: OnePS) -> WeightProfile:

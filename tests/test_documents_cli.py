@@ -448,7 +448,11 @@ class TestCLI:
         with pytest.raises(InvalidBox):
             run_verification_suite(1, 2, [F(0)], sample=3)
         with pytest.raises(InvalidBox):
+            run_verification_suite(1, 2, ["0"], sample=3)
+        with pytest.raises(InvalidBox):
             run_verification_suite(1, 2, [F(0), F(0)])
+        with pytest.raises(ParseError, match="float"):
+            run_verification_suite(1, 2, [0.5, 1], sample=3)
         report = run_verification_suite(1, 2, [F(0), F(1)], sample=3)
         assert report.maps_checked == 3
 
@@ -459,7 +463,8 @@ class TestCLI:
             raise AssertionError("a box with a repeated value was counted")
 
         monkeypatch.setattr(verify, "count_candidates", no_counting)
-        for coeffs in ([F(1), F(1)], [F(0), F(1), F(1, 1)], [F(1), 1]):
+        for coeffs in ([F(1), F(1)], [F(0), F(1), F(1, 1)], [F(1), 1],
+                       ["1", "1/1"], [1, "1"]):
             for sample in (None, 1):
                 with pytest.raises(InvalidBox, match="twice"):
                     run_verification_suite(1, 1, coeffs, sample=sample)

@@ -5,9 +5,9 @@ from random import Random
 
 import pytest
 
-from projstab import (DegreeMismatch, DimensionMismatch, SingularMatrix,
-                      ZeroMap, apply_linear_change, evaluate, iterate,
-                      make_linear_change, make_map)
+from projstab import (DegreeMismatch, DimensionMismatch, ParseError,
+                      SingularMatrix, ZeroMap, apply_linear_change, evaluate,
+                      iterate, loads_map, make_linear_change, make_map)
 from projstab.linalg import mat_inverse
 from helpers import mat_mul, mat_vec, random_invertible, random_map
 
@@ -29,6 +29,20 @@ class TestMakeMap:
     def test_degree_mismatch(self):
         with pytest.raises(DegreeMismatch):
             make_map(2, 2, [[((1, 1, 1), 1)], [], []])
+        # Exponent entries are ints as given: never truncated or converted.
+        for exp in ((2.7, 0.3), (True, True), ("0", "2")):
+            with pytest.raises(DegreeMismatch, match="not an integer"):
+                make_map(1, 2, [[(exp, 1)], [((0, 2), 1)]])
+        # A coefficient is refused as the map document grammar refuses it.
+        for coeff, literal in ((0.1, "0.1"), ("1e3", '"1e3"'),
+                               (" 2 ", '" 2 "')):
+            with pytest.raises(ParseError) as api:
+                make_map(1, 2, [[((2, 0), coeff)], [((0, 2), 1)]])
+            with pytest.raises(ParseError) as doc:
+                loads_map('{"n": 1, "m": 2, "components": [[{"exp": [2, 0], '
+                          f'"coeff": {literal}}}], []]}}')
+            assert str(api.value) == str(doc.value).replace(
+                "components[0][0].coeff", "coeff")
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):

@@ -5,8 +5,8 @@ from random import Random
 
 import pytest
 
-from projstab import (DimensionMismatch, OnePS, is_morphism, make_map,
-                      vertex_coverage, weight, weight_profile)
+from projstab import (DegreeMismatch, DimensionMismatch, OnePS, is_morphism,
+                      make_map, vertex_coverage, weight, weight_profile)
 from projstab.verify import enumerate_maps
 from helpers import random_map
 
@@ -18,6 +18,7 @@ class TestWeight:
         assert weight((1, 0), (2, 0)) == 2
         assert weight((0, 0, 0), (1, 1, 1)) == 0
         assert weight((1, 1, 1), (2, 1, 0)) == 3  # constant m on the simplex
+        assert weight((0.5, 2.9), (2, 1)) == 0.5 * 2 + 2.9  # not truncated
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
@@ -101,3 +102,12 @@ class TestOnePS:
     def test_length_mismatch(self):
         with pytest.raises(DimensionMismatch):
             OnePS((1, 0), (0,))
+
+    @pytest.mark.parametrize("c, b", [((F(1, 2), 0), (0, 0)),
+                                      ((0.5, 0), (0, 0)),
+                                      ((1, 0), (True, 0))],
+                             ids=["fraction", "float", "bool"])
+    def test_non_integer_weight_is_refused(self, c, b):
+        # Truncating (1/2, 0) to (0, 0) would make limit_map drop terms.
+        with pytest.raises(DegreeMismatch, match="weight"):
+            OnePS(c, b)
