@@ -14,7 +14,8 @@ class ProjstabError(Exception):
 
 
 class DegreeMismatch(ProjstabError):
-    """An exponent or weight is not an int, or does not sum to the degree."""
+    """A count, exponent or weight is not an int, an exponent does not sum
+    to the degree, or a degree or iteration count is below 1."""
 
 
 class DimensionMismatch(ProjstabError):

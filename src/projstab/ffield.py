@@ -87,7 +87,7 @@ def reduce_map_mod_p(f: ProjectiveMap, p: int) -> list[list[tuple[MultiIndex, in
     """
     if not 2 <= p < PRIMALITY_BOUND:
         raise BadPrime(f"modulus must satisfy 2 <= p < {PRIMALITY_BOUND}, "
-                       f"got {_quote(str(p))}")
+                       f"got {_quote(p)}")
     if not is_prime(p):
         raise BadPrime(f"modulus {p} is not prime")
     reduced = []
@@ -96,7 +96,7 @@ def reduce_map_mod_p(f: ProjectiveMap, p: int) -> list[list[tuple[MultiIndex, in
         for e, c in comp.terms:
             den = c.denominator % p
             if den == 0:
-                raise BadPrime(f"denominator of coefficient {_quote(str(c))} "
+                raise BadPrime(f"denominator of coefficient {_quote(c)} "
                                f"vanishes mod {p}")
             a = c.numerator * pow(den, -1, p) % p
             if a:

@@ -1,54 +1,42 @@
 """Exact linear algebra over the rationals (and modulo a prime).
 
-Matrices are plain lists of lists, except in the elimination kernel.
-Determinants, exact full-rank tests and the row choices of the resultant
-all come from one fraction-free Bareiss routine on integer rows,
-pivot_rows: a rational matrix is first scaled row by row to integers and
-the scale factors divided back out, so no floating point and no fraction
-blow-up inside the elimination.
+Matrices are plain lists of lists, except in the elimination kernel.  There
+is one kernel, _eliminate: a sparse right-looking fraction-free (Bareiss)
+elimination on integer rows, each a {column: value} dict of its nonzeros.
+Determinants, exact full-rank tests, the row choices of the resultant,
+nullspaces and inverses all come from it.  A rational matrix is first
+scaled row by row to integers (_integer_rows), so no floating point and no
+fraction blow-up enter the elimination.  Columns are any integer keys;
+only their order matters, so a block restricted to some columns keeps its
+original keys.  A Koszul row of the resultant has at most a few dozen
+nonzeros in hundreds of columns; the resultant and the stabilizer solve
+build their rows in this form, so the kernel converts nothing.
 
-pivot_rows is sparse.  Each row is a {column: value} dict of its nonzeros,
-which for the Koszul matrices of the resultant is at most a few dozen
-entries in a row of hundreds, and the resultant builds its rows in that
-form, so the kernel converts nothing.  Columns are any integer keys; only
-their order matters, so a block restricted to some columns keeps its
-original keys.  The elimination is right-looking: each step pivots on the
-column with the fewest live rows, and in it on the shortest row (a cheap
-form of Markowitz's rule, Management Science 3, 1957), and combines the
-pivot row into every live row with a nonzero there.  Each row is divided
-by the pivot of the last step that touched it, not by the previous pivot,
-which Sylvester's identity makes exact; an index from each column to its
-live rows finds the rows a step touches.  The first `need` rows are
-eliminated first.  If they leave pivots missing, the other rows are not
-reduced one by one against the pivot rows: each is mapped, by dot products
-with integer null vectors of the pivot rows, to a row of the reduced
-(Schur) system on the free columns, and the same loop eliminates that
-small system once, as the continuation of the first.  So the chosen rows
-depend on the entries, not on the row order alone; none of this changes
-whether `need` independent rows exist, and a square block has one
-determinant, whatever the pivot order.
+The kernel has two pivot rules.  pivot_rows uses a cheap form of
+Markowitz's rule (Management Science 3, 1957): the column with the fewest
+live rows, and in it the shortest row.  nullspace pivots on the leftmost
+live column, which leaves the rows in echelon form, so its pivot columns
+are those of the reduced row echelon form.  Both read null vectors of the
+pivot rows off one back-substitution, _null_vectors.  pivot_rows maps
+leftover rows through them to a small reduced (Schur) system when its
+first rows leave pivots missing; nullspace divides them by the last pivot,
+which gives the canonical basis of the reduced row echelon form.
 
 rank_mod_p is the one dense routine on those rows: it lays each row's
 residues out over the column range and eliminates modulo a word-size
 prime, as the fast accept of resultant.is_morphism.
-
-Nullspaces are solved the same way: the rows are scaled to integers,
-brought to echelon form by fraction-free steps, each pivot row divided by
-its content, and back-substituted to the reduced row echelon form, which is
-unique.  The basis is canonical (one vector per free column, unit entry at
-that column), which keeps every downstream consumer deterministic; only its
-entries are Fractions.  Inverses are read off the same nullspace routine.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
-from math import gcd, lcm
+from math import lcm
 
 from .errors import SingularMatrix
 
 Matrix = list[list[Fraction]]
+Step = tuple[int, int, int, dict[int, int]]
 
 
 def permutation_sign(seq) -> int:
@@ -66,29 +54,33 @@ def permutation_sign(seq) -> int:
     return sign
 
 
-def _eliminate(live: dict[int, dict[int, int]], need: int, last: int
-               ) -> list[tuple[int, int, int, dict[int, int]]]:
+def _eliminate(live: dict[int, dict[int, int]], need: int, last: int,
+               leftmost: bool = False) -> list[Step]:
     """Right-looking sparse Bareiss steps on live, {row id: row}, in place.
 
     last is the pivot d of the step before the first one here, and every
     live row is held as of that step (1 for unreduced rows).  Stops after
-    `need` pivots or when no live row is left.  Returns the steps as
-    (row id, pivot column, pivot, pivot row without its pivot column), in
-    order; pivot_rows states the rule and the arithmetic.
+    `need` pivots or when no live row is left.  Each step pivots on the
+    leftmost live column if `leftmost`, else on the column with the fewest
+    live rows, and in that column on the shortest row.  Returns the steps
+    as (row id, pivot column, pivot, pivot row without its pivot column),
+    in order; pivot_rows states the rule and the arithmetic.
     """
     index: dict[int, set[int]] = {}  # column -> live rows with a nonzero
     for i, row in live.items():
         for c in row:
             index.setdefault(c, set()).add(i)
-    # (live rows, column), with stale entries skipped when popped
-    heap = [(len(rows_c), c) for c, rows_c in index.items()]
+    # (live rows, column), or (0, column) under the leftmost rule; stale
+    # entries are skipped when popped
+    heap = [(0 if leftmost else len(rows_c), c)
+            for c, rows_c in index.items()]
     heapify(heap)
     den = dict.fromkeys(live, last)  # d_s: the pivot of the row's last step
-    steps: list[tuple[int, int, int, dict[int, int]]] = []
+    steps: list[Step] = []
     while len(steps) < need and index:
         size, pc = heappop(heap)
         hit = index.get(pc)
-        if hit is None or len(hit) != size:
+        if hit is None or not leftmost and len(hit) != size:
             continue
         del index[pc]
         p = min(hit, key=lambda i: (len(live[i]), i))
@@ -120,13 +112,34 @@ def _eliminate(live: dict[int, dict[int, int]], need: int, last: int
                 del live[i], den[i]
         for c in prow:
             rows_c = index[c]
-            if rows_c:
-                heappush(heap, (len(rows_c), c))
-            else:
+            if not rows_c:
                 del index[c]
+            elif not leftmost:
+                heappush(heap, (len(rows_c), c))
         steps.append((p, pc, pivot, prow))
         last = pivot
     return steps
+
+
+def _null_vectors(steps: list[Step], free, delta: int
+                  ) -> dict[int, dict[int, int]]:
+    """One integer null vector y_f of the pivot rows per free column f.
+
+    free holds the columns that are not pivot columns of steps, and delta
+    is the last pivot.  y_f[f] = delta, y_f is zero on the rest of free,
+    and back-substitution through the pivot rows, last step first, gives
+    its pivot entries; each division is exact by Cramer's rule.  Returns
+    {f: y_f} in ascending order of f, each y_f a dict of its nonzeros.
+    """
+    nulls = {}
+    for f in sorted(free):
+        y = {f: delta}
+        for _, pc, pivot, prow in reversed(steps):
+            dot = sum(x * y[c] for c, x in prow.items() if c in y)
+            if dot:
+                y[pc] = -dot // pivot
+        nulls[f] = y
+    return nulls
 
 
 def pivot_rows(rows: list[dict[int, int]], need: int) -> tuple[list[int], int]:
@@ -152,17 +165,16 @@ def pivot_rows(rows: list[dict[int, int]], need: int) -> tuple[list[int], int]:
     Stage 2 runs when stage 1 finds only r < need pivots.  The free
     columns F are the non-pivot columns of the pivot rows and of the
     leftover rows rows[need:]; fill can put a pivot row on a column that no
-    leftover row touches.  For each f in F, back-substitution through the
-    pivot rows gives the integer null vector y_f with y_f[f] = delta = d_r
-    and zeros on the rest of F; each division is exact by Cramer's rule.
-    A leftover row l maps to the row {f: l . y_f} of a reduced system on
-    the columns F.  l . y_f is the (r+1)-minor that borders the pivot block
-    with row l and column f, the entry stage 1 would hold for l after r
-    steps, so the same loop eliminates the reduced system as a
-    continuation of stage 1, from d_r and over all its rows at once.  Its
-    last pivot is the minor of the chosen rows on the pivot columns of
-    both stages.  The leftover rows it picks are chosen; the rows[:need]
-    that stage 1 did not pick depend on those it did.
+    leftover row touches.  For each f in F, _null_vectors gives the integer
+    null vector y_f of the pivot rows with y_f[f] = delta = d_r and zeros
+    on the rest of F.  A leftover row l maps to the row {f: l . y_f} of a
+    reduced system on the columns F.  l . y_f is the (r+1)-minor that
+    borders the pivot block with row l and column f, the entry stage 1
+    would hold for l after r steps, so the same loop eliminates the reduced
+    system as a continuation of stage 1, from d_r and over all its rows at
+    once.  Its last pivot is the minor of the chosen rows on the pivot
+    columns of both stages.  The leftover rows it picks are chosen; the
+    rows[:need] that stage 1 did not pick depend on those it did.
 
     Returns the chosen row positions (ascending) and the determinant of
     those rows, in ascending order, on their pivot columns in ascending
@@ -183,14 +195,7 @@ def pivot_rows(rows: list[dict[int, int]], need: int) -> tuple[list[int], int]:
         delta = steps[-1][2] if steps else 1
         free = {c for _, _, _, prow in steps for c in prow}.union(
             *(rows[i] for i in rest)).difference(c for _, c, _, _ in steps)
-        nulls = {}
-        for f in sorted(free):
-            y = {f: delta}
-            for _, pc, pivot, prow in reversed(steps):
-                dot = sum(x * y[c] for c, x in prow.items() if c in y)
-                if dot:
-                    y[pc] = -dot // pivot
-            nulls[f] = y
+        nulls = _null_vectors(steps, free, delta)
         reduced = {}
         for i in rest:
             row = {}
@@ -209,15 +214,23 @@ def pivot_rows(rows: list[dict[int, int]], need: int) -> tuple[list[int], int]:
                             * (steps[-1][2] if steps else 1))
 
 
-def det_rational(m: Matrix) -> Fraction:
-    """Exact determinant of a rational matrix."""
-    scaled: list[dict[int, int]] = []
+def _integer_rows(m: Matrix) -> tuple[list[dict[int, int]], int]:
+    """m's rows as integer dict rows, each scaled by the lcm of its
+    denominators, and the product of those scale factors."""
+    rows: list[dict[int, int]] = []
     scale = 1
     for row in m:
         denom = lcm(*(x.denominator for x in row))
         scale *= denom
-        scaled.append({c: int(x * denom) for c, x in enumerate(row) if x})
-    return Fraction(pivot_rows(scaled, len(m))[1], scale)
+        rows.append({c: x.numerator * (denom // x.denominator)
+                     for c, x in enumerate(row) if x})
+    return rows, scale
+
+
+def det_rational(m: Matrix) -> Fraction:
+    """Exact determinant of a rational matrix."""
+    rows, scale = _integer_rows(m)
+    return Fraction(pivot_rows(rows, len(m))[1], scale)
 
 
 def rank_mod_p(m: list[dict[int, int]], cols: int, p: int) -> int:
@@ -259,70 +272,42 @@ def rank_mod_p(m: list[dict[int, int]], cols: int, p: int) -> int:
     return rank
 
 
-def nullspace(m: Matrix, cols: int) -> list[list[Fraction]]:
-    """Canonical basis of {v : m v = 0} in Q^cols.
+def nullspace(rows: list[dict[int, int]], cols: int) -> list[list[Fraction]]:
+    """Canonical basis of {v : rows v = 0} in Q^cols.
 
-    One basis vector per free column, carrying a unit entry there; ordered
-    by free column index.  An empty row list means the full space.
-
-    Each row is scaled to integers by the lcm of its denominators (int rows
-    pass unchanged) and reduced by the pivot rows found so far, in the
-    order they were found, with the fraction-free step x*pivot - head*y.
-    Every pivot row is zero on the pivot columns of the rows found before
-    it, so this clears them all.  A row that keeps a nonzero entry becomes
-    a pivot row, divided by its content (the gcd of its entries) so the
-    entries stay small.  Back-substitution, last pivot row first, then
-    clears every pivot column from the other pivot rows.  The reduced row
-    echelon form is unique, so the basis is the one Gauss-Jordan over Q
-    gives; Fractions are made only for its entries, -p[free] / p[pivot].
+    The rows are integer {column: value} dicts with keys in range(cols);
+    they are not changed, and an empty row list means the full space.  One
+    basis vector per free column, carrying a unit entry there and zeros on
+    the other free columns, ordered by free column: the basis that
+    Gauss-Jordan over Q reads off the reduced row echelon form.  The
+    leftmost pivot rule finds that form's pivot columns, so by its
+    uniqueness the vector of free column f is y_f / delta, with y_f from
+    _null_vectors and delta the last pivot; Fractions are made only for
+    its nonzero entries.
     """
-    pivots: list[tuple[int, list[int]]] = []  # (pivot column, row)
-    for row in m:
-        denom = lcm(*(x.denominator for x in row))
-        a = [x.numerator * (denom // x.denominator) for x in row]
-        for pc, p in pivots:
-            head = a[pc]
-            if head:
-                pivot = p[pc]
-                a = [x * pivot - head * y for x, y in zip(a, p)]
-        pc = next((j for j, x in enumerate(a) if x), None)
-        if pc is None:
-            continue
-        g = gcd(*a)
-        pivots.append((pc, [x // g for x in a]))
-    for k in range(len(pivots) - 1, -1, -1):
-        pc, p = pivots[k]
-        pivot = p[pc]
-        for i in range(k):
-            qc, q = pivots[i]
-            head = q[pc]
-            if head:
-                q = [x * pivot - head * y for x, y in zip(q, p)]
-                g = gcd(*q)
-                pivots[i] = (qc, [x // g for x in q])
-    pivot_cols = {pc for pc, _ in pivots}
-    basis = []
-    for fc in range(cols):
-        if fc in pivot_cols:
-            continue
-        v = [Fraction(0)] * cols
-        v[fc] = Fraction(1)
-        for pc, p in pivots:
-            v[pc] = Fraction(-p[fc], p[pc])
-        basis.append(v)
-    return basis
+    steps = _eliminate({i: dict(row) for i, row in enumerate(rows) if row},
+                       len(rows), 1, leftmost=True)
+    delta = steps[-1][2] if steps else 1
+    free = set(range(cols)).difference(c for _, c, _, _ in steps)
+    zero = Fraction(0)
+    return [[Fraction(y[c], delta) if c in y else zero for c in range(cols)]
+            for y in _null_vectors(steps, free, delta).values()]
 
 
 def mat_inverse(m: Matrix) -> Matrix:
     """Exact inverse; raises SingularMatrix if not invertible.
 
-    The reduced row echelon form of [m | -I] is [I | -m^-1], so the
-    nullspace basis vector of free column n+j carries column j of m^-1 in
-    its first n entries.
+    The nullspace of [m | -I] has one vector per free column.  When m is
+    invertible the free columns are the last n, and the vector of free
+    column n+j is (column j of m^-1, e_j).  Otherwise a free column lies
+    among the first n; its canonical vector is zero past that column, so
+    on the last n entries, and its first n entries are a kernel vector
+    of m.
     """
-    if det_rational(m) == 0:
-        raise SingularMatrix("matrix is singular")
     n = len(m)
-    basis = nullspace([list(row) + [Fraction(-int(i == j)) for j in range(n)]
-                       for i, row in enumerate(m)], 2 * n)
+    rows, _ = _integer_rows([list(row) + [-int(i == j) for j in range(n)]
+                             for i, row in enumerate(m)])
+    basis = nullspace(rows, 2 * n)
+    if any(not any(v[n:]) for v in basis):
+        raise SingularMatrix("matrix is singular")
     return [[basis[j][i] for j in range(n)] for i in range(n)]

@@ -44,9 +44,17 @@ TermDict = dict[MultiIndex, Fraction]
 _RATIONAL = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
 
 
-def _quote(value: str) -> str:
-    """value quoted for an error line, cut at 40 characters."""
-    return repr(value if len(value) <= 40 else value[:37] + "...")
+def _quote(value: Any) -> str:
+    """str(value) quoted for an error line, cut at 40 characters.  Of a
+    rational past 2048 bits, below any digit limit that str() of an int
+    may have, only the size is given."""
+    if isinstance(value, (int, Fraction)):
+        bits = max(value.numerator.bit_length(),
+                   value.denominator.bit_length())
+        if bits > 2048:
+            return f"a number of {bits} bits"
+    text = str(value)
+    return repr(text if len(text) <= 40 else text[:37] + "...")
 
 
 def parse_fraction(value: Any, where: str = "coeff") -> Fraction:
@@ -73,7 +81,7 @@ def require_ints(what: str, values: Iterable) -> None:
     for x in values:
         if type(x) is not int:
             raise DegreeMismatch(f"{what} {type(x).__name__} "
-                                 f"{_quote(str(x))} is not an integer")
+                                 f"{_quote(x)} is not an integer")
 
 
 def _sorted_terms(d: TermDict) -> tuple[tuple[MultiIndex, Fraction], ...]:
@@ -314,9 +322,11 @@ def compose(outer: ProjectiveMap, inner: ProjectiveMap) -> ProjectiveMap:
 
 
 def iterate(f: ProjectiveMap, k: int) -> ProjectiveMap:
-    """k-fold self-composition; the result has degree m^k."""
+    """k-fold self-composition; the result has degree m^k.  Raises
+    DegreeMismatch unless k is an int (require_ints) of at least 1."""
+    require_ints("iteration count", (k,))
     if k < 1:
-        raise ValueError(f"iteration count must be >= 1, got {k}")
+        raise DegreeMismatch(f"iteration count must be >= 1, got {k}")
     result = f
     for _ in range(k - 1):
         result = compose(f, result)

@@ -48,9 +48,9 @@ Multidimensional Determinants, 1994, ch. 3 and appendix A).
   is 0.
 * sylvester_resultant is the classical 2m x 2m determinant for n = 1.
 
-Every Koszul row has one format, from _koszul_rows to linalg.pivot_rows:
-a {column: value} dict of its nonzeros, at most 20 of them in a level-1
-row of 220 at (3, 3).  A later level is restricted to its live columns by
+Every Koszul row has the one row format of linalg's elimination kernel,
+from _koszul_rows to linalg.pivot_rows: a {column: value} dict of its
+nonzeros, at most 20 of them in a level-1 row of 220 at (3, 3).  A later level is restricted to its live columns by
 key, and no row is laid out dense; only linalg.rank_mod_p, the modular
 fast accept of is_morphism, does that.  On the 48 (3, 3) maps of the
 benchmark's analyze-corpus pools, main and held out, macaulay_resultant

@@ -107,19 +107,21 @@ class LimitResult:
 def stabilizer_space(f: ProjectiveMap) -> StabilizerSpace:
     """Exact solution space of <c,I> - b_j = C over the support.
 
-    Unknowns are ordered (c_0..c_n, b_0..b_n, C); each supported term gives
-    the integer row (I, -1 at b_j, -1 for C).  The basis is linalg.nullspace's
-    canonical basis of that system, so downstream consumers are
-    deterministic.
+    Unknowns are ordered (c_0..c_n, b_0..b_n, C); each supported term of
+    f_j gives the integer row (I, -1 at b_j, -1 for C), built as the
+    {column: value} dict of its nonzeros that linalg's one elimination
+    kernel reads.  The basis is linalg.nullspace's canonical basis of that
+    system, one vector per free column of its reduced row echelon form, so
+    downstream consumers are deterministic.
     """
     nv = f.num_vars
     cols = 2 * nv + 1
-    rows: list[list[int]] = []
+    rows: list[dict[int, int]] = []
     for j, comp in enumerate(f.components):
         for e, _ in comp.terms:
-            row = list(e) + [0] * nv
+            row = {c: x for c, x in enumerate(e) if x}
             row[nv + j] = -1
-            row.append(-1)
+            row[cols - 1] = -1
             rows.append(row)
     basis_vecs = linalg.nullspace(rows, cols)
     basis = tuple(StabilizerSolution(tuple(v[:nv]), tuple(v[nv:2 * nv]), v[-1])

@@ -28,7 +28,7 @@ from typing import Iterator, Sequence
 from .decompose import split_once
 from .documents import map_to_document
 from .errors import BudgetExceeded, InvalidBox, ZeroMap
-from .poly import ProjectiveMap, make_map, parse_fraction
+from .poly import ProjectiveMap, make_map, parse_fraction, require_ints
 from .resultant import check_matrix_size, is_morphism, monomials_of_degree
 from .stability import (detect_blocks, block_to_1ps, hyperplane_partition,
                         limit_map, stabilizer_space)
@@ -165,8 +165,10 @@ def run_verification_suite(n: int, m: int, coeffs: Sequence,
                            seed: int = 0) -> VerificationReport:
     """Enumerate (or sample) the box and check every law on every morphism.
 
-    Raises ParseError for a coefficient that poly.parse_fraction refuses, so
-    that what follows sees values, not spellings.  Raises InvalidBox, before
+    Raises DegreeMismatch first unless n, m and a given sample size are
+    ints (poly.require_ints).  Raises ParseError for a coefficient that
+    poly.parse_fraction refuses, so that what follows sees values, not
+    spellings.  Raises InvalidBox, before
     anything is counted or drawn, for n < 0, m < 1, a negative sample size,
     a coefficient set with no nonzero entry (every candidate would be the
     zero map, and sampling would redraw forever), or one that names a value
@@ -175,6 +177,8 @@ def run_verification_suite(n: int, m: int, coeffs: Sequence,
     is_morphism would refuse every map, and BudgetExceeded when the box
     (without a sample size) or the sample size is above DEFAULT_BUDGET.
     """
+    require_ints("n, m or sample size",
+                 (n, m) if sample is None else (n, m, sample))
     coeffs = tuple(parse_fraction(c, "coeffs") for c in coeffs)
     if n < 0:
         raise InvalidBox(f"n must be >= 0, got {n}")

@@ -66,7 +66,7 @@ def _inversion_sign(seq):
 
 
 def sparse(m):
-    """Dense integer rows as the {column: value} dicts of pivot_rows."""
+    """Dense integer rows as the {column: value} dicts of linalg's kernel."""
     return [{c: x for c, x in enumerate(row) if x} for row in m]
 
 

@@ -10,8 +10,9 @@ import pytest
 
 import projstab.cli as cli
 import projstab.verify as verify
-from projstab import (InvalidBox, ParseError, SizeLimit, classify,
-                      decompose_fully, make_map, run_verification_suite)
+from projstab import (DegreeMismatch, InvalidBox, ParseError, SizeLimit,
+                      classify, decompose_fully, make_map,
+                      run_verification_suite)
 from projstab.documents import (DOCUMENT_BYTE_LIMIT, classification_to_dict,
                                 document_to_map, dumps_canonical,
                                 format_fraction, load_map_file, loads_map,
@@ -455,6 +456,20 @@ class TestCLI:
             run_verification_suite(1, 2, [0.5, 1], sample=3)
         report = run_verification_suite(1, 2, [F(0), F(1)], sample=3)
         assert report.maps_checked == 3
+
+    @pytest.mark.parametrize("box", [
+        dict(n=2.5, m=2), dict(n=1, m=2.5), dict(n=True, m=2),
+        dict(n=1, m=2, sample=2.5), dict(n=1, m=2, sample=True),
+    ])
+    def test_verify_box_sizes_are_ints(self, box, monkeypatch):
+        # The one integer rule runs before anything else: no coefficient is
+        # read and nothing is counted or drawn.
+        def no_reading(value, where="coeff"):
+            raise AssertionError("a coefficient was read before n, m, sample")
+
+        monkeypatch.setattr(verify, "parse_fraction", no_reading)
+        with pytest.raises(DegreeMismatch, match="not an integer"):
+            run_verification_suite(coeffs=["0", "1"], **box)
 
     def test_verify_box_with_a_repeated_value_is_rejected_before_counting(
             self, monkeypatch):

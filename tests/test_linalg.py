@@ -64,18 +64,18 @@ def test_det_rational():
 
 def test_rref_and_nullspace():
     # The canonical basis is the one read off the reduced row echelon form,
-    # which is what sympy's nullspace returns; int and Fraction rows agree.
+    # which is what sympy's nullspace returns; the kernel reads integer
+    # dict rows.
     rows = [[1, 2, 3], [2, 4, 6]]
-    basis = nullspace(rows, 3)
+    basis = nullspace(sparse(rows), 3)
     assert basis == [[F(-2), F(1), F(0)], [F(-3), F(0), F(1)]]
     assert basis == _sympy_nullspace(rows, 3)
-    assert nullspace([[F(x) for x in row] for row in rows], 3) == basis
     # A pivot column after a free one, and a pivot row that back-substitution
-    # has to clear: x0 + x1 + x3 = 0, x2 + 2 x3 = 0, halved rows.
-    rows = [[F(1, 2), F(1, 2), F(1, 2), F(3, 2)], [0, 0, 1, 2]]
-    assert nullspace(rows, 4) == [[F(-1), F(1), F(0), F(0)],
-                                  [F(-1), F(0), F(-2), F(1)]]
-    assert nullspace(rows, 4) == _sympy_nullspace(rows, 4)
+    # has to clear: x0 + x1 + x3 = 0, x2 + 2 x3 = 0.
+    rows = [[1, 1, 1, 3], [0, 0, 1, 2]]
+    assert nullspace(sparse(rows), 4) == [[F(-1), F(1), F(0), F(0)],
+                                          [F(-1), F(0), F(-2), F(1)]]
+    assert nullspace(sparse(rows), 4) == _sympy_nullspace(rows, 4)
 
 
 def test_nullspace_of_empty_system_is_full_space():
@@ -83,26 +83,25 @@ def test_nullspace_of_empty_system_is_full_space():
     assert basis == [[F(1), F(0), F(0)], [F(0), F(1), F(0)],
                      [F(0), F(0), F(1)]]
     assert nullspace([], 0) == []
-    assert nullspace([[0, 0], [0, 0]], 2) == [[F(1), F(0)], [F(0), F(1)]]
+    assert nullspace(sparse([[0, 0], [0, 0]]), 2) == [[F(1), F(0)],
+                                                       [F(0), F(1)]]
 
 
 def test_nullspace_random_soundness():
-    # Rank-deficient products with zeroed columns, as int rows and as
-    # Fraction rows with a different denominator on each row; the basis
-    # must be sympy's entry for entry, and every vector must solve m.
+    # Rank-deficient products with zeroed columns, as integer dict rows;
+    # the basis must be sympy's entry for entry, every vector must solve m,
+    # and the rows must come back unchanged.
     rng = Random(29)
     for _ in range(80):
         rows, cols = rng.randint(1, 9), rng.randint(1, 7)
         m = _rank_deficient(rng, rows, cols)
-        expected = _sympy_nullspace(m, cols)
-        assert nullspace(m, cols) == expected
-        scaled = [[F(x, d) for x in row]
-                  for row, d in zip(m, (rng.randint(1, 6) for _ in m))]
-        basis = nullspace(scaled, cols)
-        assert basis == expected
+        dict_rows = sparse(m)
+        basis = nullspace(dict_rows, cols)
+        assert dict_rows == sparse(m)
+        assert basis == _sympy_nullspace(m, cols)
         assert len(basis) == cols - sympy.Matrix(m).rank()
         for v in basis:
-            for row in scaled:
+            for row in m:
                 assert sum(a * b for a, b in zip(row, v)) == 0
 
 
@@ -112,6 +111,35 @@ def test_mat_inverse():
     assert mat_mul(m, inv) == [[F(1), F(0)], [F(0), F(1)]]
     with pytest.raises(SingularMatrix):
         mat_inverse([[F(1), F(2)], [F(2), F(4)]])
+    assert mat_inverse([]) == []
+
+
+def test_mat_inverse_random_rational_matches_sympy():
+    # Rational rows with a different denominator on each entry; invertible
+    # ones must give sympy's inverse entry for entry, and singular ones
+    # (rank-deficient products scaled row by row, zeroed columns included)
+    # must raise SingularMatrix.
+    rng = Random(31)
+    for _ in range(60):
+        n = rng.randint(1, 6)
+        m = [[F(rng.randint(-5, 5), rng.randint(1, 7)) for _ in range(n)]
+             for _ in range(n)]
+        expected = sympy.Matrix(m)
+        if expected.det() == 0:
+            continue
+        expected = expected.inv()
+        assert mat_inverse([row[:] for row in m]) == [
+            [F(int(expected[i, j].p), int(expected[i, j].q))
+             for j in range(n)] for i in range(n)]
+    for _ in range(60):
+        n = rng.randint(1, 6)
+        m = _rank_deficient(rng, n, n)
+        if sympy.Matrix(m).rank() == n:
+            continue
+        scaled = [[F(x, d) for x in row]
+                  for row, d in zip(m, (rng.randint(1, 6) for _ in m))]
+        with pytest.raises(SingularMatrix):
+            mat_inverse(scaled)
 
 
 def test_rank_matches_sympy():

@@ -30,7 +30,10 @@ class TestMakeMap:
         with pytest.raises(DegreeMismatch):
             make_map(2, 2, [[((1, 1, 1), 1)], [], []])
         # Exponent entries are ints as given: never truncated or converted.
-        for exp in ((2.7, 0.3), (True, True), ("0", "2")):
+        # One with a 15058-bit denominator is past str()'s digit limit, so
+        # the error line gives its size.
+        for exp in ((2.7, 0.3), (True, True), ("0", "2"),
+                    (F(1, 3 ** 9500), 2)):
             with pytest.raises(DegreeMismatch, match="not an integer"):
                 make_map(1, 2, [[(exp, 1)], [((0, 2), 1)]])
         # A coefficient is refused as the map document grammar refuses it.
@@ -163,8 +166,11 @@ class TestIterate:
         assert evaluate(iterate(f, 2), pt) == evaluate(f, evaluate(f, pt))
 
     def test_bad_count(self):
-        with pytest.raises(ValueError):
-            iterate(POWER2, 0)
+        # The count is an int (require_ints) of at least 1, and a bad one
+        # raises a ProjstabError, not a bare ValueError or TypeError.
+        for k in (0, -2, 2.5, True, "2"):
+            with pytest.raises(DegreeMismatch):
+                iterate(POWER2, k)
 
 
 class TestSupportAndEquality:

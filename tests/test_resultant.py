@@ -559,6 +559,16 @@ class TestProbe:
         with pytest.raises(BadPrime):
             reduce_map_mod_p(_power_map(1, 2), p)
 
+    def test_numbers_past_the_str_digit_limit_are_bad_primes(self):
+        # str() refuses ints past 4300 digits by default, so the error line
+        # gives their size in bits instead of their digits.
+        identity = make_map(1, 1, [[((1, 0), 1)], [((0, 1), 1)]])
+        with pytest.raises(BadPrime, match="16610 bits"):
+            ff_zero_probe(identity, 10 ** 5000)
+        f = make_map(1, 1, [[((1, 0), F(1, 3 ** 9500))], [((0, 1), 1)]])
+        with pytest.raises(BadPrime, match="15058 bits.*vanishes mod 3"):
+            ff_zero_probe(f, 3)
+
     def test_scan_size_limit(self):
         # P^1(F_1000003) has 1000004 points, just above the bound.
         with pytest.raises(SizeLimit):
