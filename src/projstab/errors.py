@@ -35,7 +35,7 @@ class WrongDimension(ProjstabError):
 
 
 class SizeLimit(ProjstabError):
-    """A matrix construction exceeds the configured dimension bound."""
+    """A matrix, a scan or a composition would exceed its size bound."""
 
 
 class BadPrime(ProjstabError):

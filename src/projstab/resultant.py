@@ -15,11 +15,10 @@ complex) is the resultant up to a sign that depends only on (n, m)
 Multidimensional Determinants, 1994, ch. 3 and appendix A).
 
 * is_morphism tests exactness at the bottom: the level-1 matrix of all
-  products (monomial of degree t-m) * f_i has full column rank.  A zero
-  component or an uncovered simplex vertex shows a common zero at once;
-  full rank modulo one word-size prime (linalg.rank_mod_p) implies full
-  rank over Q; otherwise _level_one_pivots, the exact level-1 elimination
-  that macaulay_resultant starts with, decides.
+  products (monomial of degree t-m) * f_i has full column rank.  Full
+  rank modulo one word-size prime (linalg.rank_mod_p) implies full rank
+  over Q; otherwise _level_one_pivots, the exact level-1 elimination that
+  macaulay_resultant starts with, decides.
 * macaulay_resultant computes the determinant.  Bottom up, each level k
   picks rows R_k whose square block A_k on the columns that level k-1 left
   unpicked is nonsingular.  Level 1 tries Macaulay's rows first: for each
@@ -48,21 +47,25 @@ Multidimensional Determinants, 1994, ch. 3 and appendix A).
   is 0.
 * sylvester_resultant is the classical 2m x 2m determinant for n = 1.
 
+Both entry points reach the complex through one step, _koszul_input.  It
+checks the size first, and answers at once when a common zero is explicit
+in the support: a zero component, or an uncovered simplex vertex.
+Otherwise it scales each component to integers by the lcm of its
+denominators, each coefficient becoming numerator * (lcm // denominator),
+and builds the level-1 rows once.  is_morphism reads only those rows;
+macaulay_resultant hands them to the Koszul determinant and alone divides
+by the correction prod(lcms) ** (m ** n).  Each level's offsets,
+positions and boundary column shifts are one cached table, _koszul_level.
+
 Every Koszul row has the one row format of linalg's elimination kernel,
 from _koszul_rows to linalg.pivot_rows: a {column: value} dict of its
-nonzeros, at most 20 of them in a level-1 row of 220 at (3, 3).  A later level is restricted to its live columns by
-key, and no row is laid out dense; only linalg.rank_mod_p, the modular
-fast accept of is_morphism, does that.  On the 48 (3, 3) maps of the
-benchmark's analyze-corpus pools, main and held out, macaulay_resultant
-spends about 95 % of its time in linalg.pivot_rows on the 336 x 220
-level-1 and 120 x 116 level-2 blocks, nearly all of it in the
-right-looking row combinations.  Building the rows from the cached
-column tables of _koszul_shifts takes about 3 %.
-Macaulay's 220 rows are singular for 25 of the 46 maps that reach the
-Koszul determinant, with 1 to 24 pivots missing.  pivot_rows then maps
-the 116 other level-1 rows to the reduced system on the free columns,
-one short dot product per row and free column, instead of reducing them
-one by one against the 200 or so pivot rows of Macaulay's block.
+nonzeros, at most 20 of them in a level-1 row of 220 at (3, 3).  A later
+level is restricted to its live columns by key, and no row is laid out
+dense; only linalg.rank_mod_p, the modular fast accept of is_morphism,
+does that.  When Macaulay's rows are singular, pivot_rows maps the other
+level-1 rows to the reduced system on the free columns, one short dot
+product per row and free column, instead of reducing them one by one
+against the pivot rows of Macaulay's block.
 
 ff_zero_probe is the independent cross-check: an exhaustive scan for
 common zeros over a small prime field (ffield.common_zeros_mod_p, which
@@ -80,7 +83,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, lru_cache
 from itertools import combinations, combinations_with_replacement, permutations
-from math import comb, lcm
+from math import comb, lcm, prod
 
 from . import ffield, linalg
 from .errors import SizeLimit, WrongDimension
@@ -168,22 +171,6 @@ def sylvester_resultant(f: ProjectiveMap) -> Fraction:
     return linalg.det_rational(sylvester_matrix(f))
 
 
-def _scale_components_to_int(f: ProjectiveMap) -> tuple[list[dict[MultiIndex, int]], Fraction]:
-    """Integer copies of the components plus the resultant scale factor.
-
-    Multiplying component j by lambda_j multiplies the resultant by
-    lambda_j^(m^n); the returned correction is the product of those factors.
-    """
-    dicts = []
-    correction = Fraction(1)
-    deg = f.m ** f.n
-    for comp in f.components:
-        mult = lcm(*(c.denominator for _, c in comp.terms))
-        dicts.append({e: int(c * mult) for e, c in comp.terms})
-        correction *= Fraction(mult) ** deg
-    return dicts, correction
-
-
 def check_matrix_size(n: int, m: int) -> None:
     """Raise SizeLimit when the critical-degree matrices of a degree-m map
     of P^n would have more than MATRIX_SIZE_LIMIT columns."""
@@ -194,47 +181,33 @@ def check_matrix_size(n: int, m: int) -> None:
                         f" would have more than {MATRIX_SIZE_LIMIT} columns")
 
 
-def _explicit_zero(f: ProjectiveMap) -> bool:
-    """Whether a common zero is explicit in the support.
-
-    A zero component vanishes everywhere; an uncovered simplex vertex puts
-    a common zero at that coordinate point.
-    """
-    return (any(comp.is_zero() for comp in f.components)
-            or not all(vertex_coverage(f)))
-
-
 @lru_cache(maxsize=32)
-def _koszul_level(n: int, m: int, k: int) -> tuple[dict, dict]:
+def _koszul_level(n: int, m: int, k: int) -> tuple[dict, dict, dict]:
     """Index of the basis e_S (x) v of level k at the critical degree.
 
     S runs over the k-subsets of the components in lexicographic order and,
     within each S, v over the monomials of degree t - k*m in descending
     lexicographic order; e_S (x) v sits at offset[S] + position[v].
+
+    shifts[e][vi], for a degree-m exponent e, is the position of e + v
+    among the monomials of level k-1, for v the vi-th monomial of level k,
+    so a boundary term f_i * v (x) e_face sits at
+    offset[face] + shifts[e][vi].  Level 0 has no boundary and no shifts.
+    The cache is bounded, since level k's shifts hold
+    C(n+m, n) * C(t-k*m+n, n) positions.
     """
     t = (n + 1) * (m - 1) + 1
     monos = monomials_of_degree(n + 1, t - k * m)
     offset = {s: i * len(monos)
               for i, s in enumerate(combinations(range(n + 1), k))}
-    return offset, {v: i for i, v in enumerate(monos)}
-
-
-@lru_cache(maxsize=32)
-def _koszul_shifts(n: int, m: int,
-                   k: int) -> dict[MultiIndex, tuple[int, ...]]:
-    """Column positions that a degree-m term e reaches on level k.
-
-    shifts[e][vi] is the position of e + v among the monomials of level
-    k-1, for v the vi-th monomial of level k.  A boundary term
-    f_i * v (x) e_face then sits at offset[face] + shifts[e][vi].  The
-    cache is bounded, since each table holds
-    C(n+m, n) * C(t-k*m+n, n) positions.
-    """
-    _, col_position = _koszul_level(n, m, k - 1)
-    _, position = _koszul_level(n, m, k)
-    return {e: tuple(col_position[tuple(x + y for x, y in zip(e, v))]
-                     for v in position)
-            for e in monomials_of_degree(n + 1, m)}
+    position = {v: i for i, v in enumerate(monos)}
+    if not k:
+        return offset, position, {}
+    col_position = _koszul_level(n, m, k - 1)[1]
+    return offset, position, {
+        e: tuple(col_position[tuple(x + y for x, y in zip(e, v))]
+                 for v in monos)
+        for e in monomials_of_degree(n + 1, m)}
 
 
 def _koszul_rows(int_dicts: list[dict[MultiIndex, int]], n: int, m: int,
@@ -247,17 +220,15 @@ def _koszul_rows(int_dicts: list[dict[MultiIndex, int]], n: int, m: int,
     linalg.pivot_rows.  Level 1 lists every product
     (monomial of degree t-m) * f_i, component by component.
 
-    The columns come from the table _koszul_shifts(n, m, k), which lists
+    The columns come from the shifts of _koszul_level(n, m, k), which list
     for each degree-m exponent e the positions of e + v over level k's
-    monomials v; it is built once per (n, m, k) and kept in an LRU cache
-    of 32 tables.  Each term (e, a) of a component becomes
-    (shifts[e], a) once, and each face of S fixes its column offset and
-    sign once, so an entry is one table read and one addition: no
-    exponent tuple is built per entry.
+    monomials v.  Each term (e, a) of a component becomes (shifts[e], a)
+    once, and each face of S fixes its column offset and sign once, so an
+    entry is one table read and one addition: no exponent tuple is built
+    per entry.
     """
-    offset, position = _koszul_level(n, m, k)
-    col_offset, _ = _koszul_level(n, m, k - 1)
-    shifts = _koszul_shifts(n, m, k)
+    offset, position, shifts = _koszul_level(n, m, k)
+    col_offset = _koszul_level(n, m, k - 1)[0]
     terms = [[(shifts[e], a) for e, a in comp.items()] for comp in int_dicts]
     rows = []
     for s in offset:
@@ -302,8 +273,8 @@ def _level_one_order(n: int, m: int,
     (u / x_j^m) * f_lead[j] with j the least index where u_j >= m.  The
     cache is bounded, since a map of P^n can have up to (n+1)! matchings.
     """
-    _, cols = _koszul_level(n, m, 0)
-    offset, position = _koszul_level(n, m, 1)
+    cols = _koszul_level(n, m, 0)[1]
+    offset, position, _ = _koszul_level(n, m, 1)
     first = []
     for u in cols:
         j = next(j for j, e in enumerate(u) if e >= m)
@@ -335,20 +306,20 @@ def _level_one_pivots(int_dicts: list[dict[MultiIndex, int]], n: int,
 
 
 def _koszul_determinant(int_dicts: list[dict[MultiIndex, int]], n: int,
-                        m: int) -> Fraction:
+                        m: int, rows: list[dict[int, int]]) -> Fraction:
     """Cayley determinant of the Koszul complex at the critical degree.
 
-    Bottom up, level k picks rows R_k whose block A_k on the columns left
-    over by level k-1 is nonsingular: level 1 by _level_one_pivots, every
-    later level by linalg.pivot_rows on its rows restricted to those
-    columns, which keep their keys.  The value is the product of
+    rows is _koszul_rows(int_dicts, n, m, 1).  Bottom up, level k picks
+    rows R_k whose block A_k on the columns left over by level k-1 is
+    nonsingular: level 1 by _level_one_pivots, every later level by
+    linalg.pivot_rows on its rows restricted to those columns, which keep
+    their keys.  The value is the product of
     sigma_k * det(A_k)^((-1)^(k+1)), where A_k has its rows and columns in
     ascending basis order and sigma_k is the sign that lists level k as
     (unpicked rows, R_k).  It is 0 when some level finds too few pivots,
     i.e. when the complex is not exact.
     """
     value = Fraction(1)
-    rows = _koszul_rows(int_dicts, n, m, 1)
     picked, det = _level_one_pivots(int_dicts, n, m, rows)
     k = 1
     while det:
@@ -373,24 +344,50 @@ def _power_map_sign(n: int, m: int) -> Fraction:
     """The Koszul determinant of the power map, +1 or -1."""
     dicts = [{tuple(m * (i == j) for i in range(n + 1)): 1}
              for j in range(n + 1)]
-    return _koszul_determinant(dicts, n, m)
+    return _koszul_determinant(dicts, n, m, _koszul_rows(dicts, n, m, 1))
+
+
+def _koszul_input(f: ProjectiveMap) -> tuple[
+        list[dict[MultiIndex, int]], list[int], list[dict[int, int]]] | None:
+    """The one way into the Koszul complex, shared by both entry points.
+
+    Raises SizeLimit through check_matrix_size, then returns None when a
+    common zero is explicit in the support: a zero component vanishes
+    everywhere, and an uncovered simplex vertex is a common zero.
+    Otherwise returns the components in integers, component j times
+    lcms[j], the lcm of its denominators, together with the lcms and the
+    level-1 rows _koszul_rows(int_dicts, n, m, 1).
+    """
+    check_matrix_size(f.n, f.m)
+    if (any(comp.is_zero() for comp in f.components)
+            or not all(vertex_coverage(f))):
+        return None
+    lcms = [lcm(*(c.denominator for _, c in comp.terms))
+            for comp in f.components]
+    int_dicts = [{e: c.numerator * (mult // c.denominator)
+                  for e, c in comp.terms}
+                 for comp, mult in zip(f.components, lcms)]
+    return int_dicts, lcms, _koszul_rows(int_dicts, f.n, f.m, 1)
 
 
 def macaulay_resultant(f: ProjectiveMap) -> ResultantValue:
     """Exact resultant of the n+1 components, in the given frame.
 
-    Returns 0 at once when a common zero is explicit in the support (a zero
-    component or an uncovered simplex vertex).  Otherwise it is the
-    Koszul-complex determinant of the integer-scaled components, times the
-    sign that makes the power map give 1, divided by the scaling factor.
+    _koszul_input gives 0 at once for a common zero explicit in the
+    support.  Otherwise the value is the Koszul-complex determinant of the
+    integer components, times the sign that makes the power map give 1,
+    divided by the correction prod(lcms) ** (m ** n): scaling a component
+    by lambda scales the resultant by lambda ** (m ** n).  Raises
+    SizeLimit before building a matrix with more than MATRIX_SIZE_LIMIT
+    columns.
     """
     n, m = f.n, f.m
-    check_matrix_size(n, m)
-    if _explicit_zero(f):
+    entry = _koszul_input(f)
+    if entry is None:
         return ResultantValue(Fraction(0))
-    int_dicts, correction = _scale_components_to_int(f)
-    value = _koszul_determinant(int_dicts, n, m) * _power_map_sign(n, m)
-    return ResultantValue(value / correction)
+    int_dicts, lcms, rows = entry
+    value = _koszul_determinant(int_dicts, n, m, rows) * _power_map_sign(n, m)
+    return ResultantValue(value / prod(lcms) ** m ** n)
 
 
 def is_morphism(f: ProjectiveMap) -> bool:
@@ -399,18 +396,18 @@ def is_morphism(f: ProjectiveMap) -> bool:
     The certificate is surjectivity at the critical degree: every form of
     degree t = (n+1)(m-1)+1 is a polynomial combination of the components
     exactly when the level-1 Koszul matrix of all products
-    (monomial of degree t-m) * f_i has full column rank.  An explicit zero
-    in the support gives False at once; full rank modulo one prime gives
-    True; otherwise the exact level-1 elimination of macaulay_resultant,
-    _level_one_pivots, decides.  Raises SizeLimit before building a matrix
-    with more than MATRIX_SIZE_LIMIT columns.
+    (monomial of degree t-m) * f_i has full column rank.  It reads those
+    rows from _koszul_input, as macaulay_resultant does, which gives False
+    at once for a common zero explicit in the support.  Full rank modulo
+    one prime gives True; otherwise the exact level-1 elimination of
+    macaulay_resultant, _level_one_pivots, decides.  Raises SizeLimit
+    before building a matrix with more than MATRIX_SIZE_LIMIT columns.
     """
     n, m = f.n, f.m
-    check_matrix_size(n, m)
-    if _explicit_zero(f):
+    entry = _koszul_input(f)
+    if entry is None:
         return False
-    int_dicts, _ = _scale_components_to_int(f)
-    rows = _koszul_rows(int_dicts, n, m, 1)
+    int_dicts, _, rows = entry
     ncols = len(_koszul_level(n, m, 0)[1])
     if linalg.rank_mod_p(rows, ncols, _CERTIFICATE_PRIME) == ncols:
         return True

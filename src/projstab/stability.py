@@ -209,7 +209,11 @@ def block_from_stabilizer(f: ProjectiveMap, sol: StabilizerSolution
     Takes the maximum M' of the vertex weights m*c_i; the components on the
     hyperplane b_j + C = M' are supported on the face spanned by the
     maximizing vertices.  Returns None for a trivial (constant-c) solution.
+    Raises DimensionMismatch, as solution_satisfies does, and NotASolution
+    unless sol solves the stabilizer system of f.
     """
+    if not solution_satisfies(f, sol):
+        raise NotASolution("vector violates a support constraint of the map")
     if len(set(sol.c)) <= 1:
         return None
     top = max(sol.c)

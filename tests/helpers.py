@@ -2,6 +2,7 @@
 
 from fractions import Fraction
 from itertools import combinations, product
+from math import lcm
 from random import Random
 
 from projstab import ZeroMap, make_map
@@ -174,6 +175,19 @@ def _reference_boundary(int_dicts, n, m, k):
                 row[column[face, w]] += (-1) ** idx * a
         rows.append(row)
     return rows
+
+
+def integer_components(f):
+    """Each component times the lcm of its denominators, with the lcms.
+
+    Scaling component j by lcms[j] scales the resultant by
+    lcms[j] ** (m ** n), so the resultant of f is that of the integer
+    components divided by prod(lcms) ** (m ** n).
+    """
+    lcms = [lcm(*(c.denominator for _, c in comp.terms))
+            for comp in f.components]
+    return ([{e: int(c * k) for e, c in comp.terms}
+             for comp, k in zip(f.components, lcms)], lcms)
 
 
 def reference_koszul_determinant(int_dicts, n, m):

@@ -2,12 +2,15 @@
 
 from fractions import Fraction as F
 from random import Random
+from time import perf_counter
 
 import pytest
 
 from projstab import (DegreeMismatch, DimensionMismatch, ParseError,
-                      SingularMatrix, ZeroMap, apply_linear_change, evaluate,
-                      iterate, loads_map, make_linear_change, make_map)
+                      SingularMatrix, SizeLimit, ZeroMap, apply_linear_change,
+                      compose, evaluate, iterate, loads_map,
+                      make_linear_change, make_map)
+from projstab.poly import COMPOSE_TERM_LIMIT
 from projstab.linalg import mat_inverse
 from helpers import mat_mul, mat_vec, random_invertible, random_map
 
@@ -171,6 +174,37 @@ class TestIterate:
         for k in (0, -2, 2.5, True, "2"):
             with pytest.raises(DegreeMismatch):
                 iterate(POWER2, k)
+
+    def test_size_limit_before_composing(self):
+        # Each step quadruples the work on this map, so k = 20 would run
+        # for months; the bound refuses degree 2^7 (129 monomials) and up
+        # at once, however large k is, and lets degree 2^6 through.
+        f = make_map(1, 2, [[((2, 0), 1), ((1, 1), 1), ((0, 2), 1)],
+                            [((2, 0), 1), ((1, 1), -1), ((0, 2), 2)]])
+        assert iterate(f, 6).m == 64
+        for k in (7, 20, 10 ** 9):
+            start = perf_counter()
+            with pytest.raises(SizeLimit):
+                iterate(f, k)
+            assert perf_counter() - start < 0.1
+        # One map is no composition, whatever its size.
+        big = make_map(1, COMPOSE_TERM_LIMIT, [[((COMPOSE_TERM_LIMIT, 0), 1)],
+                                               [((0, COMPOSE_TERM_LIMIT), 1)]])
+        assert iterate(big, 1) is big
+
+    def test_compose_size_limit(self):
+        # Degree 9 * 14 = 126 has 127 monomials in two variables and
+        # 8 * 16 = 128 has 129; in three, degree 14 has 120 and 15 has 136.
+        def power(n, m):
+            return make_map(n, m, [[(tuple(m * (i == j) for i in range(n + 1)),
+                                     1)] for j in range(n + 1)])
+
+        assert compose(power(1, 9), power(1, 14)) == power(1, 126)
+        assert compose(power(2, 2), power(2, 7)) == power(2, 14)
+        for outer, inner in ((power(1, 8), power(1, 16)),
+                             (power(2, 3), power(2, 5))):
+            with pytest.raises(SizeLimit):
+                compose(outer, inner)
 
 
 class TestSupportAndEquality:

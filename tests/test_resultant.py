@@ -18,12 +18,13 @@ from projstab import ffield, linalg
 from projstab.ffield import PRIMALITY_BOUND, is_prime, reduce_map_mod_p
 from projstab.linalg import det_rational, permutation_sign
 from projstab.poly import _dict_mul
-from projstab.resultant import (_koszul_level, _koszul_rows, _koszul_shifts,
+from projstab.resultant import (_koszul_input, _koszul_level, _koszul_rows,
                                 _level_one_order, _pure_power_matching,
-                                _scale_components_to_int, monomials_of_degree)
+                                monomials_of_degree)
+from projstab.weights import vertex_coverage
 from helpers import (_descending_monomials, _reference_boundary,
-                     check_pivot_rows_contract, random_map,
-                     reference_koszul_determinant)
+                     check_pivot_rows_contract, integer_components,
+                     random_map, reference_koszul_determinant)
 
 
 def _power_map(n, m):
@@ -213,17 +214,20 @@ class TestMacaulay:
             checked += 1
 
     def test_component_scaling_degree(self):
-        # scaling one component by u multiplies the resultant by u^(m^n)
+        # scaling one component by u multiplies the resultant by u^(m^n);
+        # a fractional u makes the scaled component's lcm exceed 1
         rng = Random(109)
-        for _ in range(10):
+        nonzero = 0
+        for u in (F(2), F(3), F(-2), F(5), F(1, 2), F(-2, 3)) * 2:
             n, m = rng.choice(((1, 2), (1, 3), (2, 2)))
             f = random_map(rng, n, m)
             r1 = macaulay_resultant(f)
-            u = F(rng.choice((2, 3, -2, 5)))
             comps = [list(comp.terms) for comp in f.components]
             comps[0] = [(e, c * u) for e, c in comps[0]]
             r2 = macaulay_resultant(make_map(n, m, comps))
             assert r2.value == r1.value * u ** (m ** n)
+            nonzero += r1.value != 0
+        assert nonzero >= 8
 
     @settings(max_examples=60, deadline=None, derandomize=True,
               database=None)
@@ -282,8 +286,7 @@ class TestMacaulay:
         # At (3, 3) seed 5 and (2, 3) seed 11 the matched block is still
         # singular, so rows past Macaulay's get picked on level 1.
         f = random_map(Random(seed), n, m)
-        assert _pure_power_matching(_scale_components_to_int(f)[0],
-                                    n, m) == lead
+        assert _pure_power_matching(_koszul_input(f)[0], n, m) == lead
         calls = []
         kernel = linalg.pivot_rows
 
@@ -308,8 +311,14 @@ class TestMacaulay:
     def test_matches_reference_cayley_product(self, f):
         # The reference takes every level's rows in ascending order with
         # the dense kernel: no matching, no reordering of leftover rows.
+        # Component j times lcms[j] scales the resultant by
+        # lcms[j] ** (m ** n), which the correction divides out; the shared
+        # entry scales the components the same way.
         n, m = f.n, f.m
-        int_dicts, correction = _scale_components_to_int(f)
+        int_dicts, lcms = integer_components(f)
+        correction = prod(F(k) ** (m ** n) for k in lcms)
+        entry = _koszul_input(f)
+        assert entry is None or entry[:2] == (int_dicts, lcms)
         power = [{tuple(m * (i == j) for i in range(n + 1)): 1}
                  for j in range(n + 1)]
         expected = (reference_koszul_determinant(int_dicts, n, m)
@@ -336,7 +345,9 @@ class TestMacaulay:
         # Three maps per size: random with missing terms, f_0 without its
         # pure power x_0^m, and one given zero coefficients that make_map
         # drops.  Every level's rows, made dense, are the boundary matrix
-        # built from the formula alone, with no zero stored.
+        # built from the formula alone, with no zero stored.  The shared
+        # entry gives the integer components, their lcms and the level-1
+        # rows, or None exactly when a common zero is explicit.
         rng = Random(seed)
         monos = monomials_of_degree(n + 1, m)
         pure = tuple(m * (i == 0) for i in range(n + 1))
@@ -350,24 +361,37 @@ class TestMacaulay:
                 make_map(n, m, [[(e, c) for e, c in comp.terms if e != pure]
                                 for comp in full.components]),
                 zero_dropped]
+        explicit = []
         for f in maps:
-            int_dicts = _scale_components_to_int(f)[0]
+            int_dicts, lcms = integer_components(f)
+            entry = _koszul_input(f)
+            explicit.append(entry is None)
+            assert explicit[-1] == (not all(vertex_coverage(f)) or any(
+                comp.is_zero() for comp in f.components))
+            assert explicit[-1] or entry == (
+                int_dicts, lcms, _koszul_rows(int_dicts, n, m, 1))
             for k in range(1, n + 2):
-                offset, position = _koszul_level(n, m, k - 1)
+                offset, position, _ = _koszul_level(n, m, k - 1)
                 columns = range(len(offset) * len(position))
                 rows = _koszul_rows(int_dicts, n, m, k)
                 assert all(x for row in rows for x in row.values())
                 assert ([[row.get(c, 0) for c in columns] for row in rows]
                         == _reference_boundary(int_dicts, n, m, k))
+        assert explicit == [False, True, seed == 2]
 
     def test_koszul_shifts_cache_is_bounded(self):
+        # Each level's shifts sit in its _koszul_level table: one shift
+        # tuple per degree-m exponent, one position per level-k monomial.
         # At m = 1 every level past the first has no monomials, so the
         # tables are small; n <= 11 gives 78 distinct (n, m, k).
-        _koszul_shifts.cache_clear()
+        _koszul_level.cache_clear()
         keys = [(n, 1, k) for n in range(12) for k in range(1, n + 2)]
-        for key in keys:
-            _koszul_shifts(*key)
-        info = _koszul_shifts.cache_info()
+        for n, m, k in keys:
+            _, position, shifts = _koszul_level(n, m, k)
+            assert len(shifts) == n + 1
+            assert all(len(s) == len(position) == (k == 1)
+                       for s in shifts.values())
+        info = _koszul_level.cache_info()
         assert info.maxsize is not None
         assert info.currsize == info.maxsize < len(keys)
 
@@ -377,7 +401,7 @@ class TestMacaulay:
         for perm in permutations(range(5)):
             f = make_map(4, 1, [[(tuple(int(i == v) for i in range(5)), 1)]
                                 for v in perm])
-            assert _pure_power_matching(_scale_components_to_int(f)[0],
+            assert _pure_power_matching(_koszul_input(f)[0],
                                         4, 1) == tuple(range(5))
             assert macaulay_resultant(f).value == permutation_sign(perm)
 

@@ -19,6 +19,7 @@ from projstab.resultant import monomials_of_degree
 from helpers import random_map
 
 CUBE = make_map(1, 3, [[((3, 0), 1)], [((0, 3), 1)]])
+SQUARES = make_map(1, 2, [[((2, 0), 1)], [((0, 2), 1)]])
 FERMAT = make_map(1, 3, [[((3, 0), 1), ((0, 3), 1)], [((2, 1), 1)]])
 TRI = make_map(1, 3, [[((3, 0), 1)], [((0, 3), 1), ((1, 2), 1)]])
 N2 = make_map(2, 2, [[((2, 0, 0), 1)],
@@ -139,6 +140,20 @@ class TestHyperplanePartition:
         assert not solution_satisfies(CUBE, bad)
         with pytest.raises(NotASolution):
             hyperplane_partition(CUBE, bad)
+
+    @pytest.mark.parametrize("c,b", [((1, 0), (2,)), ((0, 0, 1), (2, 0)),
+                                     ((1, 0), (0, 2))])
+    def test_block_from_stabilizer_checks_the_solution(self, c, b):
+        # Unchecked, on (x0^2, x1^2) a short b fails by IndexError, a
+        # 3-entry c gives the block V' = {2}, which P^1 does not have, and
+        # swapped targets give V' = {0} with H' = {1}.
+        sol = StabilizerSolution(tuple(map(F, c)), tuple(map(F, b)), F(0))
+        error = NotASolution if len(c) == len(b) else DimensionMismatch
+        with pytest.raises(error):
+            block_from_stabilizer(SQUARES, sol)
+        good = StabilizerSolution((F(1), F(0)), (F(2), F(0)), F(0))
+        block = block_from_stabilizer(SQUARES, good)
+        assert (block.variables, block.components) == ({0}, {0})
 
     @pytest.mark.parametrize("c,b", [((1,), (3, 0)), ((1, 0), (3,)),
                                      ((1, 0, 0), (3, 0, 0))])
