@@ -287,6 +287,8 @@ def common_zeros_mod_p(f: ProjectiveMap, p: int) -> list[tuple[int, ...]]:
     components, a Bezout determinant of the first two, computed for all
     p^(k-1) lines at once, drops the lines where they share no root; the
     others go to _line_zeros, as every line does on the other charts.  The
+    kept lines' coefficients are copied out only when some line is dropped,
+    so a shared factor with roots on every line costs no copy.  The
     cost is O(m^3) vector operations on two components per chart, plus, on
     the lines kept, a gcd of two restrictions, the other components built
     on those lines only and evaluated at the gcd's roots, and an evaluation
@@ -319,9 +321,11 @@ def common_zeros_mod_p(f: ProjectiveMap, p: int) -> list[tuple[int, ...]]:
         kept = None
         if k >= 2 and len(vectors) == 2:
             keep = _may_share_root(*vectors, p)
-            kept = list(compress(range(len(keep)), keep))
-            vectors = [[[row[i] for i in kept] for row in v] for v in vectors]
-            points = compress(points, keep)
+            if not all(keep):  # a filter that drops nothing copies nothing
+                kept = list(compress(range(len(keep)), keep))
+                vectors = [[[row[i] for i in kept] for row in v]
+                           for v in vectors]
+                points = compress(points, keep)
         vectors += [_line_coefficients(terms, k, p, table, monomials, kept)
                     for terms in live[2:]]
         for q, *polys in zip(points, *(zip(*v) for v in vectors)):

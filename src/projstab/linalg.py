@@ -259,7 +259,7 @@ def rank_mod_p(m: list[dict[int, int]], cols: int, p: int) -> int:
         if piv is None:
             continue
         a[rank], a[piv] = a[piv], a[rank]
-        inv = pow(a[rank][c], p - 2, p)
+        inv = pow(a[rank][c], -1, p)
         for r in range(rank + 1, rows):
             factor = (a[r][c] * inv) % p
             if factor:

@@ -50,7 +50,10 @@ _RATIONAL = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
 # (1, 127), (2, 14) or (3, 7) map under a linear change took 0.3 to 0.9 s
 # and iterate took 0.16 s on a (1, 2) map at k = 7; at 253 to 257, a dense
 # (2, 21) and a dense (1, 255) map took 8 and 30 s, and iterate at k = 8
-# took 0.7 s.
+# took 0.7 s.  The same number bounds iterate's count k, which the degree
+# does not bound at m = 1: at k = 128, (x0+x1, x0+2x1) took 0.06 s and a
+# dense (6, 1) map with entries in -3..3 took 0.95 s; at k = 1000 the
+# first took 0.38 s, and the time grows faster than k.
 COMPOSE_TERM_LIMIT = 128
 
 
@@ -347,7 +350,9 @@ def iterate(f: ProjectiveMap, k: int) -> ProjectiveMap:
     """k-fold self-composition; the result has degree m^k.  Raises
     DegreeMismatch unless k is an int (require_ints) of at least 1, and
     SizeLimit, before composing, when k > 1 and degree m^k has more than
-    COMPOSE_TERM_LIMIT monomials."""
+    COMPOSE_TERM_LIMIT monomials, or when k > COMPOSE_TERM_LIMIT.  The
+    second bound is for m = 1, where the degree never grows but the
+    coefficients grow with k."""
     require_ints("iteration count", (k,))
     if k < 1:
         raise DegreeMismatch(f"iteration count must be >= 1, got {k}")
@@ -356,6 +361,9 @@ def iterate(f: ProjectiveMap, k: int) -> ProjectiveMap:
         # bit length, so the capped power refuses a large k as m^k would.
         _check_composition_size(
             f.n, f.m ** min(k, COMPOSE_TERM_LIMIT.bit_length()))
+    if k > COMPOSE_TERM_LIMIT:
+        raise SizeLimit(f"iterating {k} times is above the "
+                        f"{COMPOSE_TERM_LIMIT} bound on the count")
     result = f
     for _ in range(k - 1):
         result = compose(f, result)

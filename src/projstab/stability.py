@@ -7,6 +7,18 @@ support.  The solution space always contains the two-dimensional trivial
 family (c = t*1 with b = (mt - C)*1), so torus_rank = dim - 2 counts the
 genuinely nontrivial diagonal torus directions.
 
+The system is solved in a reduced form with the same row space.  Each
+nonzero component j keeps one anchor row, that of its first term I_0; each
+other term I of it contributes only the difference <c, I - I_0> = 0, on the
+c columns, and a difference shared by several terms or components is one
+row.  Every original row is its anchor row plus its difference row, and
+both are combinations of original rows, so the two systems have the same
+row space, hence the same reduced row echelon form and the same canonical
+nullspace basis, from fewer rows with fewer nonzeros.  The law checks read
+a solution once as integers: scaled by the lcm of all its denominators, c
+becomes c' and each level b_j + C becomes an integer level', and every
+term condition is <c', I> = level'_j.
+
 Block structure is the combinatorial shadow of invariant subspaces: a pair
 (V', H') with |V'| = |H'| such that vars(f_j), the variables some term of
 f_j involves, lies in V' for each j in H'.  Each vars(f_j) is read once per
@@ -23,6 +35,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import lcm
+from operator import mul, sub
 
 from . import linalg
 from .errors import DimensionMismatch, InvalidBlock, NotASolution, SizeLimit
@@ -107,22 +120,32 @@ class LimitResult:
 def stabilizer_space(f: ProjectiveMap) -> StabilizerSpace:
     """Exact solution space of <c,I> - b_j = C over the support.
 
-    Unknowns are ordered (c_0..c_n, b_0..b_n, C); each supported term of
-    f_j gives the integer row (I, -1 at b_j, -1 for C), built as the
-    {column: value} dict of its nonzeros that linalg's one elimination
-    kernel reads.  The basis is linalg.nullspace's canonical basis of that
-    system, one vector per free column of its reduced row echelon form, so
-    downstream consumers are deterministic.
+    Unknowns are ordered (c_0..c_n, b_0..b_n, C).  The rows are the
+    reduced system of the module docstring, each the {column: value} dict
+    of its nonzeros that linalg's one elimination kernel reads: per nonzero
+    component j the anchor row (I_0, -1 at b_j, -1 for C) of its first term,
+    and once each distinct difference I - I_0 of its other terms, on the c
+    columns.  That system has the row space of the full one (one row
+    (I, -1 at b_j, -1 for C) per supported term), so the basis is
+    linalg.nullspace's canonical basis of either, one vector per free
+    column of their common reduced row echelon form, and downstream
+    consumers are deterministic.
     """
     nv = f.num_vars
     cols = 2 * nv + 1
     rows: list[dict[int, int]] = []
+    differences: dict[tuple[int, ...], None] = {}  # ordered, each once
     for j, comp in enumerate(f.components):
-        for e, _ in comp.terms:
-            row = {c: x for c, x in enumerate(e) if x}
-            row[nv + j] = -1
-            row[cols - 1] = -1
-            rows.append(row)
+        if not comp.terms:
+            continue
+        first = comp.terms[0][0]
+        row = {c: x for c, x in enumerate(first) if x}
+        row[nv + j] = -1
+        row[cols - 1] = -1
+        rows.append(row)
+        differences.update(dict.fromkeys(tuple(map(sub, e, first))
+                                         for e, _ in comp.terms[1:]))
+    rows += [{c: x for c, x in enumerate(d) if x} for d in differences]
     basis_vecs = linalg.nullspace(rows, cols)
     basis = tuple(StabilizerSolution(tuple(v[:nv]), tuple(v[nv:2 * nv]), v[-1])
                   for v in basis_vecs)
@@ -130,12 +153,14 @@ def stabilizer_space(f: ProjectiveMap) -> StabilizerSpace:
     return StabilizerSpace(basis, dim, dim - 2, f.m <= f.n + 1)
 
 
-def solution_satisfies(f: ProjectiveMap, sol: StabilizerSolution) -> bool:
-    """Whether (c, b, C) meets <c,I> - b_j = C on every supported term.
+def _integer_solution(f: ProjectiveMap, sol: StabilizerSolution
+                      ) -> tuple[list[int], list[int], int] | None:
+    """(c', levels', scale) for a solution of the stabilizer system of f,
+    or None when a supported term fails <c',I> = level'_j.
 
-    The vector is scaled to integers by the lcm of all its denominators, so
-    each check is the integer equation <c',I> = (b_j + C)'.  Raises
-    DimensionMismatch unless c and b have one entry per variable.
+    scale is the lcm of every denominator of (c, b, C), c' = scale * c and
+    level'_j = scale * (b_j + C), all integers.  Raises DimensionMismatch
+    unless c and b have one entry per variable.
     """
     if len(sol.c) != f.num_vars or len(sol.b) != f.num_vars:
         raise DimensionMismatch(
@@ -143,26 +168,47 @@ def solution_satisfies(f: ProjectiveMap, sol: StabilizerSolution) -> bool:
             f"weights, map needs {f.num_vars} of each")
     scale = lcm(*(x.denominator for x in (*sol.c, *sol.b, sol.C)))
     c = [x.numerator * (scale // x.denominator) for x in sol.c]
-    for j, comp in enumerate(f.components):
-        level = int((sol.b[j] + sol.C) * scale)
+    shift = sol.C.numerator * (scale // sol.C.denominator)
+    levels = [x.numerator * (scale // x.denominator) + shift for x in sol.b]
+    for comp, level in zip(f.components, levels):
         for e, _ in comp.terms:
-            if sum(x * k for x, k in zip(c, e)) != level:
-                return False
-    return True
+            if sum(map(mul, c, e)) != level:
+                return None
+    return c, levels, scale
+
+
+def solution_satisfies(f: ProjectiveMap, sol: StabilizerSolution) -> bool:
+    """Whether (c, b, C) meets <c,I> - b_j = C on every supported term.
+
+    The vector is scaled once to integers by the lcm of all its
+    denominators, so each check is the integer equation <c',I> = (b_j + C)'
+    (_integer_solution).  Raises DimensionMismatch unless c and b have one
+    entry per variable.
+    """
+    return _integer_solution(f, sol) is not None
 
 
 def hyperplane_partition(f: ProjectiveMap, sol: StabilizerSolution
                          ) -> HyperplanePartition:
-    """Group components by b_j + C; compare those levels with the m*c_i."""
-    if not solution_satisfies(f, sol):
+    """Group components by b_j + C; compare those levels with the m*c_i.
+
+    Works on the one integer scaling of the solution (_integer_solution):
+    the classes are grouped and the multisets compared on the scaled
+    levels, and Fractions are made only for the class keys it returns.
+    Raises DimensionMismatch, as solution_satisfies does, and NotASolution
+    unless sol solves the stabilizer system of f.
+    """
+    scaled = _integer_solution(f, sol)
+    if scaled is None:
         raise NotASolution("vector violates a support constraint of the map")
-    hyper_values = [sol.b[j] + sol.C for j in range(f.num_vars)]
-    classes: dict[Fraction, list[int]] = {}
-    for j, v in enumerate(hyper_values):
-        classes.setdefault(v, []).append(j)
-    equal = sorted(hyper_values) == sorted(f.m * x for x in sol.c)
+    c, levels, scale = scaled
+    classes: dict[int, list[int]] = {}
+    for j, level in enumerate(levels):
+        classes.setdefault(level, []).append(j)
+    equal = sorted(levels) == sorted(f.m * x for x in c)
     return HyperplanePartition(
-        tuple((v, tuple(js)) for v, js in sorted(classes.items(), reverse=True)),
+        tuple((Fraction(level, scale), tuple(js))
+              for level, js in sorted(classes.items(), reverse=True)),
         equal)
 
 
@@ -212,14 +258,16 @@ def block_from_stabilizer(f: ProjectiveMap, sol: StabilizerSolution
     Raises DimensionMismatch, as solution_satisfies does, and NotASolution
     unless sol solves the stabilizer system of f.
     """
-    if not solution_satisfies(f, sol):
+    scaled = _integer_solution(f, sol)
+    if scaled is None:
         raise NotASolution("vector violates a support constraint of the map")
-    if len(set(sol.c)) <= 1:
+    c, levels, _ = scaled
+    if len(set(c)) <= 1:
         return None
-    top = max(sol.c)
+    top = max(c)
     m_top = f.m * top
-    vset = frozenset(i for i, ci in enumerate(sol.c) if ci == top)
-    hset = frozenset(j for j in range(f.num_vars) if sol.b[j] + sol.C == m_top)
+    vset = frozenset(i for i, ci in enumerate(c) if ci == top)
+    hset = frozenset(j for j, level in enumerate(levels) if level == m_top)
     return BlockStructure(vset, hset, "InfiniteStabilizer")
 
 

@@ -225,3 +225,47 @@ def random_invertible(rng: Random, size: int, lo: int = -3, hi: int = 3):
              for _ in range(size)]
         if det_rational([row[:] for row in m]) != 0:
             return m
+
+
+def reference_solution_satisfies(f, sol):
+    """<c, I> - b_j = C on every supported term, in plain Fractions."""
+    return all(sum((x * k for x, k in zip(sol.c, e)), Fraction(0))
+               - sol.b[j] == sol.C
+               for j, comp in enumerate(f.components) for e, _ in comp.terms)
+
+
+def reference_hyperplane_partition(f, sol):
+    """(hyperplane_classes, multisets_equal) from the rational levels
+    b_j + C, grouped and compared as Fractions."""
+    levels = [b + sol.C for b in sol.b]
+    classes = {}
+    for j, level in enumerate(levels):
+        classes.setdefault(level, []).append(j)
+    return (tuple((level, tuple(js))
+                  for level, js in sorted(classes.items(), reverse=True)),
+            sorted(levels) == sorted(f.m * x for x in sol.c))
+
+
+def reference_block_from_stabilizer(f, sol):
+    """(V', H') on the top vertex level max(m*c_i), in Fractions, or None
+    for a constant c."""
+    if len(set(sol.c)) <= 1:
+        return None
+    top = max(sol.c)
+    return (frozenset(i for i, x in enumerate(sol.c) if x == top),
+            frozenset(j for j, b in enumerate(sol.b)
+                      if b + sol.C == f.m * top))
+
+
+def full_stabilizer_rows(f):
+    """The unreduced stabilizer system, one integer row
+    (I, -1 at b_j, -1 for C) per supported term, as dict rows."""
+    nv = f.num_vars
+    rows = []
+    for j, comp in enumerate(f.components):
+        for e, _ in comp.terms:
+            row = {c: x for c, x in enumerate(e) if x}
+            row[nv + j] = -1
+            row[2 * nv] = -1
+            rows.append(row)
+    return rows

@@ -19,6 +19,8 @@ from projstab.documents import (DOCUMENT_BYTE_LIMIT, classification_to_dict,
                                 map_to_document, parse_fraction, tree_to_dict)
 
 GOLDEN = Path(__file__).parent / "data" / "analyze"
+VERIFY_GOLDEN = (Path(__file__).parent / "data" / "verify"
+                 / "n2-m2-pm1-sample300-seed1.report.json")
 CUBE = make_map(1, 3, [[((3, 0), 1)], [((0, 3), 1)]])
 TRI = make_map(1, 3, [[((3, 0), 1)], [((0, 3), 1), ((1, 2), 1)]])
 # JSON true/false in integer fields; Python reads them as 1/0.
@@ -556,3 +558,18 @@ def test_probed_analyze_json_matches_golden(name, capsys):
     del report["timing"]
     assert code == (0 if report["is_morphism"] else 2)
     assert dumps_canonical(report) == golden
+
+
+def test_verify_json_matches_golden(capsys):
+    # The golden holds `verify --n 2 --m 2 --coeffs=-1,0,1 --sample 300
+    # --seed 1` without its timing block: 216 morphisms, 432 multiset-lemma
+    # checks on their stabilizer bases and six block splits.  A change to
+    # the stabilizer solve or the integer law checks that moves a count or
+    # records a failure changes a byte of it.
+    code = cli.main(["verify", "--n", "2", "--m", "2", "--coeffs=-1,0,1",
+                     "--sample", "300", "--seed", "1"])
+    report = json.loads(capsys.readouterr().out)
+    del report["timing"]
+    assert code == 0
+    assert dumps_canonical(report) == VERIFY_GOLDEN.read_text(
+        encoding="utf-8")

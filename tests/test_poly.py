@@ -192,6 +192,20 @@ class TestIterate:
                                                [((0, COMPOSE_TERM_LIMIT), 1)]])
         assert iterate(big, 1) is big
 
+    def test_count_limit_at_degree_one(self):
+        # At m = 1 the degree stays 1 and only the coefficients grow with
+        # k, so the degree bound never fires; the count bound refuses k
+        # past COMPOSE_TERM_LIMIT at once and lets k = COMPOSE_TERM_LIMIT
+        # through.
+        f = make_map(1, 1, [[((1, 0), 1), ((0, 1), 1)],
+                            [((1, 0), 1), ((0, 1), 2)]])
+        assert iterate(f, COMPOSE_TERM_LIMIT).m == 1
+        for k in (COMPOSE_TERM_LIMIT + 1, 10 ** 9):
+            start = perf_counter()
+            with pytest.raises(SizeLimit):
+                iterate(f, k)
+            assert perf_counter() - start < 0.1
+
     def test_compose_size_limit(self):
         # Degree 9 * 14 = 126 has 127 monomials in two variables and
         # 8 * 16 = 128 has 129; in three, degree 14 has 120 and 15 has 136.

@@ -13,10 +13,14 @@ from projstab import (DimensionMismatch, InvalidBlock, NotASolution, OnePS,
                       block_from_stabilizer, block_to_1ps, classify,
                       detect_blocks, hyperplane_partition, is_morphism,
                       limit_map, make_map, stabilizer_space, weight_profile)
+from projstab import linalg
 from projstab.stability import (BlockStructure, solution_satisfies,
                                 validate_block)
 from projstab.resultant import monomials_of_degree
-from helpers import random_map
+from helpers import (full_stabilizer_rows, random_map,
+                     reference_block_from_stabilizer,
+                     reference_hyperplane_partition,
+                     reference_solution_satisfies)
 
 CUBE = make_map(1, 3, [[((3, 0), 1)], [((0, 3), 1)]])
 SQUARES = make_map(1, 2, [[((2, 0), 1)], [((0, 2), 1)]])
@@ -165,6 +169,121 @@ class TestHyperplanePartition:
             solution_satisfies(CUBE, sol)
         with pytest.raises(DimensionMismatch):
             hyperplane_partition(CUBE, sol)
+
+
+@st.composite
+def _rational_maps(draw):
+    """Maps with n <= 3, m <= 4, rational coefficients and at most four
+    terms per component, so a torus and blocks are common; a component
+    may be zero."""
+    n = draw(st.integers(1, 3))
+    m = draw(st.integers(1, 4))
+    monos = monomials_of_degree(n + 1, m)
+    coeff = st.fractions(min_value=-3, max_value=3,
+                         max_denominator=5).filter(bool)
+    comps = [draw(st.dictionaries(st.sampled_from(monos), coeff, max_size=4))
+             for _ in range(n + 1)]
+    try:
+        return make_map(n, m, comps)
+    except ZeroMap:
+        assume(False)
+
+
+def _vector(sol):
+    return list(sol.c + sol.b + (sol.C,))
+
+
+def _solution(f, v):
+    nv = f.num_vars
+    return StabilizerSolution(tuple(v[:nv]), tuple(v[nv:2 * nv]), v[-1])
+
+
+def _check_against_reference(f, sol):
+    """solution_satisfies, hyperplane_partition and block_from_stabilizer
+    agree with the plain-Fraction reference; returns the verdict."""
+    ok = reference_solution_satisfies(f, sol)
+    assert solution_satisfies(f, sol) == ok
+    if ok:
+        part = hyperplane_partition(f, sol)
+        assert (part.hyperplane_classes, part.multisets_equal) == \
+            reference_hyperplane_partition(f, sol)
+        block = block_from_stabilizer(f, sol)
+        assert (None if block is None else
+                (block.variables, block.components)) == \
+            reference_block_from_stabilizer(f, sol)
+    else:
+        with pytest.raises(NotASolution):
+            hyperplane_partition(f, sol)
+        with pytest.raises(NotASolution):
+            block_from_stabilizer(f, sol)
+    return ok
+
+
+class TestIntegerLaws:
+    """The reduced stabilizer solve and the one integer scaling of a
+    solution, against the full system and a plain-Fraction reference."""
+
+    @settings(max_examples=200)
+    @given(_rational_maps(), st.data())
+    def test_integer_checks_match_fraction_reference(self, f, data):
+        space = stabilizer_space(f)
+        cols = 2 * f.num_vars + 1
+        basis = [_vector(sol) for sol in space.basis]
+        assert basis == linalg.nullspace(full_stabilizer_rows(f), cols)
+        rational = st.fractions(min_value=-4, max_value=4, max_denominator=6)
+        weights = data.draw(st.lists(rational, min_size=len(basis),
+                                     max_size=len(basis)))
+        combo = [sum((w * v[k] for w, v in zip(weights, basis)), F(0))
+                 for k in range(cols)]
+        for v in basis + [combo]:
+            assert _check_against_reference(f, _solution(f, v))
+        k = data.draw(st.integers(0, cols - 1))
+        perturbed = list(combo)
+        perturbed[k] += data.draw(rational.filter(bool))
+        _check_against_reference(f, _solution(f, perturbed))
+
+    def test_zero_component_leaves_its_target_weight_free(self):
+        # Component 1 is zero, so b_1 is in no row: the unit vector at b_1
+        # is a basis vector, and any b_1 solves.
+        f = make_map(2, 2, [[((2, 0, 0), 1)], [],
+                            [((0, 0, 2), 1), ((1, 0, 1), F(1, 2))]])
+        space = stabilizer_space(f)
+        assert [_vector(sol) for sol in space.basis] == \
+            linalg.nullspace(full_stabilizer_rows(f), 7)
+        free_b1 = StabilizerSolution((F(0),) * 3, (F(0), F(1), F(0)), F(0))
+        assert free_b1 in space.basis
+        for b1 in (F(2), F(7, 3), F(-5)):
+            sol = StabilizerSolution((F(1), F(0), F(1)),
+                                     (F(3, 2), b1, F(3, 2)), F(1, 2))
+            assert _check_against_reference(f, sol)
+        part = hyperplane_partition(f, StabilizerSolution(
+            (F(1), F(0), F(1)), (F(3, 2), F(7, 3), F(3, 2)), F(1, 2)))
+        assert part.hyperplane_classes == ((F(17, 6), (1,)), (F(2), (0, 2)))
+        assert not part.multisets_equal
+
+    def test_difference_repeated_across_components_is_one_row(self,
+                                                              monkeypatch):
+        # x0x1 - x0^2 and x1^2 - x0x1 are the same difference (-1, 1), so
+        # the reduced system is the two anchor rows and one difference row.
+        f = make_map(1, 2, [[((2, 0), 1), ((1, 1), 1)],
+                            [((1, 1), 1), ((0, 2), F(1, 3))]])
+        seen = []
+        solve = linalg.nullspace
+
+        def spy(rows, cols):
+            seen.append(rows)
+            return solve(rows, cols)
+
+        monkeypatch.setattr(linalg, "nullspace", spy)
+        space = stabilizer_space(f)
+        (rows,) = seen
+        assert len(rows) == 3
+        assert sum(1 for row in rows if max(row) < f.num_vars) == 1
+        assert [_vector(sol) for sol in space.basis] == \
+            solve(full_stabilizer_rows(f), 5)
+        assert space.dim == 2 and space.torus_rank == 0
+        for sol in space.basis:
+            assert _check_against_reference(f, sol)
 
 
 @st.composite
