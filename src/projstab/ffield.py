@@ -40,7 +40,7 @@ from __future__ import annotations
 from itertools import compress, product
 
 from .errors import BadPrime, SizeLimit
-from .poly import MultiIndex, ProjectiveMap, _quote
+from .poly import MultiIndex, ProjectiveMap, _quote, _sized
 
 # Miller-Rabin with the first 13 primes as bases decides primality of every
 # n below PRIMALITY_BOUND (Sorenson and Webster, Math. Comp. 2017; the bound
@@ -114,8 +114,8 @@ def check_point_count(n: int, p: int) -> None:
     """Raise SizeLimit before a scan of more than POINT_LIMIT points."""
     count = point_count(n, p)
     if count > POINT_LIMIT:
-        raise SizeLimit(f"P^{n}(F_{p}) has {count} points, above the "
-                        f"{POINT_LIMIT} bound")
+        raise SizeLimit(f"P^{n}(F_{p}) has {_sized(count)} points, above "
+                        f"the {POINT_LIMIT} bound")
 
 
 def _power_table(p: int, max_exp: int) -> list[list[int]]:

@@ -57,16 +57,31 @@ _RATIONAL = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
 COMPOSE_TERM_LIMIT = 128
 
 
-def _quote(value: Any) -> str:
-    """str(value) quoted for an error line, cut at 40 characters.  Of a
-    rational past 2048 bits, below any digit limit that str() of an int
-    may have, only the size is given."""
+def _bits(value: Any) -> int:
+    """The size of an int or Fraction, for an error line; 0 otherwise."""
     if isinstance(value, (int, Fraction)):
-        bits = max(value.numerator.bit_length(),
+        return max(value.numerator.bit_length(),
                    value.denominator.bit_length())
-        if bits > 2048:
-            return f"a number of {bits} bits"
-    text = str(value)
+    return 0
+
+
+def _sized(value: Any, show=str) -> str:
+    """show(value) for an error line, as str() gives it, save that of a
+    rational past 2048 bits, below any digit limit that str() of an int
+    may have, only the size is given, also for an entry of a tuple."""
+    if isinstance(value, tuple):
+        inner = ", ".join(_sized(x, repr) for x in value)
+        return f"({inner},)" if len(value) == 1 else f"({inner})"
+    bits = _bits(value)
+    return f"a number of {bits} bits" if bits > 2048 else show(value)
+
+
+def _quote(value: Any) -> str:
+    """_sized(value) quoted for an error line, cut at 40 characters; a
+    size is not quoted."""
+    text = _sized(value)
+    if _bits(value) > 2048:
+        return text
     return repr(text if len(text) <= 40 else text[:37] + "...")
 
 
@@ -148,12 +163,15 @@ class HomogeneousPoly:
             require_ints("exponent entry", e)
             if len(e) != num_vars:
                 raise DimensionMismatch(
-                    f"exponent {e} has length {len(e)}, expected {num_vars}")
+                    f"exponent {_sized(e)} has length {len(e)}, "
+                    f"expected {num_vars}")
             if any(x < 0 for x in e):
-                raise DegreeMismatch(f"exponent {e} has a negative entry")
+                raise DegreeMismatch(
+                    f"exponent {_sized(e)} has a negative entry")
             if sum(e) != degree:
                 raise DegreeMismatch(
-                    f"exponent {e} has total degree {sum(e)}, expected {degree}")
+                    f"exponent {_sized(e)} has total degree {_sized(sum(e))}, "
+                    f"expected {_sized(degree)}")
             c = parse_fraction(coeff)
             if e in acc:
                 c += acc.pop(e)
@@ -253,12 +271,12 @@ def make_map(n: int, m: int,
     """
     require_ints("n or m", (n, m))
     if n < 0:
-        raise DimensionMismatch(f"n must be >= 0, got {n}")
+        raise DimensionMismatch(f"n must be >= 0, got {_sized(n)}")
     if m < 1:
-        raise DegreeMismatch(f"degree must be >= 1, got {m}")
+        raise DegreeMismatch(f"degree must be >= 1, got {_sized(m)}")
     if len(coeffs) != n + 1:
         raise DimensionMismatch(
-            f"expected {n + 1} components, got {len(coeffs)}")
+            f"expected {_sized(n + 1)} components, got {len(coeffs)}")
     components = tuple(HomogeneousPoly.from_terms(m, n + 1, c) for c in coeffs)
     if all(f.is_zero() for f in components):
         raise ZeroMap("all components vanish")
@@ -327,9 +345,9 @@ def _check_composition_size(n: int, degree: int) -> None:
     """Raise SizeLimit when the forms of the given degree in n+1 variables
     have more than COMPOSE_TERM_LIMIT monomials."""
     if comb(degree + n, n) > COMPOSE_TERM_LIMIT:
-        raise SizeLimit(f"a composed map of degree at least {degree} on "
-                        f"P^{n} would have more than {COMPOSE_TERM_LIMIT} "
-                        f"monomials")
+        raise SizeLimit(f"a composed map of degree at least {_sized(degree)}"
+                        f" on P^{n} would have more than "
+                        f"{COMPOSE_TERM_LIMIT} monomials")
 
 
 def compose(outer: ProjectiveMap, inner: ProjectiveMap) -> ProjectiveMap:
@@ -355,14 +373,14 @@ def iterate(f: ProjectiveMap, k: int) -> ProjectiveMap:
     coefficients grow with k."""
     require_ints("iteration count", (k,))
     if k < 1:
-        raise DegreeMismatch(f"iteration count must be >= 1, got {k}")
+        raise DegreeMismatch(f"iteration count must be >= 1, got {_sized(k)}")
     if k > 1:
         # m^k > COMPOSE_TERM_LIMIT once m >= 2 and k reaches the limit's
         # bit length, so the capped power refuses a large k as m^k would.
         _check_composition_size(
             f.n, f.m ** min(k, COMPOSE_TERM_LIMIT.bit_length()))
     if k > COMPOSE_TERM_LIMIT:
-        raise SizeLimit(f"iterating {k} times is above the "
+        raise SizeLimit(f"iterating {_sized(k)} times is above the "
                         f"{COMPOSE_TERM_LIMIT} bound on the count")
     result = f
     for _ in range(k - 1):

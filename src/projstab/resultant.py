@@ -87,7 +87,7 @@ from math import comb, lcm, prod
 
 from . import ffield, linalg
 from .errors import SizeLimit, WrongDimension
-from .poly import Fraction as _F, MultiIndex, ProjectiveMap
+from .poly import Fraction as _F, MultiIndex, ProjectiveMap, _sized
 from .weights import vertex_coverage
 
 # The default probe uses up to three of the largest primes up to this bound
@@ -177,8 +177,9 @@ def check_matrix_size(n: int, m: int) -> None:
     top = (n + 1) * (m - 1) + 1 + n
     # comb(top, n) >= top when 0 < n < top: a large n or m is refused early
     if n and top > MATRIX_SIZE_LIMIT or comb(top, n) > MATRIX_SIZE_LIMIT:
-        raise SizeLimit(f"critical-degree matrices of a degree-{m} map of P^{n}"
-                        f" would have more than {MATRIX_SIZE_LIMIT} columns")
+        raise SizeLimit(f"critical-degree matrices of a degree-{_sized(m)} map"
+                        f" of P^{_sized(n)} would have more than "
+                        f"{MATRIX_SIZE_LIMIT} columns")
 
 
 @lru_cache(maxsize=32)
@@ -421,11 +422,14 @@ def default_probe_primes(n: int) -> tuple[int, ...]:
     Gives 101, 103, 107 for n <= 2 and 83, 89, 97 for n = 3.  Raises
     SizeLimit when not even P^n(F_2) fits in ffield.POINT_LIMIT.
     """
+    # P^n(F_2) alone has 2^(n+1) - 1 > POINT_LIMIT points once n + 1 reaches
+    # the bound's bit length, so no p^(n+1) is formed then.
     fits = [p for p in range(_PROBE_PRIME_CEILING, 1, -1)
-            if ffield.is_prime(p)
+            if n + 1 < ffield.POINT_LIMIT.bit_length() and ffield.is_prime(p)
             and ffield.point_count(n, p) <= ffield.POINT_LIMIT][:3]
     if not fits:
-        raise SizeLimit(f"no prime up to {_PROBE_PRIME_CEILING} has P^{n}(F_p) "
+        raise SizeLimit(f"no prime up to {_PROBE_PRIME_CEILING} has "
+                        f"P^{_sized(n)}(F_p) "
                         f"within the {ffield.POINT_LIMIT} point bound")
     return tuple(sorted(fits))
 

@@ -110,7 +110,12 @@ class LimitResult:
     limit: ProjectiveMap
     K: int
     dropped_terms: int
-    limit_is_morphism: bool
+
+    @property
+    def limit_is_morphism(self) -> bool:
+        """Certified by is_morphism on each read, so only a caller that
+        reads it pays for it."""
+        return is_morphism(self.limit)
 
     @property
     def support_shrank(self) -> bool:
@@ -177,17 +182,6 @@ def _integer_solution(f: ProjectiveMap, sol: StabilizerSolution
     return c, levels, scale
 
 
-def solution_satisfies(f: ProjectiveMap, sol: StabilizerSolution) -> bool:
-    """Whether (c, b, C) meets <c,I> - b_j = C on every supported term.
-
-    The vector is scaled once to integers by the lcm of all its
-    denominators, so each check is the integer equation <c',I> = (b_j + C)'
-    (_integer_solution).  Raises DimensionMismatch unless c and b have one
-    entry per variable.
-    """
-    return _integer_solution(f, sol) is not None
-
-
 def hyperplane_partition(f: ProjectiveMap, sol: StabilizerSolution
                          ) -> HyperplanePartition:
     """Group components by b_j + C; compare those levels with the m*c_i.
@@ -195,7 +189,7 @@ def hyperplane_partition(f: ProjectiveMap, sol: StabilizerSolution
     Works on the one integer scaling of the solution (_integer_solution):
     the classes are grouped and the multisets compared on the scaled
     levels, and Fractions are made only for the class keys it returns.
-    Raises DimensionMismatch, as solution_satisfies does, and NotASolution
+    Raises DimensionMismatch, as _integer_solution does, and NotASolution
     unless sol solves the stabilizer system of f.
     """
     scaled = _integer_solution(f, sol)
@@ -255,7 +249,7 @@ def block_from_stabilizer(f: ProjectiveMap, sol: StabilizerSolution
     Takes the maximum M' of the vertex weights m*c_i; the components on the
     hyperplane b_j + C = M' are supported on the face spanned by the
     maximizing vertices.  Returns None for a trivial (constant-c) solution.
-    Raises DimensionMismatch, as solution_satisfies does, and NotASolution
+    Raises DimensionMismatch, as _integer_solution does, and NotASolution
     unless sol solves the stabilizer system of f.
     """
     scaled = _integer_solution(f, sol)
@@ -327,7 +321,7 @@ def limit_map(f: ProjectiveMap, ops: OnePS) -> LimitResult:
                 dropped += 1
         dicts.append(kept)
     limit = _map_from_dicts(f.n, f.m, dicts)
-    return LimitResult(limit, K, dropped, is_morphism(limit))
+    return LimitResult(limit, K, dropped)
 
 
 @dataclass(frozen=True)

@@ -17,10 +17,8 @@ from projstab.documents import (DOCUMENT_BYTE_LIMIT, classification_to_dict,
                                 document_to_map, dumps_canonical,
                                 format_fraction, load_map_file, loads_map,
                                 map_to_document, parse_fraction, tree_to_dict)
+import goldens
 
-GOLDEN = Path(__file__).parent / "data" / "analyze"
-VERIFY_GOLDEN = (Path(__file__).parent / "data" / "verify"
-                 / "n2-m2-pm1-sample300-seed1.report.json")
 CUBE = make_map(1, 3, [[((3, 0), 1)], [((0, 3), 1)]])
 TRI = make_map(1, 3, [[((3, 0), 1)], [((0, 3), 1), ((1, 2), 1)]])
 # JSON true/false in integer fields; Python reads them as 1/0.
@@ -361,6 +359,9 @@ class TestCLI:
          "parse error: --coeffs"),
         (["analyze", "{cube}", "--probe-primes", "7" * 4000], "error: "),
         (["analyze", "{bigden}", "--probe-primes", "5"], "error: "),
+        (["analyze", "{p720}", "--probe-primes", "999983"], "error: "),
+        (["verify", "--n", "1", "--m", "2000",
+          "--coeffs=" + ",".join(map(str, range(1, 201)))], "error: "),
     ], ids=["missing-file", "composite-prime", "oversized-probe",
             "figure-not-n2", "limit-weight-length", "verify-budget",
             "analyze-directory", "figure-out-directory",
@@ -370,7 +371,8 @@ class TestCLI:
             "limit-space-before-digit", "limit-arabic-indic-digit",
             "probe-underscore-digit", "limit-5000-digit-item",
             "limit-fraction-weight", "verify-space-before-coeff",
-            "probe-4000-digit-modulus", "probe-prime-divides-3006-digit-den"])
+            "probe-4000-digit-modulus", "probe-prime-divides-3006-digit-den",
+            "probe-P720-point-count", "verify-9209-digit-box"])
     def test_input_errors_print_one_error_line(self, argv, prefix, tmp_path,
                                                capsys):
         n2 = make_map(2, 2, [[((2, 0, 0), 1)], [((0, 2, 0), 1)],
@@ -385,6 +387,12 @@ class TestCLI:
                  "bigden": write_doc(tmp_path, bigden, "bigden.json"),
                  "out": str(tmp_path / "fig.json"),
                  "dir": str(tmp_path)}
+        if "{p720}" in argv:
+            # P^720(F_999983) has 4320 digits of points; the document has
+            # 6.8 MB, so only this case writes it.
+            paths["p720"] = write_doc(tmp_path, make_map(
+                720, 1, [[(tuple(int(i == j) for i in range(721)), 1)]
+                         for j in range(721)]), "p720.json")
         assert cli.main([arg.format(**paths) for arg in argv]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
@@ -521,55 +529,14 @@ class TestCLI:
         assert load_map_file(str(padded)) == CUBE
 
 
-@pytest.mark.parametrize("name", sorted(
-    p.name[:-len(".map.json")] for p in GOLDEN.glob("*.map.json")))
-def test_analyze_json_matches_golden(name, capsys):
-    # Each <name>.report.json holds `analyze --json` on <name>.map.json
-    # without its timing block, so a speed-up that changes a byte of the
-    # canonical report fails here.  The maps: n = 1 with rational
+@pytest.mark.parametrize("case", goldens.cases(), ids=lambda case:
+                         case.golden.name.removesuffix(".report.json"))
+def test_analyze_json_matches_golden(case, capsys):
+    # Every golden through cli.main: a speed-up that changes a byte of a
+    # canonical report fails here.  The analyze maps: n = 1 with rational
     # coefficients; (2,2) with and without a zero pure power; a (2,3) map
-    # whose Macaulay block is singular; two (3,3) maps whose pure powers
-    # need a matching; a non-morphism with no explicit zero; a triangular
-    # map with blocks.
-    code = cli.main(["analyze", str(GOLDEN / f"{name}.map.json"), "--json"])
-    report = json.loads(capsys.readouterr().out)
-    del report["timing"]
-    assert code == (0 if report["is_morphism"] else 2)
-    assert dumps_canonical(report) == (
-        GOLDEN / f"{name}.report.json").read_text(encoding="utf-8")
-
-
-@pytest.mark.parametrize("name", sorted(
-    p.name[:-len(".probed.report.json")]
-    for p in GOLDEN.glob("*.probed.report.json")))
-def test_probed_analyze_json_matches_golden(name, capsys):
-    # Each <name>.probed.report.json holds `analyze --json --probe-primes`
-    # on <name>.map.json, with the primes its own probes list, so a change
-    # to the F_p scan that moves, adds or drops a zero fails here.  Each
-    # map has a prime dividing its resultant among them, whose probe finds
-    # a zero; the non-morphism has several zeros at p = 2 and 3, primes at
-    # or below the degree; 101 is one of the default probe primes.
-    golden = (GOLDEN / f"{name}.probed.report.json").read_text(
-        encoding="utf-8")
-    primes = ",".join(str(pr["prime"]) for pr in json.loads(golden)["probes"])
-    code = cli.main(["analyze", str(GOLDEN / f"{name}.map.json"), "--json",
-                     "--probe-primes", primes])
-    report = json.loads(capsys.readouterr().out)
-    del report["timing"]
-    assert code == (0 if report["is_morphism"] else 2)
-    assert dumps_canonical(report) == golden
-
-
-def test_verify_json_matches_golden(capsys):
-    # The golden holds `verify --n 2 --m 2 --coeffs=-1,0,1 --sample 300
-    # --seed 1` without its timing block: 216 morphisms, 432 multiset-lemma
-    # checks on their stabilizer bases and six block splits.  A change to
-    # the stabilizer solve or the integer law checks that moves a count or
-    # records a failure changes a byte of it.
-    code = cli.main(["verify", "--n", "2", "--m", "2", "--coeffs=-1,0,1",
-                     "--sample", "300", "--seed", "1"])
-    report = json.loads(capsys.readouterr().out)
-    del report["timing"]
-    assert code == 0
-    assert dumps_canonical(report) == VERIFY_GOLDEN.read_text(
-        encoding="utf-8")
+    # with a singular Macaulay block; two (3,3) maps whose pure powers need
+    # a matching; a non-morphism; a triangular map with blocks.  Each probe
+    # list holds a prime at which the probe finds zeros.
+    code = cli.main(case.argv)
+    assert goldens.check(case, code, capsys.readouterr().out) is None

@@ -37,7 +37,6 @@ ALLOWED = {
     "iterate": "criterion 8",
     "sylvester_resultant": "criterion 5",
     "is_indeterminate": "criteria 5 and 6",
-    "solution_satisfies": "TestStabilizerSpace::test_basis_soundness",
 }
 
 _FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)

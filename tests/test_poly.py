@@ -6,11 +6,13 @@ from time import perf_counter
 
 import pytest
 
-from projstab import (DegreeMismatch, DimensionMismatch, ParseError,
-                      SingularMatrix, SizeLimit, ZeroMap, apply_linear_change,
-                      compose, evaluate, iterate, loads_map,
-                      make_linear_change, make_map)
+from projstab import (BudgetExceeded, DegreeMismatch, DimensionMismatch,
+                      InvalidBox, ParseError, SingularMatrix, SizeLimit,
+                      ZeroMap, apply_linear_change, compose,
+                      default_probe_primes, evaluate, iterate, loads_map,
+                      make_linear_change, make_map, run_verification_suite)
 from projstab.poly import COMPOSE_TERM_LIMIT
+from projstab.resultant import check_matrix_size
 from projstab.linalg import mat_inverse
 from helpers import mat_mul, mat_vec, random_invertible, random_map
 
@@ -239,3 +241,50 @@ class TestSupportAndEquality:
         apply_linear_change(f, IDENTITY2)
         evaluate(f, (1, 1))
         assert (f.n, f.m, f.components) == snapshot
+
+
+# Past Python's 4300-digit limit, so str() of it raises ValueError.
+BIG = 10 ** 5000
+BIG_DEGREE = make_map(1, BIG, [[((BIG, 0), 1)], [((0, BIG), 1)]])
+LINEAR = make_map(1, 1, [[((1, 0), 1)], [((0, 1), 1)]])
+
+
+@pytest.mark.parametrize("call, error", [
+    (lambda: check_matrix_size(BIG, 2), SizeLimit),
+    (lambda: check_matrix_size(1, BIG), SizeLimit),
+    (lambda: compose(BIG_DEGREE, BIG_DEGREE), SizeLimit),
+    (lambda: iterate(LINEAR, BIG), SizeLimit),
+    (lambda: iterate(LINEAR, -BIG), DegreeMismatch),
+    (lambda: make_map(-BIG, 1, []), DimensionMismatch),
+    (lambda: make_map(BIG, 1, []), DimensionMismatch),
+    (lambda: make_map(1, -BIG, []), DegreeMismatch),
+    (lambda: make_map(1, 2, [[((BIG, 0, 0), 1)], []]), DimensionMismatch),
+    (lambda: make_map(1, 2, [[((-BIG, 2), 1)], []]), DegreeMismatch),
+    (lambda: make_map(1, 2, [[((BIG, 0), 1)], []]), DegreeMismatch),
+    (lambda: make_map(1, BIG, [[((2, 0), 1)], []]), DegreeMismatch),
+    (lambda: run_verification_suite(-BIG, 2, [0, 1]), InvalidBox),
+    (lambda: run_verification_suite(1, -BIG, [0, 1]), InvalidBox),
+    (lambda: run_verification_suite(BIG, 2, [0, 1]), SizeLimit),
+    (lambda: run_verification_suite(1, BIG, [0, 1]), SizeLimit),
+    (lambda: run_verification_suite(1, 1, [0, 1], sample=-BIG), InvalidBox),
+    (lambda: run_verification_suite(1, 1, [0, 1], sample=BIG),
+     BudgetExceeded),
+    (lambda: run_verification_suite(1, 1, [BIG, BIG]), InvalidBox),
+    (lambda: default_probe_primes(10 ** 6), SizeLimit),
+    (lambda: default_probe_primes(BIG), SizeLimit),
+], ids=["matrix-size-n", "matrix-size-m", "compose-degree", "iterate-count",
+        "iterate-negative-count", "make-map-negative-n", "make-map-n",
+        "make-map-negative-m", "exponent-length", "exponent-negative-entry",
+        "exponent-total-degree", "exponent-expected-degree",
+        "verify-negative-n", "verify-negative-m", "verify-n", "verify-m",
+        "verify-negative-sample", "verify-sample", "verify-repeated-coeff",
+        "probe-primes-million", "probe-primes-big"])
+def test_huge_values_raise_their_own_error_at_once(call, error):
+    # Each error line gives the size of a number past 2048 bits, so none
+    # raises ValueError from str(); default_probe_primes forms no p^(n+1)
+    # once P^n(F_2) alone is past the point bound.
+    start = perf_counter()
+    with pytest.raises(error) as info:
+        call()
+    assert perf_counter() - start < 0.1
+    assert len(str(info.value)) < 300
