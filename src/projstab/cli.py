@@ -35,7 +35,7 @@ from typing import Sequence
 from . import documents, figures, verify as verify_mod
 from .decompose import decompose_fully, splitting_types_all_blocks
 from .errors import NotAMorphism, ParseError, ProjstabError
-from .poly import _quote, parse_fraction
+from .poly import parse_fraction, shown
 from .resultant import default_probe_primes, ff_zero_probe
 from .stability import classify, limit_map
 from .weights import OnePS
@@ -51,7 +51,7 @@ def _int_list(text: str, flag: str) -> list[int]:
     for item in text.split(","):
         x = parse_fraction(item, flag)
         if x.denominator != 1:
-            raise ParseError(f"{flag}: {_quote(item)} is not an integer")
+            raise ParseError(f"{flag}: {shown(item)} is not an integer")
         values.append(x.numerator)
     return values
 
@@ -93,7 +93,7 @@ def _probe_primes(text: str, f) -> Sequence[int]:
               else _int_list(text, "--probe-primes"))
     if len(set(primes)) < len(primes):
         raise ParseError(f"--probe-primes: a prime is repeated in "
-                         f"{_quote(text)}")
+                         f"{shown(text)}")
     return primes
 
 

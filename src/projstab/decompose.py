@@ -25,10 +25,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import ffield
-from .errors import NotAMorphism
+from .errors import NotAMorphism, SizeLimit
 from .poly import Fraction, MultiIndex, ProjectiveMap, _map_from_dicts
 from .resultant import is_morphism
-from .stability import BlockStructure, detect_blocks, validate_block
+from .stability import (SUBSET_SCAN_LIMIT, BlockStructure, detect_blocks,
+                        validate_block)
 
 
 @dataclass(frozen=True)
@@ -127,27 +128,38 @@ def splitting_types_all_blocks(f: ProjectiveMap) -> set[tuple[int, ...]]:
     """Splitting types of a morphism over every block choice at every level.
 
     Exhaustive-mode companion to decompose_fully for small ranks, used to
-    compare the canonical choice against all others.  Raises NotAMorphism
-    after one certificate on f; the pieces inherit it.
+    compare the canonical choice against all others.  Each distinct piece
+    is walked once, however many paths reach it.  Raises NotAMorphism after
+    one certificate on f; the pieces inherit it.  Raises SizeLimit before
+    the block scans of the walk visit more than SUBSET_SCAN_LIMIT subsets
+    in all.
     """
     if not is_morphism(f):
         raise NotAMorphism("cannot decompose a non-morphism")
-    return _splitting_types(f)
+    memo: dict[ProjectiveMap, set[tuple[int, ...]]] = {}
+    scanned = 0
 
+    def walk(g: ProjectiveMap) -> set[tuple[int, ...]]:
+        nonlocal scanned
+        if g.num_vars == 1:
+            return {(1,)}
+        if g in memo:
+            return memo[g]
+        scanned += 2 ** g.num_vars
+        if scanned > SUBSET_SCAN_LIMIT:
+            raise SizeLimit(f"the block scans of an all-blocks walk would "
+                            f"visit more than {SUBSET_SCAN_LIMIT} subsets")
+        blocks = detect_blocks(g)
+        types = set() if blocks else {(g.num_vars,)}
+        for block in blocks:
+            pair = split_once(g, block)
+            for rt in walk(pair.restriction):
+                for qt in walk(pair.quotient):
+                    types.add(tuple(sorted(rt + qt)))
+        memo[g] = types
+        return types
 
-def _splitting_types(f: ProjectiveMap) -> set[tuple[int, ...]]:
-    if f.num_vars == 1:
-        return {(1,)}
-    blocks = detect_blocks(f)
-    if not blocks:
-        return {(f.num_vars,)}
-    types: set[tuple[int, ...]] = set()
-    for block in blocks:
-        pair = split_once(f, block)
-        for rt in _splitting_types(pair.restriction):
-            for qt in _splitting_types(pair.quotient):
-                types.add(tuple(sorted(rt + qt)))
-    return types
+    return walk(f)
 
 
 def verify_preimage(f: ProjectiveMap, block: BlockStructure, prime: int

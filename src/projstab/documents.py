@@ -31,7 +31,7 @@ from fractions import Fraction
 from typing import Any
 
 from .errors import ParseError
-from .poly import ProjectiveMap, make_map, parse_fraction
+from .poly import ProjectiveMap, make_map, parse_fraction, shown
 from .stability import ClassificationReport
 from .decompose import DecompositionTree
 from . import errors as _errors
@@ -112,11 +112,13 @@ def load_map_file(path: str) -> ProjectiveMap:
             chunks.append(chunk)
             size += len(chunk)
     if size > DOCUMENT_BYTE_LIMIT:
-        raise ParseError(f"{path} is larger than {DOCUMENT_BYTE_LIMIT} bytes")
+        raise ParseError(f"{shown(path)} is larger than "
+                         f"{DOCUMENT_BYTE_LIMIT} bytes")
     try:
         text = b"".join(chunks).decode("utf-8")
     except UnicodeDecodeError as exc:
-        raise ParseError(f"{path} is not UTF-8 text: {exc.reason}") from None
+        raise ParseError(f"{shown(path)} is not UTF-8 text: {exc.reason}"
+                         ) from None
     return loads_map(text)
 
 

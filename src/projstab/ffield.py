@@ -40,7 +40,7 @@ from __future__ import annotations
 from itertools import compress, product
 
 from .errors import BadPrime, SizeLimit
-from .poly import MultiIndex, ProjectiveMap, _quote, _sized
+from .poly import MultiIndex, ProjectiveMap, shown
 
 # Miller-Rabin with the first 13 primes as bases decides primality of every
 # n below PRIMALITY_BOUND (Sorenson and Webster, Math. Comp. 2017; the bound
@@ -87,17 +87,17 @@ def reduce_map_mod_p(f: ProjectiveMap, p: int) -> list[list[tuple[MultiIndex, in
     """
     if not 2 <= p < PRIMALITY_BOUND:
         raise BadPrime(f"modulus must satisfy 2 <= p < {PRIMALITY_BOUND}, "
-                       f"got {_quote(p)}")
+                       f"got {shown(p)}")
     if not is_prime(p):
-        raise BadPrime(f"modulus {p} is not prime")
+        raise BadPrime(f"modulus {shown(p)} is not prime")
     reduced = []
     for comp in f.components:
         terms = []
         for e, c in comp.terms:
             den = c.denominator % p
             if den == 0:
-                raise BadPrime(f"denominator of coefficient {_quote(c)} "
-                               f"vanishes mod {p}")
+                raise BadPrime(f"denominator of coefficient {shown(c)} "
+                               f"vanishes mod {shown(p)}")
             a = c.numerator * pow(den, -1, p) % p
             if a:
                 terms.append((e, a))
@@ -114,8 +114,8 @@ def check_point_count(n: int, p: int) -> None:
     """Raise SizeLimit before a scan of more than POINT_LIMIT points."""
     count = point_count(n, p)
     if count > POINT_LIMIT:
-        raise SizeLimit(f"P^{n}(F_{p}) has {_sized(count)} points, above "
-                        f"the {POINT_LIMIT} bound")
+        raise SizeLimit(f"P^{shown(n)}(F_{shown(p)}) has {shown(count)} "
+                        f"points, above the {POINT_LIMIT} bound")
 
 
 def _power_table(p: int, max_exp: int) -> list[list[int]]:

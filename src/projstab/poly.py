@@ -19,6 +19,11 @@ Every number a caller gives is read here, once, where it enters, and never
 rounded.  A rational is a Fraction, an int or "p" / "p/q" in ASCII digits
 (parse_fraction; ParseError on a bool, a float, "1e3", " 2 " or "1/0"); an
 exponent entry or a weight is an int, not a bool (require_ints).
+
+Every value that an error line shows goes through shown(): a rational
+past 2048 bits by its size, below any digit limit of str(); a str by its
+repr; a tuple, list or set entry by entry, a set sorted; anything else by
+str().  The text is cut at 40 characters.
 """
 
 from __future__ import annotations
@@ -26,8 +31,9 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 from math import comb
-from typing import Any, Iterable, Mapping, Sequence, Union
+from typing import Any, Iterable, Iterator, Mapping, Sequence, Union
 
 from .errors import (DegreeMismatch, DimensionMismatch, ParseError,
                      SingularMatrix, SizeLimit, ZeroMap)
@@ -57,32 +63,30 @@ _RATIONAL = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
 COMPOSE_TERM_LIMIT = 128
 
 
-def _bits(value: Any) -> int:
-    """The size of an int or Fraction, for an error line; 0 otherwise."""
+def _pieces(value: Any) -> Iterator[str]:
+    """shown(value) piece by piece, so a collection is read up to the cut."""
     if isinstance(value, (int, Fraction)):
-        return max(value.numerator.bit_length(),
-                   value.denominator.bit_length())
-    return 0
+        bits = max(map(int.bit_length, (value.numerator, value.denominator)))
+        yield f"a number of {bits} bits" if bits > 2048 else str(value)
+    elif isinstance(value, str):
+        yield repr(value)
+    elif isinstance(value, (tuple, list, set, frozenset)):
+        ends = ("()" if isinstance(value, tuple) else
+                "[]" if isinstance(value, list) else "{}")
+        yield ends[0]
+        for k, x in enumerate(sorted(value) if ends == "{}" else value):
+            if k:
+                yield ", "
+            yield from _pieces(x)
+        yield ",)" if ends == "()" and len(value) == 1 else ends[1]
+    else:
+        yield str(value)
 
 
-def _sized(value: Any, show=str) -> str:
-    """show(value) for an error line, as str() gives it, save that of a
-    rational past 2048 bits, below any digit limit that str() of an int
-    may have, only the size is given, also for an entry of a tuple."""
-    if isinstance(value, tuple):
-        inner = ", ".join(_sized(x, repr) for x in value)
-        return f"({inner},)" if len(value) == 1 else f"({inner})"
-    bits = _bits(value)
-    return f"a number of {bits} bits" if bits > 2048 else show(value)
-
-
-def _quote(value: Any) -> str:
-    """_sized(value) quoted for an error line, cut at 40 characters; a
-    size is not quoted."""
-    text = _sized(value)
-    if _bits(value) > 2048:
-        return text
-    return repr(text if len(text) <= 40 else text[:37] + "...")
+def shown(value: Any) -> str:
+    """value as an error line shows it (see the module docstring)."""
+    text = "".join(islice(_pieces(value), 41))  # no piece is empty
+    return text if len(text) <= 40 else text[:37] + "..."
 
 
 def parse_fraction(value: Any, where: str = "coeff") -> Fraction:
@@ -95,7 +99,7 @@ def parse_fraction(value: Any, where: str = "coeff") -> Fraction:
                 return Fraction(int(match[1]), int(match[2] or 1))
         except (ValueError, ZeroDivisionError) as exc:
             reason = str(exc)
-        raise ParseError(f"{where}: bad rational {_quote(value)}: {reason}")
+        raise ParseError(f"{where}: bad rational {shown(value)}: {reason}")
     if isinstance(value, int) and not isinstance(value, bool):
         return Fraction(value)
     if isinstance(value, Fraction):
@@ -109,7 +113,7 @@ def require_ints(what: str, values: Iterable) -> None:
     for x in values:
         if type(x) is not int:
             raise DegreeMismatch(f"{what} {type(x).__name__} "
-                                 f"{_quote(x)} is not an integer")
+                                 f"{shown(x)} is not an integer")
 
 
 def _sorted_terms(d: TermDict) -> tuple[tuple[MultiIndex, Fraction], ...]:
@@ -163,15 +167,15 @@ class HomogeneousPoly:
             require_ints("exponent entry", e)
             if len(e) != num_vars:
                 raise DimensionMismatch(
-                    f"exponent {_sized(e)} has length {len(e)}, "
+                    f"exponent {shown(e)} has length {len(e)}, "
                     f"expected {num_vars}")
             if any(x < 0 for x in e):
                 raise DegreeMismatch(
-                    f"exponent {_sized(e)} has a negative entry")
+                    f"exponent {shown(e)} has a negative entry")
             if sum(e) != degree:
                 raise DegreeMismatch(
-                    f"exponent {_sized(e)} has total degree {_sized(sum(e))}, "
-                    f"expected {_sized(degree)}")
+                    f"exponent {shown(e)} has total degree {shown(sum(e))}, "
+                    f"expected {shown(degree)}")
             c = parse_fraction(coeff)
             if e in acc:
                 c += acc.pop(e)
@@ -271,12 +275,12 @@ def make_map(n: int, m: int,
     """
     require_ints("n or m", (n, m))
     if n < 0:
-        raise DimensionMismatch(f"n must be >= 0, got {_sized(n)}")
+        raise DimensionMismatch(f"n must be >= 0, got {shown(n)}")
     if m < 1:
-        raise DegreeMismatch(f"degree must be >= 1, got {_sized(m)}")
+        raise DegreeMismatch(f"degree must be >= 1, got {shown(m)}")
     if len(coeffs) != n + 1:
         raise DimensionMismatch(
-            f"expected {_sized(n + 1)} components, got {len(coeffs)}")
+            f"expected {shown(n + 1)} components, got {len(coeffs)}")
     components = tuple(HomogeneousPoly.from_terms(m, n + 1, c) for c in coeffs)
     if all(f.is_zero() for f in components):
         raise ZeroMap("all components vanish")
@@ -345,7 +349,7 @@ def _check_composition_size(n: int, degree: int) -> None:
     """Raise SizeLimit when the forms of the given degree in n+1 variables
     have more than COMPOSE_TERM_LIMIT monomials."""
     if comb(degree + n, n) > COMPOSE_TERM_LIMIT:
-        raise SizeLimit(f"a composed map of degree at least {_sized(degree)}"
+        raise SizeLimit(f"a composed map of degree at least {shown(degree)}"
                         f" on P^{n} would have more than "
                         f"{COMPOSE_TERM_LIMIT} monomials")
 
@@ -373,14 +377,14 @@ def iterate(f: ProjectiveMap, k: int) -> ProjectiveMap:
     coefficients grow with k."""
     require_ints("iteration count", (k,))
     if k < 1:
-        raise DegreeMismatch(f"iteration count must be >= 1, got {_sized(k)}")
+        raise DegreeMismatch(f"iteration count must be >= 1, got {shown(k)}")
     if k > 1:
         # m^k > COMPOSE_TERM_LIMIT once m >= 2 and k reaches the limit's
         # bit length, so the capped power refuses a large k as m^k would.
         _check_composition_size(
             f.n, f.m ** min(k, COMPOSE_TERM_LIMIT.bit_length()))
     if k > COMPOSE_TERM_LIMIT:
-        raise SizeLimit(f"iterating {_sized(k)} times is above the "
+        raise SizeLimit(f"iterating {shown(k)} times is above the "
                         f"{COMPOSE_TERM_LIMIT} bound on the count")
     result = f
     for _ in range(k - 1):

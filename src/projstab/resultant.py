@@ -87,7 +87,7 @@ from math import comb, lcm, prod
 
 from . import ffield, linalg
 from .errors import SizeLimit, WrongDimension
-from .poly import Fraction as _F, MultiIndex, ProjectiveMap, _sized
+from .poly import Fraction as _F, MultiIndex, ProjectiveMap, shown
 from .weights import vertex_coverage
 
 # The default probe uses up to three of the largest primes up to this bound
@@ -177,8 +177,8 @@ def check_matrix_size(n: int, m: int) -> None:
     top = (n + 1) * (m - 1) + 1 + n
     # comb(top, n) >= top when 0 < n < top: a large n or m is refused early
     if n and top > MATRIX_SIZE_LIMIT or comb(top, n) > MATRIX_SIZE_LIMIT:
-        raise SizeLimit(f"critical-degree matrices of a degree-{_sized(m)} map"
-                        f" of P^{_sized(n)} would have more than "
+        raise SizeLimit(f"critical-degree matrices of a degree-{shown(m)} map"
+                        f" of P^{shown(n)} would have more than "
                         f"{MATRIX_SIZE_LIMIT} columns")
 
 
@@ -429,7 +429,7 @@ def default_probe_primes(n: int) -> tuple[int, ...]:
             and ffield.point_count(n, p) <= ffield.POINT_LIMIT][:3]
     if not fits:
         raise SizeLimit(f"no prime up to {_PROBE_PRIME_CEILING} has "
-                        f"P^{_sized(n)}(F_p) "
+                        f"P^{shown(n)}(F_p) "
                         f"within the {ffield.POINT_LIMIT} point bound")
     return tuple(sorted(fits))
 

@@ -39,7 +39,8 @@ from operator import mul, sub
 
 from . import linalg
 from .errors import DimensionMismatch, InvalidBlock, NotASolution, SizeLimit
-from .poly import HomogeneousPoly, MultiIndex, ProjectiveMap, _map_from_dicts
+from .poly import (HomogeneousPoly, MultiIndex, ProjectiveMap, _map_from_dicts,
+                   shown)
 from .resultant import ResultantValue, is_morphism, macaulay_resultant
 from .weights import OnePS, weight, weight_profile
 
@@ -159,13 +160,13 @@ def stabilizer_space(f: ProjectiveMap) -> StabilizerSpace:
 
 
 def _integer_solution(f: ProjectiveMap, sol: StabilizerSolution
-                      ) -> tuple[list[int], list[int], int] | None:
-    """(c', levels', scale) for a solution of the stabilizer system of f,
-    or None when a supported term fails <c',I> = level'_j.
+                      ) -> tuple[list[int], list[int], int]:
+    """(c', levels', scale) for a solution of the stabilizer system of f.
 
     scale is the lcm of every denominator of (c, b, C), c' = scale * c and
     level'_j = scale * (b_j + C), all integers.  Raises DimensionMismatch
-    unless c and b have one entry per variable.
+    unless c and b have one entry per variable, and NotASolution when a
+    supported term fails <c',I> = level'_j.
     """
     if len(sol.c) != f.num_vars or len(sol.b) != f.num_vars:
         raise DimensionMismatch(
@@ -175,10 +176,9 @@ def _integer_solution(f: ProjectiveMap, sol: StabilizerSolution
     c = [x.numerator * (scale // x.denominator) for x in sol.c]
     shift = sol.C.numerator * (scale // sol.C.denominator)
     levels = [x.numerator * (scale // x.denominator) + shift for x in sol.b]
-    for comp, level in zip(f.components, levels):
-        for e, _ in comp.terms:
-            if sum(map(mul, c, e)) != level:
-                return None
+    if any(sum(map(mul, c, e)) != level for comp, level
+           in zip(f.components, levels) for e, _ in comp.terms):
+        raise NotASolution("vector violates a support constraint of the map")
     return c, levels, scale
 
 
@@ -189,13 +189,9 @@ def hyperplane_partition(f: ProjectiveMap, sol: StabilizerSolution
     Works on the one integer scaling of the solution (_integer_solution):
     the classes are grouped and the multisets compared on the scaled
     levels, and Fractions are made only for the class keys it returns.
-    Raises DimensionMismatch, as _integer_solution does, and NotASolution
-    unless sol solves the stabilizer system of f.
+    Raises DimensionMismatch or NotASolution, as _integer_solution does.
     """
-    scaled = _integer_solution(f, sol)
-    if scaled is None:
-        raise NotASolution("vector violates a support constraint of the map")
-    c, levels, scale = scaled
+    c, levels, scale = _integer_solution(f, sol)
     classes: dict[int, list[int]] = {}
     for j, level in enumerate(levels):
         classes.setdefault(level, []).append(j)
@@ -249,13 +245,9 @@ def block_from_stabilizer(f: ProjectiveMap, sol: StabilizerSolution
     Takes the maximum M' of the vertex weights m*c_i; the components on the
     hyperplane b_j + C = M' are supported on the face spanned by the
     maximizing vertices.  Returns None for a trivial (constant-c) solution.
-    Raises DimensionMismatch, as _integer_solution does, and NotASolution
-    unless sol solves the stabilizer system of f.
+    Raises DimensionMismatch or NotASolution, as _integer_solution does.
     """
-    scaled = _integer_solution(f, sol)
-    if scaled is None:
-        raise NotASolution("vector violates a support constraint of the map")
-    c, levels, _ = scaled
+    c, levels, _ = _integer_solution(f, sol)
     if len(set(c)) <= 1:
         return None
     top = max(c)
@@ -271,7 +263,7 @@ def validate_block(f: ProjectiveMap, block: BlockStructure) -> None:
     j that fails is named)."""
     nv = f.num_vars
     if not block.variables or len(block.variables) >= nv:
-        raise InvalidBlock(f"V' = {sorted(block.variables)} is not a proper "
+        raise InvalidBlock(f"V' = {shown(block.variables)} is not a proper "
                            f"nonempty subset of 0..{nv - 1}")
     if len(block.variables) != len(block.components):
         raise InvalidBlock("|V'| and |H'| differ")
@@ -279,7 +271,8 @@ def validate_block(f: ProjectiveMap, block: BlockStructure) -> None:
         raise InvalidBlock("index out of range")
     for j in sorted(block.components):
         if not _variables(f.components[j]) <= block.variables:
-            raise InvalidBlock(f"component {j} uses a variable outside V'")
+            raise InvalidBlock(f"component {shown(j)} uses a variable "
+                               "outside V'")
 
 
 def block_to_1ps(block: BlockStructure, f: ProjectiveMap) -> OnePS:

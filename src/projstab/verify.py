@@ -20,6 +20,7 @@ enumeration order.  All sampling is driven by an explicit seed.
 from __future__ import annotations
 
 import time
+from collections import Counter
 from dataclasses import dataclass, field
 from itertools import product
 from random import Random
@@ -28,8 +29,8 @@ from typing import Iterator, Sequence
 from .decompose import split_once
 from .documents import map_to_document
 from .errors import BudgetExceeded, InvalidBox, ZeroMap
-from .poly import (ProjectiveMap, _sized, make_map, parse_fraction,
-                   require_ints)
+from .poly import (ProjectiveMap, make_map, parse_fraction, require_ints,
+                   shown)
 from .resultant import check_matrix_size, is_morphism, monomials_of_degree
 from .stability import (detect_blocks, block_to_1ps, hyperplane_partition,
                         limit_map, stabilizer_space)
@@ -182,25 +183,24 @@ def run_verification_suite(n: int, m: int, coeffs: Sequence,
                  (n, m) if sample is None else (n, m, sample))
     coeffs = tuple(parse_fraction(c, "coeffs") for c in coeffs)
     if n < 0:
-        raise InvalidBox(f"n must be >= 0, got {_sized(n)}")
+        raise InvalidBox(f"n must be >= 0, got {shown(n)}")
     if m < 1:
-        raise InvalidBox(f"degree must be >= 1, got {_sized(m)}")
+        raise InvalidBox(f"degree must be >= 1, got {shown(m)}")
     if sample is not None and sample < 0:
-        raise InvalidBox(f"sample size must be >= 0, got {_sized(sample)}")
+        raise InvalidBox(f"sample size must be >= 0, got {shown(sample)}")
     if not any(coeffs):
-        raise InvalidBox("the coefficient set needs a nonzero entry, "
-                         f"got {[_sized(c) for c in coeffs]}")
-    if len(set(coeffs)) < len(coeffs):
-        raise InvalidBox("the coefficient set names a value twice, "
-                         f"got {[_sized(c) for c in coeffs]}")
+        raise InvalidBox("the coefficient set needs a nonzero entry")
+    twice = [c for c, k in Counter(coeffs).items() if k > 1]
+    if twice:
+        raise InvalidBox(f"the coefficient set names {shown(twice[0])} twice")
     check_matrix_size(n, m)
     total = count_candidates(n, m, coeffs)
     if sample is None and total > DEFAULT_BUDGET:
         raise BudgetExceeded(
-            f"box holds {_sized(total)} candidates, above the budget of "
+            f"box holds {shown(total)} candidates, above the budget of "
             f"{DEFAULT_BUDGET}; pass a sample size")
     if sample is not None and sample > DEFAULT_BUDGET:
-        raise BudgetExceeded(f"sample size {_sized(sample)} is above the "
+        raise BudgetExceeded(f"sample size {shown(sample)} is above the "
                              f"budget of {DEFAULT_BUDGET}")
     mode = "exhaustive" if sample is None else "sample"
     report = VerificationReport(n, m, coeffs, mode, seed,

@@ -2,6 +2,7 @@
 
 from fractions import Fraction as F
 from random import Random
+from time import perf_counter
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -120,6 +121,25 @@ class TestDecomposeFully:
         with pytest.raises(NotAMorphism):
             splitting_types_all_blocks(
                 make_map(1, 3, [[((3, 0), 1)], [((2, 1), 1)]]))
+
+    def test_all_blocks_walks_each_piece_once(self):
+        # Every proper subset is a block of the coordinate map of P^7.  A
+        # walk that split each piece again for every path reaching it took
+        # 12.5 s at n = 6 and over 120 s at n = 7 on a 2-core Xeon VM.
+        f = make_map(7, 1, [[(tuple(int(i == j) for i in range(8)), 1)]
+                            for j in range(8)])
+        start = perf_counter()
+        assert splitting_types_all_blocks(f) == {(1,) * 8}
+        assert perf_counter() - start < 1
+
+    def test_all_blocks_walk_is_bounded(self):
+        # Every piece of x_j -> (j+1)*x_j is distinct, so at n = 10 the
+        # walk would scan 3^11 subsets; it stops once past the bound (3.7 s
+        # on a 2-core Xeon VM under CPython 3.11).
+        f = make_map(10, 1, [[(tuple(int(i == j) for i in range(11)), j + 1)]
+                             for j in range(11)])
+        with pytest.raises(SizeLimit, match="all-blocks walk"):
+            splitting_types_all_blocks(f)
 
 
 class TestVerifyPreimage:

@@ -6,13 +6,15 @@ from time import perf_counter
 
 import pytest
 
-from projstab import (BudgetExceeded, DegreeMismatch, DimensionMismatch,
-                      InvalidBox, ParseError, SingularMatrix, SizeLimit,
-                      ZeroMap, apply_linear_change, compose,
-                      default_probe_primes, evaluate, iterate, loads_map,
-                      make_linear_change, make_map, run_verification_suite)
+from projstab import (BlockStructure, BudgetExceeded, DegreeMismatch,
+                      DimensionMismatch, InvalidBlock, InvalidBox, ParseError,
+                      SingularMatrix, SizeLimit, ZeroMap, apply_linear_change,
+                      compose, default_probe_primes, evaluate, iterate,
+                      loads_map, make_linear_change, make_map,
+                      run_verification_suite)
 from projstab.poly import COMPOSE_TERM_LIMIT
 from projstab.resultant import check_matrix_size
+from projstab.stability import validate_block
 from projstab.linalg import mat_inverse
 from helpers import mat_mul, mat_vec, random_invertible, random_map
 
@@ -272,17 +274,23 @@ LINEAR = make_map(1, 1, [[((1, 0), 1)], [((0, 1), 1)]])
     (lambda: run_verification_suite(1, 1, [BIG, BIG]), InvalidBox),
     (lambda: default_probe_primes(10 ** 6), SizeLimit),
     (lambda: default_probe_primes(BIG), SizeLimit),
+    (lambda: validate_block(LINEAR, BlockStructure(
+        frozenset({0, BIG}), frozenset({0}), "x")), InvalidBlock),
+    (lambda: validate_block(LINEAR, BlockStructure(
+        frozenset(range(10 ** 5)), frozenset({0}), "x")), InvalidBlock),
 ], ids=["matrix-size-n", "matrix-size-m", "compose-degree", "iterate-count",
         "iterate-negative-count", "make-map-negative-n", "make-map-n",
         "make-map-negative-m", "exponent-length", "exponent-negative-entry",
         "exponent-total-degree", "exponent-expected-degree",
         "verify-negative-n", "verify-negative-m", "verify-n", "verify-m",
         "verify-negative-sample", "verify-sample", "verify-repeated-coeff",
-        "probe-primes-million", "probe-primes-big"])
+        "probe-primes-million", "probe-primes-big", "block-huge-variable",
+        "block-100000-variables"])
 def test_huge_values_raise_their_own_error_at_once(call, error):
     # Each error line gives the size of a number past 2048 bits, so none
-    # raises ValueError from str(); default_probe_primes forms no p^(n+1)
-    # once P^n(F_2) alone is past the point bound.
+    # raises ValueError from str(), and cuts each value at 40 characters;
+    # default_probe_primes forms no p^(n+1) once P^n(F_2) alone is past
+    # the point bound.
     start = perf_counter()
     with pytest.raises(error) as info:
         call()
