@@ -333,6 +333,11 @@ class TestCLI:
                       "--override-budget"])
         assert exc.value.code == 2
 
+    def test_analyze_rejects_oversized_probe(self, tmp_path, capsys):
+        good = write_doc(tmp_path, CUBE)
+        assert cli.main(["analyze", good, "--probe-primes", "1000003"]) == 1
+        assert "points" in capsys.readouterr().err
+
     def test_analyze_default_probe_primes_fit_the_dimension(self, tmp_path,
                                                              capsys):
         # P^3(F_101) is above the point bound, so n = 3 probes 83, 89, 97.
@@ -375,6 +380,10 @@ class TestCLI:
         assert cli.main(["limit", path, "--c", c, "--b", b]) == 0
         assert capsys.readouterr().out == plain
 
+    def test_limit_dimension_error(self, tmp_path):
+        path = write_doc(tmp_path, TRI)
+        assert cli.main(["limit", path, "--c", "0,1,2", "--b", "0,0"]) == 1
+
     def test_decompose_command(self, tmp_path, capsys):
         path = write_doc(tmp_path, TRI)
         assert cli.main(["decompose", path, "--all-blocks"]) == 0
@@ -399,6 +408,11 @@ class TestCLI:
         out = json.loads(capsys.readouterr().out)
         assert out["zero_failures"] is True
         assert out["morphisms"] == 28
+
+    def test_verify_budget_guard(self, capsys):
+        # values starting with '-' need the --flag=value form
+        assert cli.main(["verify", "--n", "2", "--m", "3",
+                         "--coeffs=-1,0,1"]) == 1
 
     @pytest.mark.parametrize("argv, prefix", INPUT_ERRORS.values(),
                              ids=INPUT_ERRORS.keys())
@@ -509,6 +523,11 @@ class TestCLI:
         assert data["simplex_vertices"] == [[2, 0, 0], [0, 2, 0], [0, 0, 2]]
         assert data["supports"][0] == [[2, 0, 0]]
         assert len(data["hyperplanes"]["classes"]) >= 1
+
+    def test_figure_wrong_dimension(self, tmp_path):
+        path = write_doc(tmp_path, CUBE)
+        assert cli.main(["figure", path, "--out",
+                         str(tmp_path / "fig.json")]) == 1
 
     def test_figure_without_nontrivial_stabilizer(self, tmp_path, capsys):
         f = make_map(2, 2, [[((2, 0, 0), 1), ((0, 2, 0), 1), ((0, 0, 2), 1)],
