@@ -4,13 +4,15 @@ Each argv comes from tests/data alone: `analyze <name>.map.json --json`
 for analyze/<name>.report.json, with `--probe-primes` set to the primes
 of its own `probes` for <name>.probed.report.json; for verify/*.report.json,
 `verify` with --n, --m, --coeffs, --sample and --seed from its `box`,
-`candidates` and `seed`.  check() drops `timing` and compares the rest,
-and the exit code, with the golden.  As a script, with the standard
-library and the installed package alone,
+`candidates` and `seed`; `decompose <name>.map.json --all-blocks` for
+decompose/<name>.report.json.  check() drops the `timing` of an analyze or
+verify report and compares the rest, and the exit code, with the golden; a
+decompose report has no `timing` and exits 0.  As a script, with the
+standard library and the installed package alone,
 
     python tests/goldens.py <console script>
 
-runs every case through that executable and exits 1 unless all 15 match.
+runs every case through that executable and exits 1 unless all 17 match.
 """
 
 import json
@@ -22,8 +24,10 @@ from typing import NamedTuple
 from projstab.documents import dumps_canonical
 
 DATA = Path(__file__).resolve().parent / "data"
-GOLDENS = 15  # 8 analyze reports, 6 of them also probed, 1 verify report
-# The field that decides each command's exit code, and the code when false.
+# 8 analyze reports, 6 of them also probed, 1 verify report, 2 decompose
+GOLDENS = 17
+# The field that decides a timed command's exit code, and the code when
+# false.  A decompose report is untimed and exits 0.
 _VERDICT = {"analyze": ("is_morphism", 2), "verify": ("zero_failures", 5)}
 
 
@@ -49,19 +53,27 @@ def cases() -> list[Case]:
             "verify", "--n", str(box["n"]), "--m", str(box["m"]),
             "--coeffs=" + ",".join(box["coeffs"]), "--sample",
             str(report["candidates"]), "--seed", str(report["seed"])]))
+    for golden in sorted(DATA.glob("decompose/*.report.json")):
+        doc = golden.with_name(golden.name.split(".")[0] + ".map.json")
+        found.append(Case(golden, ["decompose", str(doc), "--all-blocks"]))
     return found
 
 
 def check(case: Case, code: int, out: str) -> str | None:
     """None when a run's exit code and standard output match its golden,
     else one line naming the golden."""
+    timed = case.argv[0] in _VERDICT
     try:
         report = json.loads(out)
-        del report["timing"]
+        if timed:
+            del report["timing"]
     except (ValueError, KeyError, TypeError):
-        return f"{case.golden}: exit code {code}, no JSON report with timing"
-    field, failed = _VERDICT[case.argv[0]]
-    expected = 0 if report.get(field) else failed
+        return (f"{case.golden}: exit code {code}, no JSON report"
+                + " with timing" * timed)
+    expected = 0
+    if timed:
+        field, failed = _VERDICT[case.argv[0]]
+        expected = 0 if report.get(field) else failed
     if code != expected:
         return f"{case.golden}: exit code {code}, expected {expected}"
     if dumps_canonical(report) != case.golden.read_text(encoding="utf-8"):

@@ -549,13 +549,17 @@ class TestCLI:
 
 
 @pytest.mark.parametrize("case", goldens.cases(), ids=lambda case:
-                         case.golden.name.removesuffix(".report.json"))
+                         "decompose-" * (case.argv[0] == "decompose")
+                         + case.golden.name.removesuffix(".report.json"))
 def test_analyze_json_matches_golden(case, capsys):
     # Every golden through cli.main: a speed-up that changes a byte of a
     # canonical report fails here.  The analyze maps: n = 1 with rational
     # coefficients; (2,2) with and without a zero pure power; a (2,3) map
     # with a singular Macaulay block; two (3,3) maps whose pure powers need
     # a matching; a non-morphism; a triangular map with blocks.  Each probe
-    # list holds a prime at which the probe finds zeros.
+    # list holds a prime at which the probe finds zeros.  The decompose
+    # maps, with --all-blocks: that triangular map, and (x0^2, x1^2,
+    # x2^2 + x0*x2), whose blocks {0}, {1}, {0,1}, {0,2} hold incomparable
+    # pairs.
     code = cli.main(case.argv)
     assert goldens.check(case, code, capsys.readouterr().out) is None
