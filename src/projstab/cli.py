@@ -194,7 +194,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("decompose", help="recursive block splitting")
     p.add_argument("file")
     p.add_argument("--all-blocks", action="store_true",
-                   help="also report splitting types over every block choice")
+                   help="also report the splitting types over every block "
+                        "choice: one type, as every choice gives the same")
     p.set_defaults(func=cmd_decompose)
 
     p = sub.add_parser("verify", help="law-verification suite over a box")
@@ -226,8 +227,15 @@ def main(argv=None) -> int:
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    except (ProjstabError, OSError) as exc:
+    except ProjstabError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_PARSE
+    except OSError as exc:
+        # Not str(exc), which holds the whole file name.
+        detail = exc.strerror or shown(exc)
+        if exc.strerror and exc.filename is not None:
+            detail += f": {shown(exc.filename)}"
+        print(f"error: {detail}", file=sys.stderr)
         return EXIT_PARSE
 
 

@@ -15,6 +15,29 @@ split_morphisms law and by a property test against the direct resultant.
 The splitting recurses until every leaf either has a single variable or
 admits no block.  The multiset of leaf ranks is the splitting type.
 
+A morphism has one splitting type, whichever block is split at each level,
+so splitting_types_all_blocks reads it off decompose_fully.  Write
+H(V) = {j : vars(f_j) in V} and g(V) = |H(V)|, with &, | and - on sets as
+in Python; the blocks are the (V', H(V')) with V' nonempty, proper and
+tight, g(V') = |V'|.  Let f be a morphism.
+
+- g(V) <= |V|: otherwise the g(V) components in H(V) vanish on {x_V = 0},
+  a P^(n-|V|), and the n+1-g(V) <= n-|V| others have a common zero there.
+- g is supermodular, as H(A) & H(B) = H(A & B) and H(A) | H(B) lies in
+  H(A | B).  So for blocks A and B, g(A & B) + g(A | B) >= |A| + |B|, and
+  by the first point A & B and A | B are tight: blocks whenever nonempty
+  and proper.  Counting then gives H(A) | H(B) = H(A | B).
+- Splitting along A first or along B first reaches the same four pieces:
+  Q(A & B); the H(A) - H(B) components on A - B, with x_(A&B) = 0; the
+  H(B) - H(A) components on B - A, with x_(A&B) = 0; and R(A | B).  Along
+  A, the first two split Q(A) along A & B.  The last two split R(A) along
+  B - A, which is tight there by the first point: the |B - A| components
+  of H(B) - H(A) use only B - A.  Along B likewise.  A piece with no
+  variables drops out, which covers nested and disjoint A and B.
+- The pieces of a morphism are morphisms, so by induction on the number of
+  variables each of the four has one type, and the types through A and
+  through B are both their sum.
+
 The preimage identity f^-1{y_H' = 0} = {x_V' = 0} over a prime field is a
 question about the quotient piece alone: it holds exactly when Q has no
 zero there, so verify_preimage decides it with ffield.common_zeros_mod_p.
@@ -25,11 +48,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import ffield
-from .errors import NotAMorphism, SizeLimit
+from .errors import NotAMorphism
 from .poly import Fraction, MultiIndex, ProjectiveMap, _map_from_dicts
 from .resultant import is_morphism
-from .stability import (SUBSET_SCAN_LIMIT, BlockStructure, detect_blocks,
-                        validate_block)
+from .stability import BlockStructure, detect_blocks, validate_block
 
 
 @dataclass(frozen=True)
@@ -127,39 +149,12 @@ def _decompose(f: ProjectiveMap) -> DecompositionTree:
 def splitting_types_all_blocks(f: ProjectiveMap) -> set[tuple[int, ...]]:
     """Splitting types of a morphism over every block choice at every level.
 
-    Exhaustive-mode companion to decompose_fully for small ranks, used to
-    compare the canonical choice against all others.  Each distinct piece
-    is walked once, however many paths reach it.  Raises NotAMorphism after
-    one certificate on f; the pieces inherit it.  Raises SizeLimit before
-    the block scans of the walk visit more than SUBSET_SCAN_LIMIT subsets
-    in all.
+    Every choice gives the type of decompose_fully (see the module
+    docstring), so the set has that one type.  Raises NotAMorphism first,
+    after one certificate on f, and SizeLimit only from is_morphism or
+    detect_blocks.
     """
-    if not is_morphism(f):
-        raise NotAMorphism("cannot decompose a non-morphism")
-    memo: dict[ProjectiveMap, set[tuple[int, ...]]] = {}
-    scanned = 0
-
-    def walk(g: ProjectiveMap) -> set[tuple[int, ...]]:
-        nonlocal scanned
-        if g.num_vars == 1:
-            return {(1,)}
-        if g in memo:
-            return memo[g]
-        scanned += 2 ** g.num_vars
-        if scanned > SUBSET_SCAN_LIMIT:
-            raise SizeLimit(f"the block scans of an all-blocks walk would "
-                            f"visit more than {SUBSET_SCAN_LIMIT} subsets")
-        blocks = detect_blocks(g)
-        types = set() if blocks else {(g.num_vars,)}
-        for block in blocks:
-            pair = split_once(g, block)
-            for rt in walk(pair.restriction):
-                for qt in walk(pair.quotient):
-                    types.add(tuple(sorted(rt + qt)))
-        memo[g] = types
-        return types
-
-    return walk(f)
+    return {decompose_fully(f).splitting_type()}
 
 
 def verify_preimage(f: ProjectiveMap, block: BlockStructure, prime: int

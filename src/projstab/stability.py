@@ -40,7 +40,7 @@ from operator import mul, sub
 from . import linalg
 from .errors import DimensionMismatch, InvalidBlock, NotASolution, SizeLimit
 from .poly import (HomogeneousPoly, MultiIndex, ProjectiveMap, _map_from_dicts,
-                   shown)
+                   require_ints, shown)
 from .resultant import ResultantValue, is_morphism, macaulay_resultant
 from .weights import OnePS, weight, weight_profile
 
@@ -260,13 +260,18 @@ def block_from_stabilizer(f: ProjectiveMap, sol: StabilizerSolution
 def validate_block(f: ProjectiveMap, block: BlockStructure) -> None:
     """InvalidBlock unless V' is proper and nonempty, |H'| = |V'|, every
     index is in range and vars(f_j) lies in V' for each j in H' (the least
-    j that fails is named)."""
+    j that fails is named).  DegreeMismatch, before the range test, for an
+    index that is not an int; the one named is least by type name, then
+    by how it is shown, so it does not depend on the hash seed."""
     nv = f.num_vars
     if not block.variables or len(block.variables) >= nv:
         raise InvalidBlock(f"V' = {shown(block.variables)} is not a proper "
                            f"nonempty subset of 0..{nv - 1}")
     if len(block.variables) != len(block.components):
         raise InvalidBlock("|V'| and |H'| differ")
+    require_ints("block index", sorted(
+        (i for i in block.variables | block.components if type(i) is not int),
+        key=lambda i: (type(i).__name__, shown(i))))
     if any(i < 0 or i >= nv for i in block.variables | block.components):
         raise InvalidBlock("index out of range")
     for j in sorted(block.components):

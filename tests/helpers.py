@@ -5,8 +5,10 @@ from itertools import combinations, product
 from math import lcm
 from random import Random
 
-from projstab import ZeroMap, make_map
+from projstab import (NotAMorphism, ProjectiveMap, SizeLimit, ZeroMap,
+                      detect_blocks, is_morphism, make_map, split_once)
 from projstab.resultant import monomials_of_degree
+from projstab.stability import SUBSET_SCAN_LIMIT
 
 DEFAULT_COEFFS = tuple(Fraction(k) for k in (-2, -1, 0, 1, 2))
 
@@ -46,6 +48,63 @@ def random_triangular_map(rng: Random, n: int, m: int, coeffs=DEFAULT_COEFFS):
                     terms[e] = c
         comps.append(list(terms.items()))
     return make_map(n, m, comps)
+
+
+def permuted(rng: Random, f):
+    """f with its variables and its components each permuted at random."""
+    nv = f.num_vars
+    to = rng.sample(range(nv), nv)
+    return make_map(f.n, f.m, [
+        [(tuple(e[to[i]] for i in range(nv)), c) for e, c in comp.terms]
+        for comp in rng.sample(f.components, nv)])
+
+
+def direct_sum(f, g):
+    """(f(x), g(y)) on the variables of f followed by those of g."""
+    zf, zg = (0,) * f.num_vars, (0,) * g.num_vars
+    return make_map(f.num_vars + g.num_vars - 1, f.m,
+                    [[(e + zg, c) for e, c in comp.terms]
+                     for comp in f.components]
+                    + [[(zf + e, c) for e, c in comp.terms]
+                       for comp in g.components])
+
+
+def reference_splitting_types_all_blocks(f: ProjectiveMap
+                                         ) -> set[tuple[int, ...]]:
+    """Splitting types of a morphism over every block choice at every level.
+
+    The exhaustive reference for decompose.splitting_types_all_blocks: it
+    splits every block of every distinct piece.  Raises NotAMorphism after
+    one certificate on f; the pieces inherit it.  Raises SizeLimit before
+    the block scans of the walk visit more than SUBSET_SCAN_LIMIT subsets
+    in all.
+    """
+    if not is_morphism(f):
+        raise NotAMorphism("cannot decompose a non-morphism")
+    memo: dict[ProjectiveMap, set[tuple[int, ...]]] = {}
+    scanned = 0
+
+    def walk(g: ProjectiveMap) -> set[tuple[int, ...]]:
+        nonlocal scanned
+        if g.num_vars == 1:
+            return {(1,)}
+        if g in memo:
+            return memo[g]
+        scanned += 2 ** g.num_vars
+        if scanned > SUBSET_SCAN_LIMIT:
+            raise SizeLimit(f"the block scans of an all-blocks walk would "
+                            f"visit more than {SUBSET_SCAN_LIMIT} subsets")
+        blocks = detect_blocks(g)
+        types = set() if blocks else {(g.num_vars,)}
+        for block in blocks:
+            pair = split_once(g, block)
+            for rt in walk(pair.restriction):
+                for qt in walk(pair.quotient):
+                    types.add(tuple(sorted(rt + qt)))
+        memo[g] = types
+        return types
+
+    return walk(f)
 
 
 def mat_mul(a, b):

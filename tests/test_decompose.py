@@ -14,7 +14,8 @@ from projstab import (BadPrime, NotAMorphism, SizeLimit, ZeroMap,
 from projstab.linalg import permutation_sign
 from projstab.resultant import monomials_of_degree
 from projstab.verify import enumerate_maps
-from helpers import random_triangular_map
+from helpers import (direct_sum, permuted, random_triangular_map,
+                     reference_splitting_types_all_blocks)
 
 TRI = make_map(1, 3, [[((3, 0), 1)], [((0, 3), 1), ((1, 2), 1)]])
 FERMAT = make_map(1, 3, [[((3, 0), 1), ((0, 3), 1)], [((2, 1), 1)]])
@@ -123,9 +124,10 @@ class TestDecomposeFully:
                 make_map(1, 3, [[((3, 0), 1)], [((2, 1), 1)]]))
 
     def test_all_blocks_walks_each_piece_once(self):
-        # Every proper subset is a block of the coordinate map of P^7.  A
-        # walk that split each piece again for every path reaching it took
-        # 12.5 s at n = 6 and over 120 s at n = 7 on a 2-core Xeon VM.
+        # Every proper subset is a block of the coordinate map of P^7, so a
+        # walk over every block choice splits each piece along many paths.
+        # Every choice gives one type, and decompose_fully's one path
+        # answers for all of them.
         f = make_map(7, 1, [[(tuple(int(i == j) for i in range(8)), 1)]
                             for j in range(8)])
         start = perf_counter()
@@ -133,13 +135,38 @@ class TestDecomposeFully:
         assert perf_counter() - start < 1
 
     def test_all_blocks_walk_is_bounded(self):
-        # Every piece of x_j -> (j+1)*x_j is distinct, so at n = 10 the
-        # walk would scan 3^11 subsets; it stops once past the bound (3.7 s
-        # on a 2-core Xeon VM under CPython 3.11).
+        # Every piece of x_j -> (j+1)*x_j is distinct, so at n = 10 an
+        # exhaustive walk would scan 3^11 subsets; the one path of
+        # decompose_fully takes 0.04 s on a 2-core Xeon VM under CPython
+        # 3.11.
         f = make_map(10, 1, [[(tuple(int(i == j) for i in range(11)), j + 1)]
                              for j in range(11)])
-        with pytest.raises(SizeLimit, match="all-blocks walk"):
-            splitting_types_all_blocks(f)
+        start = perf_counter()
+        assert splitting_types_all_blocks(f) == {(1,) * 11}
+        assert perf_counter() - start < 1
+
+    def test_all_blocks_matches_the_exhaustive_walk(self):
+        # The module docstring proves that every block choice gives one
+        # type.  The exhaustive walk checks it on permuted sparse triangular
+        # maps and direct sums of two.  Of these 150 maps, 131 have two or
+        # more blocks, 101 a disjoint pair and 71 a crossing pair.
+        rng = Random(337)
+        sparse = tuple(F(k) for k in (0, 0, 0, 1, -1, 2))
+        several = 0
+        for _ in range(150):
+            n, m = rng.choice(((1, 1), (2, 1), (3, 1), (4, 1), (1, 2), (2, 2),
+                               (3, 2), (4, 2), (1, 3), (2, 3), (3, 3)))
+            if rng.random() < 0.5:
+                k = rng.randrange(n)
+                f = direct_sum(random_triangular_map(rng, k, m, sparse),
+                               random_triangular_map(rng, n - 1 - k, m, sparse))
+            else:
+                f = random_triangular_map(rng, n, m, sparse)
+            f = permuted(rng, f)
+            several += len(detect_blocks(f)) >= 2
+            assert (splitting_types_all_blocks(f)
+                    == reference_splitting_types_all_blocks(f))
+        assert several >= 100
 
 
 class TestVerifyPreimage:

@@ -62,6 +62,9 @@ def write_doc(tmp_path, f, name="map.json"):
 INPUT_ERRORS = {
     "missing-file": (["analyze", "{missing}"], "error: "),
     "analyze-directory": (["analyze", "{dir}"], "error: "),
+    # An OSError shows its file name cut, not whole.
+    "analyze-5000-character-name": (["analyze", "{dir}/" + "x" * 5000],
+                                    "error: File name too long: '"),
     "endless-document": (["analyze", "/dev/zero"],
                          "parse error: '/dev/zero' is larger than"),
     # A valid map padded with whitespace to one byte past the bound.
@@ -127,6 +130,9 @@ INPUT_ERRORS = {
     "figure-not-n2": (["figure", "{cube}", "--out", "{out}"],
                       "error: figure data is defined for n = 2"),
     "figure-out-directory": (["figure", "{n2}", "--out", "{dir}"], "error: "),
+    "figure-out-3000-character-path": (
+        ["figure", "{n2}", "--out", "{dir}/" + "y" * 3000],
+        "error: File name too long: '"),
     "limit-weight-length": (["limit", "{tri}", "--c", "0,1,2", "--b", "0,0"],
                             "error: weight vectors have lengths 3 and 2"),
     "limit-weights-longer-than-map": (

@@ -8,9 +8,9 @@ import pytest
 import sympy
 from hypothesis import assume, given, settings, strategies as st
 
-from projstab import (DimensionMismatch, InvalidBlock, NotASolution, OnePS,
-                      SizeLimit, StabilizerSolution, ZeroMap,
-                      block_from_stabilizer, block_to_1ps, classify,
+from projstab import (DegreeMismatch, DimensionMismatch, InvalidBlock,
+                      NotASolution, OnePS, SizeLimit, StabilizerSolution,
+                      ZeroMap, block_from_stabilizer, block_to_1ps, classify,
                       detect_blocks, hyperplane_partition, is_morphism,
                       limit_map, make_map, stabilizer_space, weight_profile)
 from projstab import linalg
@@ -365,6 +365,24 @@ class TestDetectBlocks:
                         validate_block(f, block)
                 else:
                     validate_block(f, block)
+
+    @pytest.mark.parametrize("variables, components, named", [
+        ({0, "a"}, {0, 1}, "str 'a'"),
+        ({0, 1.5}, {0, 1}, "float 1.5"),
+        ({0, True}, {0, 1}, "bool True"),
+        ({0, 1}, {0, 2.0}, "float 2.0"),
+        # A str hashes differently in each process; 'a' is named every time.
+        ({"b", "a"}, {0, 1}, "str 'a'"),
+    ], ids=["str", "float", "bool", "float-component", "two-strs"])
+    def test_validate_block_names_a_non_integer_index(self, variables,
+                                                     components, named):
+        # The range test's '<' raises TypeError on a str, and 1.5 passes
+        # it, so the integer rule runs first.
+        block = BlockStructure(frozenset(variables), frozenset(components),
+                               "SupportCombinatorics")
+        with pytest.raises(DegreeMismatch) as info:
+            validate_block(N2, block)
+        assert str(info.value) == f"block index {named} is not an integer"
 
     def test_obstruction_means_non_morphism(self):
         rng = Random(211)
