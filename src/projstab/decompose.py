@@ -24,9 +24,10 @@ tight, g(V') = |V'|.  Let f be a morphism.
 - g(V) <= |V|: otherwise the g(V) components in H(V) vanish on {x_V = 0},
   a P^(n-|V|), and the n+1-g(V) <= n-|V| others have a common zero there.
 - g is supermodular, as H(A) & H(B) = H(A & B) and H(A) | H(B) lies in
-  H(A | B).  So for blocks A and B, g(A & B) + g(A | B) >= |A| + |B|, and
-  by the first point A & B and A | B are tight: blocks whenever nonempty
-  and proper.  Counting then gives H(A) | H(B) = H(A | B).
+  H(A | B).  So for blocks A and B, g(A & B) + g(A | B) >= |A| + |B| =
+  |A & B| + |A | B|, and by the first point A & B and A | B are tight:
+  blocks whenever nonempty and proper.  Counting then gives
+  H(A) | H(B) = H(A | B).
 - Splitting along A first or along B first reaches the same four pieces:
   Q(A & B); the H(A) - H(B) components on A - B, with x_(A&B) = 0; the
   H(B) - H(A) components on B - A, with x_(A&B) = 0; and R(A | B).  Along

@@ -68,8 +68,8 @@ def check(case: Case, code: int, out: str) -> str | None:
         if timed:
             del report["timing"]
     except (ValueError, KeyError, TypeError):
-        return (f"{case.golden}: exit code {code}, no JSON report"
-                + " with timing" * timed)
+        return f"{case.golden}: exit code {code}, no JSON report" + (
+            " with timing" if timed else "")
     expected = 0
     if timed:
         field, failed = _VERDICT[case.argv[0]]

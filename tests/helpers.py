@@ -50,6 +50,32 @@ def random_triangular_map(rng: Random, n: int, m: int, coeffs=DEFAULT_COEFFS):
     return make_map(n, m, comps)
 
 
+def random_block_triangular_map(rng: Random, sizes, m: int,
+                                coeffs=DEFAULT_COEFFS):
+    """Variables and components in consecutive groups of the given sizes.
+
+    A component of group t uses the variables of groups 0..t and always
+    carries its own x_j^m; every other coefficient is drawn from coeffs.
+    With groups of size 1 the map is triangular, and so a morphism; a
+    larger group is a morphism exactly when its own block is.
+    """
+    nv = sum(sizes)
+    group = [t for t, size in enumerate(sizes) for _ in range(size)]
+    nonzero = [c for c in coeffs if c]
+    comps = []
+    for j in range(nv):
+        pure = tuple(m if i == j else 0 for i in range(nv))
+        terms = {pure: rng.choice(nonzero)}
+        for e in monomials_of_degree(nv, m):
+            if e != pure and all(group[i] <= group[j]
+                                 for i, k in enumerate(e) if k):
+                c = rng.choice(coeffs)
+                if c:
+                    terms[e] = c
+        comps.append(list(terms.items()))
+    return make_map(nv - 1, m, comps)
+
+
 def permuted(rng: Random, f):
     """f with its variables and its components each permuted at random."""
     nv = f.num_vars

@@ -14,7 +14,8 @@ from projstab import (BadPrime, NotAMorphism, SizeLimit, ZeroMap,
 from projstab.linalg import permutation_sign
 from projstab.resultant import monomials_of_degree
 from projstab.verify import enumerate_maps
-from helpers import (direct_sum, permuted, random_triangular_map,
+from helpers import (direct_sum, permuted, random_block_triangular_map,
+                     random_triangular_map,
                      reference_splitting_types_all_blocks)
 
 TRI = make_map(1, 3, [[((3, 0), 1)], [((0, 3), 1), ((1, 2), 1)]])
@@ -147,25 +148,43 @@ class TestDecomposeFully:
 
     def test_all_blocks_matches_the_exhaustive_walk(self):
         # The module docstring proves that every block choice gives one
-        # type.  The exhaustive walk checks it on permuted sparse triangular
-        # maps and direct sums of two.  Of these 150 maps, 131 have two or
-        # more blocks, 101 a disjoint pair and 71 a crossing pair.
+        # type.  The exhaustive walk checks it on block-triangular maps in
+        # groups of 1 to 3 variables, and on direct sums of two, each under
+        # random permutations of its variables and of its components.  Of
+        # these 160 maps, 147 are morphisms, 113 of them with two or more
+        # blocks and 51 of those with a leaf of rank 2 or more; 92 have a
+        # disjoint pair of blocks and 58 a crossing pair.
         rng = Random(337)
-        sparse = tuple(F(k) for k in (0, 0, 0, 1, -1, 2))
+        sparse = tuple(F(k) for k in (0, 0, 1, -1, 2))
+
+        def groups(num_vars):
+            sizes = []
+            while num_vars:
+                sizes.append(rng.randint(1, min(3, num_vars)))
+                num_vars -= sizes[-1]
+            return sizes
+
+        def answer(walk, f):
+            try:
+                return walk(f)
+            except NotAMorphism:
+                return None
+
         several = 0
-        for _ in range(150):
+        for _ in range(160):
             n, m = rng.choice(((1, 1), (2, 1), (3, 1), (4, 1), (1, 2), (2, 2),
                                (3, 2), (4, 2), (1, 3), (2, 3), (3, 3)))
             if rng.random() < 0.5:
                 k = rng.randrange(n)
-                f = direct_sum(random_triangular_map(rng, k, m, sparse),
-                               random_triangular_map(rng, n - 1 - k, m, sparse))
+                f = direct_sum(
+                    random_block_triangular_map(rng, groups(k + 1), m, sparse),
+                    random_block_triangular_map(rng, groups(n - k), m, sparse))
             else:
-                f = random_triangular_map(rng, n, m, sparse)
+                f = random_block_triangular_map(rng, groups(n + 1), m, sparse)
             f = permuted(rng, f)
-            several += len(detect_blocks(f)) >= 2
-            assert (splitting_types_all_blocks(f)
-                    == reference_splitting_types_all_blocks(f))
+            types = answer(splitting_types_all_blocks, f)
+            assert types == answer(reference_splitting_types_all_blocks, f)
+            several += types is not None and len(detect_blocks(f)) >= 2
         assert several >= 100
 
 

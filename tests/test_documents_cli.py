@@ -554,9 +554,9 @@ class TestCLI:
         assert load_map_file(str(padded)) == CUBE
 
 
-@pytest.mark.parametrize("case", goldens.cases(), ids=lambda case:
-                         "decompose-" * (case.argv[0] == "decompose")
-                         + case.golden.name.removesuffix(".report.json"))
+@pytest.mark.parametrize("case", goldens.cases(), ids=lambda case: (
+    "decompose-" if case.argv[0] == "decompose" else "")
+    + case.golden.name.removesuffix(".report.json"))
 def test_analyze_json_matches_golden(case, capsys):
     # Every golden through cli.main: a speed-up that changes a byte of a
     # canonical report fails here.  The analyze maps: n = 1 with rational
