@@ -81,10 +81,13 @@ def is_prime(p: int) -> bool:
 def reduce_map_mod_p(f: ProjectiveMap, p: int) -> list[list[tuple[MultiIndex, int]]]:
     """Component term lists with coefficients reduced modulo p.
 
-    Raises BadPrime unless p is a prime below PRIMALITY_BOUND, and if some
-    denominator vanishes mod p.  Terms whose numerator reduces to zero are
-    dropped.
+    Raises BadPrime unless p is an int (never a bool, float or Fraction)
+    and a prime below PRIMALITY_BOUND, and if some denominator vanishes
+    mod p.  Terms whose numerator reduces to zero are dropped.
     """
+    if type(p) is not int:
+        raise BadPrime(f"modulus must be an int, got {type(p).__name__} "
+                       f"{shown(p)}")
     if not 2 <= p < PRIMALITY_BOUND:
         raise BadPrime(f"modulus must satisfy 2 <= p < {PRIMALITY_BOUND}, "
                        f"got {shown(p)}")

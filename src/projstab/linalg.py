@@ -14,13 +14,18 @@ build their rows in this form, so the kernel converts nothing.
 
 The kernel has two pivot rules.  pivot_rows uses a cheap form of
 Markowitz's rule (Management Science 3, 1957): the column with the fewest
-live rows, and in it the shortest row.  nullspace pivots on the leftmost
-live column, which leaves the rows in echelon form, so its pivot columns
-are those of the reduced row echelon form.  Both read null vectors of the
-pivot rows off one back-substitution, _null_vectors.  pivot_rows maps
-leftover rows through them to a small reduced (Schur) system when its
-first rows leave pivots missing; nullspace divides them by the last pivot,
-which gives the canonical basis of the reduced row echelon form.
+live rows, and in it the shortest row.  null_vectors pivots on the
+leftmost live column, which leaves the rows in echelon form, so its pivot
+columns are those of the reduced row echelon form.  Both read null vectors
+of the pivot rows off one back-substitution, _null_vectors.  pivot_rows
+maps leftover rows through them to a small reduced (Schur) system when its
+first rows leave pivots missing.  null_vectors returns them in integers,
+one y_f per free column f with the last pivot delta at f and zeros on the
+other free columns, so y_f / delta is the canonical basis vector of f that
+Gauss-Jordan reads off the reduced row echelon form.  nullspace makes that
+division; stability.stabilizer_space reads the integers themselves, and
+takes its column keys in reverse order to reduce a spanning set of a
+solution space from the last column to the first.
 
 rank_mod_p is the one dense routine on those rows: it lays each row's
 residues out over the column range and eliminates modulo a word-size
@@ -272,6 +277,25 @@ def rank_mod_p(m: list[dict[int, int]], cols: int, p: int) -> int:
     return rank
 
 
+def null_vectors(rows: list[dict[int, int]], cols
+                 ) -> tuple[dict[int, dict[int, int]], int]:
+    """Integer null vectors of the rows, one per free column, and delta.
+
+    The rows are integer {column: value} dicts, not changed, with keys in
+    cols: integer column keys, any iterable, whose order as integers is
+    the column order.  The leftmost pivot rule finds the pivot columns of
+    the reduced row echelon form, and delta is the last pivot (1 with no
+    pivot).  Returns {f: y_f} over the free columns f, ascending, with y_f
+    from _null_vectors: delta at f, zero on the other free columns, so
+    y_f / delta is the canonical basis vector of f.
+    """
+    steps = _eliminate({i: dict(row) for i, row in enumerate(rows) if row},
+                       len(rows), 1, leftmost=True)
+    delta = steps[-1][2] if steps else 1
+    free = set(cols).difference(c for _, c, _, _ in steps)
+    return _null_vectors(steps, free, delta), delta
+
+
 def nullspace(rows: list[dict[int, int]], cols: int) -> list[list[Fraction]]:
     """Canonical basis of {v : rows v = 0} in Q^cols.
 
@@ -279,19 +303,14 @@ def nullspace(rows: list[dict[int, int]], cols: int) -> list[list[Fraction]]:
     they are not changed, and an empty row list means the full space.  One
     basis vector per free column, carrying a unit entry there and zeros on
     the other free columns, ordered by free column: the basis that
-    Gauss-Jordan over Q reads off the reduced row echelon form.  The
-    leftmost pivot rule finds that form's pivot columns, so by its
-    uniqueness the vector of free column f is y_f / delta, with y_f from
-    _null_vectors and delta the last pivot; Fractions are made only for
-    its nonzero entries.
+    Gauss-Jordan over Q reads off the reduced row echelon form.  It is
+    y_f / delta from null_vectors; Fractions are made only for its nonzero
+    entries.
     """
-    steps = _eliminate({i: dict(row) for i, row in enumerate(rows) if row},
-                       len(rows), 1, leftmost=True)
-    delta = steps[-1][2] if steps else 1
-    free = set(range(cols)).difference(c for _, c, _, _ in steps)
+    nulls, delta = null_vectors(rows, range(cols))
     zero = Fraction(0)
     return [[Fraction(y[c], delta) if c in y else zero for c in range(cols)]
-            for y in _null_vectors(steps, free, delta).values()]
+            for y in nulls.values()]
 
 
 def mat_inverse(m: Matrix) -> Matrix:

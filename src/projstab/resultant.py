@@ -86,8 +86,9 @@ from itertools import combinations, combinations_with_replacement, permutations
 from math import comb, lcm, prod
 
 from . import ffield, linalg
-from .errors import SizeLimit, WrongDimension
-from .poly import Fraction as _F, MultiIndex, ProjectiveMap, shown
+from .errors import DimensionMismatch, SizeLimit, WrongDimension
+from .poly import (Fraction as _F, MultiIndex, ProjectiveMap, require_ints,
+                   shown)
 from .weights import vertex_coverage
 
 # The default probe uses up to three of the largest primes up to this bound
@@ -415,13 +416,23 @@ def is_morphism(f: ProjectiveMap) -> bool:
     return _level_one_pivots(int_dicts, n, m, rows)[1] != 0
 
 
-@cache
 def default_probe_primes(n: int) -> tuple[int, ...]:
     """Up to three largest primes <= 107 whose P^n(F_p) scan fits, ascending.
 
     Gives 101, 103, 107 for n <= 2 and 83, 89, 97 for n = 3.  Raises
-    SizeLimit when not even P^n(F_2) fits in ffield.POINT_LIMIT.
+    DegreeMismatch unless n is an int (poly.require_ints), DimensionMismatch
+    for n < 0, and SizeLimit when not even P^n(F_2) fits in
+    ffield.POINT_LIMIT.  n is checked before the cached lookup, where 2.0
+    and True would find the entries of 2 and 1.
     """
+    require_ints("n", (n,))
+    if n < 0:
+        raise DimensionMismatch(f"n must be >= 0, got {shown(n)}")
+    return _probe_primes(n)
+
+
+@cache
+def _probe_primes(n: int) -> tuple[int, ...]:
     # P^n(F_2) alone has 2^(n+1) - 1 > POINT_LIMIT points once n + 1 reaches
     # the bound's bit length, so no p^(n+1) is formed then.
     fits = [p for p in range(_PROBE_PRIME_CEILING, 1, -1)

@@ -7,17 +7,40 @@ support.  The solution space always contains the two-dimensional trivial
 family (c = t*1 with b = (mt - C)*1), so torus_rank = dim - 2 counts the
 genuinely nontrivial diagonal torus directions.
 
-The system is solved in a reduced form with the same row space.  Each
-nonzero component j keeps one anchor row, that of its first term I_0; each
-other term I of it contributes only the difference <c, I - I_0> = 0, on the
-c columns, and a difference shared by several terms or components is one
-row.  Every original row is its anchor row plus its difference row, and
-both are combinations of original rows, so the two systems have the same
-row space, hence the same reduced row echelon form and the same canonical
-nullspace basis, from fewer rows with fewer nonzeros.  The law checks read
-a solution once as integers: scaled by the lcm of all its denominators, c
-becomes c' and each level b_j + C becomes an integer level', and every
-term condition is <c', I> = level'_j.
+The system is solved on the c columns alone.  Each nonzero component j has
+an anchor, its first term I_0; each other term I of it gives the difference
+row <c, I - I_0> = 0, and a difference shared by several terms or
+components is one row of that system D.  Its solution space is
+
+    S = {(k, b, C) : k in ker D, b_j = <k, I_0> - C for each nonzero
+         component j, b_j free for each zero component j, C free},
+
+spanned by the vector (k, <k, I_0> at each anchored b_j, 0, 0) of each k
+in a basis of ker D, the C vector (0, -1 at each anchored b_j, 1), and the
+unit vector at b_j of each zero component.  Every difference sums to 0, so
+D 1 = 0: ker D is spanned by 1 and the null space of D without its last
+column (c_n = 0), and only that smaller system is eliminated.
+
+Column f is free in the reduced row echelon form of the full system, one
+row (I, -1 at b_j, -1 for C) per supported term, exactly when projecting S
+onto the columns f, ..., C gains a dimension at f: some solution is
+nonzero at f and zero on every later column.  So if the spanning vectors
+are reduced with pivots chosen from the last column to the first, the
+pivots are the free columns, and the reduced vector of pivot f, unit there
+and zero on the other free columns, is the canonical basis vector of f
+that linalg.nullspace reads off that form.  C and each b_j of a zero
+component are free, each touched by its own spanning vector alone, so only
+the vectors built from ker D are reduced, on the anchored b_j and c
+columns, and the C vector is then cleared on their pivots at anchored b_j.
+linalg.null_vectors does that reduction with the column keys reversed: its
+null vector y_g at a column g that is not a pivot lies in the orthogonal
+complement of the span, with delta at g and zeros on the other such
+columns, so it is delta times the row of pivot g of the reduced row
+echelon form whose null space the span is, and entry g of the reduced
+vector of pivot f is -y_g[f] / delta.  The law checks read a solution once
+as integers: scaled by the lcm of all its denominators, c becomes c' and
+each level b_j + C becomes an integer level', and every term condition is
+<c', I> = level'_j.
 
 Block structure is the combinatorial shadow of invariant subspaces: a pair
 (V', H') with |V'| = |H'| such that vars(f_j), the variables some term of
@@ -35,17 +58,23 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import lcm
-from operator import mul, sub
+from operator import itemgetter, mul, sub
 
 from . import linalg
 from .errors import DimensionMismatch, InvalidBlock, NotASolution, SizeLimit
 from .poly import (HomogeneousPoly, MultiIndex, ProjectiveMap, _map_from_dicts,
-                   require_ints, shown)
+                   parse_fraction, require_ints, shown)
 from .resultant import ResultantValue, is_morphism, macaulay_resultant
 from .weights import OnePS, weight, weight_profile
 
 # Bound on the 2^(n+1) variable subsets of one block scan.
 SUBSET_SCAN_LIMIT = 2 ** 16
+
+# Solution entries that _integer_solution takes as they are; a bool is not
+# one of them, as type() tells it from int.
+_READ_AS_IS = frozenset({Fraction, int})
+
+_ZERO, _ONE = Fraction(0), Fraction(1)
 
 
 @dataclass(frozen=True)
@@ -126,35 +155,67 @@ class LimitResult:
 def stabilizer_space(f: ProjectiveMap) -> StabilizerSpace:
     """Exact solution space of <c,I> - b_j = C over the support.
 
-    Unknowns are ordered (c_0..c_n, b_0..b_n, C).  The rows are the
-    reduced system of the module docstring, each the {column: value} dict
-    of its nonzeros that linalg's one elimination kernel reads: per nonzero
-    component j the anchor row (I_0, -1 at b_j, -1 for C) of its first term,
-    and once each distinct difference I - I_0 of its other terms, on the c
-    columns.  That system has the row space of the full one (one row
-    (I, -1 at b_j, -1 for C) per supported term), so the basis is
-    linalg.nullspace's canonical basis of either, one vector per free
-    column of their common reduced row echelon form, and downstream
-    consumers are deterministic.
+    Unknowns are ordered (c_0..c_n, b_0..b_n, C).  linalg.null_vectors,
+    the one solve, runs twice, as the module docstring sets out: on the
+    distinct differences I - I_0 without their last column, and on the
+    spanning vectors built from 1, its null vectors and the anchors I_0,
+    with column k keyed as 2n + 2 - k.  The basis is that of
+    linalg.nullspace on the full system: one vector per free column of its
+    reduced row echelon form, unit there and zero on the other free
+    columns, in column order, so downstream consumers are deterministic.
+    One Fraction is made per distinct value.
     """
     nv = f.num_vars
-    cols = 2 * nv + 1
-    rows: list[dict[int, int]] = []
+    last = 2 * nv  # the C column; the solves key column k as last - k
+    anchors: list[tuple[int, MultiIndex]] = []  # (j, I_0) of nonzero f_j
     differences: dict[tuple[int, ...], None] = {}  # ordered, each once
     for j, comp in enumerate(f.components):
-        if not comp.terms:
-            continue
-        first = comp.terms[0][0]
-        row = {c: x for c, x in enumerate(first) if x}
-        row[nv + j] = -1
-        row[cols - 1] = -1
-        rows.append(row)
-        differences.update(dict.fromkeys(tuple(map(sub, e, first))
-                                         for e, _ in comp.terms[1:]))
-    rows += [{c: x for c, x in enumerate(d) if x} for d in differences]
-    basis_vecs = linalg.nullspace(rows, cols)
-    basis = tuple(StabilizerSolution(tuple(v[:nv]), tuple(v[nv:2 * nv]), v[-1])
-                  for v in basis_vecs)
+        if comp.terms:
+            first = comp.terms[0][0]
+            anchors.append((j, first))
+            head = first[:-1]  # map stops there: c_n is left out
+            for e, _ in comp.terms[1:]:
+                differences[tuple(map(sub, e, head))] = None
+    # each difference's nonzeros, as {column: value}
+    kernel, _ = linalg.null_vectors(
+        [dict(filter(itemgetter(1), enumerate(d))) for d in differences],
+        range(nv - 1))
+    anchored = {nv - j for j, _ in anchors}  # keys of the anchored b_j
+    c_keys = range(nv + 1, last + 1)
+    spanning = [dict.fromkeys(c_keys, 1) | dict.fromkeys(anchored, f.m)]
+    for k in kernel.values():
+        row = {last - i: x for i, x in k.items()}
+        for j, first in anchors:
+            if level := sum(x * first[i] for i, x in k.items()):
+                row[nv - j] = level
+        spanning.append(row)
+    columns = anchored.union(c_keys)
+    nulls, delta = linalg.null_vectors(spanning, columns)
+    pivots = [p for p in columns if p not in nulls]
+    shared = {delta: _ONE}  # x -> x / delta, each made once
+
+    def entry(x: int) -> Fraction:
+        if x not in shared:
+            shared[x] = Fraction(x, delta)
+        return shared[x]
+
+    # One vector per free column: the pivots, C and each zero b_j.
+    vectors: dict[int, list[Fraction]] = {}
+    for k in pivots + [k for k in range(nv + 1) if k not in anchored]:
+        vectors[last - k] = v = [_ZERO] * (last + 1)
+        v[last - k] = _ONE
+    cleared = vectors[last]  # C's, cleared on the pivots at anchored b_j
+    for g, y in nulls.items():
+        x = delta if g in anchored else 0
+        for p in pivots:
+            if p in y:
+                vectors[last - p][last - g] = entry(-y[p])
+                if p in anchored:
+                    x += y[p]
+        if x:
+            cleared[last - g] = entry(-x)
+    basis = tuple(StabilizerSolution(tuple(v[:nv]), tuple(v[nv:last]), v[last])
+                  for _, v in sorted(vectors.items()))
     dim = len(basis)
     return StabilizerSpace(basis, dim, dim - 2, f.m <= f.n + 1)
 
@@ -163,19 +224,30 @@ def _integer_solution(f: ProjectiveMap, sol: StabilizerSolution
                       ) -> tuple[list[int], list[int], int]:
     """(c', levels', scale) for a solution of the stabilizer system of f.
 
-    scale is the lcm of every denominator of (c, b, C), c' = scale * c and
-    level'_j = scale * (b_j + C), all integers.  Raises DimensionMismatch
-    unless c and b have one entry per variable, and NotASolution when a
-    supported term fails <c',I> = level'_j.
+    Each entry is read by the one rational rule, poly.parse_fraction; a
+    Fraction or an int is taken as it is.  scale is the lcm of every
+    denominator of (c, b, C), c' = scale * c and level'_j = scale *
+    (b_j + C), all integers.  Raises DimensionMismatch unless c and b have
+    one entry per variable, ParseError for an entry that rule refuses (a
+    bool, a float, None, a str that is not 'p' or 'p/q'), and NotASolution
+    when a supported term fails <c',I> = level'_j.
     """
-    if len(sol.c) != f.num_vars or len(sol.b) != f.num_vars:
+    nv = f.num_vars
+    if len(sol.c) != nv or len(sol.b) != nv:
         raise DimensionMismatch(
             f"solution has {len(sol.c)} source and {len(sol.b)} target "
-            f"weights, map needs {f.num_vars} of each")
-    scale = lcm(*(x.denominator for x in (*sol.c, *sol.b, sol.C)))
-    c = [x.numerator * (scale // x.denominator) for x in sol.c]
-    shift = sol.C.numerator * (scale // sol.C.denominator)
-    levels = [x.numerator * (scale // x.denominator) + shift for x in sol.b]
+            f"weights, map needs {nv} of each")
+    entries = (*sol.c, *sol.b, sol.C)
+    if not _READ_AS_IS.issuperset(map(type, entries)):
+        entries = [x if type(x) in _READ_AS_IS
+                   else parse_fraction(x, "stabilizer solution entry")
+                   for x in entries]
+    scale = lcm(*(x.denominator for x in entries))
+    c = [x.numerator * (scale // x.denominator) for x in entries[:nv]]
+    C = entries[-1]
+    shift = C.numerator * (scale // C.denominator)
+    levels = [x.numerator * (scale // x.denominator) + shift
+              for x in entries[nv:-1]]
     if any(sum(map(mul, c, e)) != level for comp, level
            in zip(f.components, levels) for e, _ in comp.terms):
         raise NotASolution("vector violates a support constraint of the map")
@@ -189,7 +261,8 @@ def hyperplane_partition(f: ProjectiveMap, sol: StabilizerSolution
     Works on the one integer scaling of the solution (_integer_solution):
     the classes are grouped and the multisets compared on the scaled
     levels, and Fractions are made only for the class keys it returns.
-    Raises DimensionMismatch or NotASolution, as _integer_solution does.
+    Raises DimensionMismatch, ParseError or NotASolution, as
+    _integer_solution does.
     """
     c, levels, scale = _integer_solution(f, sol)
     classes: dict[int, list[int]] = {}
@@ -245,7 +318,8 @@ def block_from_stabilizer(f: ProjectiveMap, sol: StabilizerSolution
     Takes the maximum M' of the vertex weights m*c_i; the components on the
     hyperplane b_j + C = M' are supported on the face spanned by the
     maximizing vertices.  Returns None for a trivial (constant-c) solution.
-    Raises DimensionMismatch or NotASolution, as _integer_solution does.
+    Raises DimensionMismatch, ParseError or NotASolution, as
+    _integer_solution does.
     """
     c, levels, _ = _integer_solution(f, sol)
     if len(set(c)) <= 1:

@@ -9,6 +9,7 @@ from random import Random
 import pytest
 
 import projstab.cli as cli
+import projstab.decompose as decompose
 import projstab.verify as verify
 from projstab import (DegreeMismatch, InvalidBox, ParseError, SizeLimit,
                       classify, decompose_fully, make_map,
@@ -400,6 +401,24 @@ class TestCLI:
         bad = write_doc(tmp_path, make_map(1, 2, [[((2, 0), 1)], [((1, 1), 1)]]),
                         "bad.json")
         assert cli.main(["decompose", bad]) == 2
+
+    def test_decompose_all_blocks_certifies_once(self, tmp_path,
+                                                 monkeypatch, capsys):
+        # The all-blocks field is read off the tree decompose_fully built,
+        # so the map is certified once, not once more for that field.
+        calls = []
+        certify = decompose.is_morphism
+
+        def counted(f):
+            calls.append(f)
+            return certify(f)
+
+        monkeypatch.setattr(decompose, "is_morphism", counted)
+        path = write_doc(tmp_path, TRI)
+        assert cli.main(["decompose", path, "--all-blocks"]) == 0
+        assert len(calls) == 1
+        assert json.loads(capsys.readouterr().out)[
+            "all_block_splitting_types"] == [[1, 1]]
 
     def test_decompose_rank_one_document(self, tmp_path, capsys):
         path = write_doc(tmp_path, make_map(0, 2, [[((2,), 1)]]), "r1.json")

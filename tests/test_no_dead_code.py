@@ -31,6 +31,8 @@ PACKAGE = Path(__file__).resolve().parent.parent / "src" / "projstab"
 # The criteria are those of tests/test_acceptance.py.
 ALLOWED = {
     "verify_preimage": "criterion 7 and the decompose-tri benchmark workload",
+    "splitting_types_all_blocks": "the decompose-tri benchmark workload and "
+                                  "TestDecomposeFully",
     "make_linear_change": "TestMacaulay::test_group_action_oracle",
     "apply_linear_change": "TestMacaulay::test_group_action_oracle",
     "evaluate": "TestChartScanOracle",

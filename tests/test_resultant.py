@@ -9,8 +9,9 @@ import pytest
 import sympy
 from hypothesis import assume, given, settings, strategies as st
 
-from projstab import (BadPrime, SizeLimit, WrongDimension, ZeroMap,
-                      apply_linear_change, compose, detect_blocks, evaluate,
+from projstab import (BadPrime, DegreeMismatch, DimensionMismatch, SizeLimit,
+                      WrongDimension, ZeroMap, apply_linear_change, compose,
+                      default_probe_primes, detect_blocks, evaluate,
                       ff_zero_probe, is_morphism, iterate, verify_preimage,
                       macaulay_resultant, make_linear_change, make_map,
                       sylvester_resultant)
@@ -582,6 +583,29 @@ class TestProbe:
     def test_modulus_not_proven_prime(self, p):
         with pytest.raises(BadPrime):
             reduce_map_mod_p(_power_map(1, 2), p)
+
+    @pytest.mark.parametrize("p", [101.0, "101", F(101), True],
+                             ids=["float", "str", "fraction", "bool"])
+    def test_modulus_that_is_not_an_int(self, p):
+        # The first three raised a bare TypeError from the primality test,
+        # in the probe and in verify_preimage alike.
+        with pytest.raises(BadPrime, match="must be an int"):
+            ff_zero_probe(_power_map(1, 2), p)
+        f = _power_map(2, 2)
+        with pytest.raises(BadPrime, match="must be an int"):
+            verify_preimage(f, detect_blocks(f)[0], p)
+
+    @pytest.mark.parametrize("n,error", [
+        ("2", DegreeMismatch), (2.0, DegreeMismatch), (True, DegreeMismatch),
+        (None, DegreeMismatch), (-1, DimensionMismatch)],
+        ids=["str", "float", "bool", "none", "negative"])
+    def test_default_probe_primes_checks_n(self, n, error):
+        # "2" raised TypeError, and 2.0 and -1 gave (101, 103, 107); the
+        # check runs before the cache, where 2.0 and True would find 2 and 1.
+        assert default_probe_primes(1) == default_probe_primes(2) == \
+            (101, 103, 107)
+        with pytest.raises(error):
+            default_probe_primes(n)
 
     def test_numbers_past_the_str_digit_limit_are_bad_primes(self):
         # str() refuses ints past 4300 digits by default, so the error line

@@ -9,11 +9,13 @@ import sympy
 from hypothesis import assume, given, settings, strategies as st
 
 from projstab import (DegreeMismatch, DimensionMismatch, InvalidBlock,
-                      NotASolution, OnePS, SizeLimit, StabilizerSolution,
-                      ZeroMap, block_from_stabilizer, block_to_1ps, classify,
-                      detect_blocks, hyperplane_partition, is_morphism,
-                      limit_map, make_map, stabilizer_space, weight_profile)
+                      NotASolution, OnePS, ParseError, SizeLimit,
+                      StabilizerSolution, ZeroMap, block_from_stabilizer,
+                      block_to_1ps, classify, detect_blocks,
+                      hyperplane_partition, is_morphism, limit_map, make_map,
+                      stabilizer_space, weight_profile)
 from projstab import linalg
+from projstab.poly import _map_from_dicts
 from projstab.stability import BlockStructure, validate_block
 from projstab.resultant import monomials_of_degree
 from helpers import (full_stabilizer_rows, random_map,
@@ -165,6 +167,27 @@ class TestHyperplanePartition:
         with pytest.raises(DimensionMismatch):
             hyperplane_partition(CUBE, sol)
 
+    @pytest.mark.parametrize("entry", [0.5, "x", None, True],
+                             ids=["float", "str", "none", "bool"])
+    def test_entry_outside_the_rational_rule_rejected(self, entry):
+        # Read unchecked, a float, str or None entry failed by
+        # AttributeError, and True passed as 1: (True, 0), (3, 0), 0 solved
+        # the cube.
+        for sol in (StabilizerSolution((entry, F(0)), (F(3), F(0)), F(0)),
+                    StabilizerSolution((F(1), F(0)), (F(3), F(0)), entry)):
+            with pytest.raises(ParseError):
+                hyperplane_partition(CUBE, sol)
+            with pytest.raises(ParseError):
+                block_from_stabilizer(CUBE, sol)
+
+    def test_entries_read_as_rationals(self):
+        # An int is taken as it is, and a str by the document rule.
+        sol = StabilizerSolution((1, F(0)), ("6/2", 0), F(0))
+        part = hyperplane_partition(CUBE, sol)
+        assert part.hyperplane_classes == ((F(3), (0,)), (F(0), (1,)))
+        block = block_from_stabilizer(CUBE, sol)
+        assert (block.variables, block.components) == ({0}, {0})
+
 
 @st.composite
 def _rational_maps(draw):
@@ -214,8 +237,9 @@ def _check_against_reference(f, sol):
 
 
 class TestIntegerLaws:
-    """The reduced stabilizer solve and the one integer scaling of a
-    solution, against the full system and a plain-Fraction reference."""
+    """The stabilizer solve on the c columns and the one integer scaling
+    of a solution, against the full system and a plain-Fraction
+    reference."""
 
     @settings(max_examples=200)
     @given(_rational_maps(), st.data())
@@ -255,26 +279,41 @@ class TestIntegerLaws:
         assert part.hyperplane_classes == ((F(17, 6), (1,)), (F(2), (0, 2)))
         assert not part.multisets_equal
 
+    @pytest.mark.parametrize("n", [0, 2])
+    def test_all_zero_piece_is_the_whole_space(self, n):
+        # A split piece of a non-morphism may be the zero map, which only
+        # _map_from_dicts builds: the system has no row, so every column is
+        # free and the basis is the unit vectors.
+        f = _map_from_dicts(n, 2, [{}] * (n + 1))
+        cols = 2 * f.num_vars + 1
+        space = stabilizer_space(f)
+        assert [_vector(sol) for sol in space.basis] == \
+            linalg.nullspace([], cols) == \
+            [[F(int(i == k)) for i in range(cols)] for k in range(cols)]
+        assert space.dim == cols and space.torus_rank == cols - 2
+        for sol in space.basis:
+            assert _check_against_reference(f, sol)
+
     def test_difference_repeated_across_components_is_one_row(self,
                                                               monkeypatch):
         # x0x1 - x0^2 and x1^2 - x0x1 are the same difference (-1, 1), so
-        # the reduced system is the two anchor rows and one difference row.
+        # the c-part system, the first of the two solves, is one row.  It
+        # is read without its last column, c_1: every difference sums to 0.
         f = make_map(1, 2, [[((2, 0), 1), ((1, 1), 1)],
                             [((1, 1), 1), ((0, 2), F(1, 3))]])
         seen = []
-        solve = linalg.nullspace
+        solve = linalg.null_vectors
 
         def spy(rows, cols):
-            seen.append(rows)
+            seen.append((rows, sorted(cols)))
             return solve(rows, cols)
 
-        monkeypatch.setattr(linalg, "nullspace", spy)
+        monkeypatch.setattr(linalg, "null_vectors", spy)
         space = stabilizer_space(f)
-        (rows,) = seen
-        assert len(rows) == 3
-        assert sum(1 for row in rows if max(row) < f.num_vars) == 1
+        assert seen[0] == ([{0: -1}], [0])
+        assert len(seen) == 2
         assert [_vector(sol) for sol in space.basis] == \
-            solve(full_stabilizer_rows(f), 5)
+            linalg.nullspace(full_stabilizer_rows(f), 5)
         assert space.dim == 2 and space.torus_rank == 0
         for sol in space.basis:
             assert _check_against_reference(f, sol)
