@@ -28,19 +28,22 @@ nonzero at f and zero on every later column.  So if the spanning vectors
 are reduced with pivots chosen from the last column to the first, the
 pivots are the free columns, and the reduced vector of pivot f, unit there
 and zero on the other free columns, is the canonical basis vector of f
-that linalg.nullspace reads off that form.  C and each b_j of a zero
-component are free, each touched by its own spanning vector alone, so only
-the vectors built from ker D are reduced, on the anchored b_j and c
-columns, and the C vector is then cleared on their pivots at anchored b_j.
-linalg.null_vectors does that reduction with the column keys reversed: its
-null vector y_g at a column g that is not a pivot lies in the orthogonal
-complement of the span, with delta at g and zeros on the other such
-columns, so it is delta times the row of pivot g of the reduced row
-echelon form whose null space the span is, and entry g of the reduced
-vector of pivot f is -y_g[f] / delta.  The law checks read a solution once
-as integers: scaled by the lcm of all its denominators, c becomes c' and
-each level b_j + C becomes an integer level', and every term condition is
-<c', I> = level'_j.
+that linalg.nullspace reads off that form.  Some pivots are known in
+advance.  C and each b_j of a zero component are touched by their own
+spanning vector alone.  The last column of the vector of k = 1, the last
+anchored b_j (c_n when every component is zero), is passed by no other
+spanning vector, so each other one is cleared there by one fraction-free
+step.  linalg.null_vectors reduces what is left with the column keys
+reversed: its null vector y_g at a column g that is not a pivot lies in
+the orthogonal complement of their span, with delta at g and zeros on the
+other such columns, so it is delta times the row of pivot g of the reduced
+row echelon form whose null space that span is, and entry g of the reduced
+vector of pivot f is -y_g[f] / delta.  The vector of 1 and the C vector
+are then cleared on the pivots it finds.
+
+The law checks read a solution once as integers: scaled by the lcm of all
+its denominators, c becomes c' and each level b_j + C becomes an integer
+level', and every term condition is <c', I> = level'_j.
 
 Block structure is the combinatorial shadow of invariant subspaces: a pair
 (V', H') with |V'| = |H'| such that vars(f_j), the variables some term of
@@ -158,12 +161,12 @@ def stabilizer_space(f: ProjectiveMap) -> StabilizerSpace:
     Unknowns are ordered (c_0..c_n, b_0..b_n, C).  linalg.null_vectors,
     the one solve, runs twice, as the module docstring sets out: on the
     distinct differences I - I_0 without their last column, and on the
-    spanning vectors built from 1, its null vectors and the anchors I_0,
-    with column k keyed as 2n + 2 - k.  The basis is that of
-    linalg.nullspace on the full system: one vector per free column of its
-    reduced row echelon form, unit there and zero on the other free
-    columns, in column order, so downstream consumers are deterministic.
-    One Fraction is made per distinct value.
+    spanning vectors built from its null vectors and the anchors I_0,
+    cleared at the pivot of the vector of 1, with column k keyed as
+    2n + 2 - k.  The basis is that of linalg.nullspace on the full system:
+    one vector per free column of its reduced row echelon form, unit there
+    and zero on the other free columns, in column order, so downstream
+    consumers are deterministic.  One Fraction is made per distinct value.
     """
     nv = f.num_vars
     last = 2 * nv  # the C column; the solves key column k as last - k
@@ -182,36 +185,52 @@ def stabilizer_space(f: ProjectiveMap) -> StabilizerSpace:
         range(nv - 1))
     anchored = {nv - j for j, _ in anchors}  # keys of the anchored b_j
     c_keys = range(nv + 1, last + 1)
-    spanning = [dict.fromkeys(c_keys, 1) | dict.fromkeys(anchored, f.m)]
+    # The vector of k = 1, and its pivot: its last column, which no other
+    # spanning vector passes.  Each other one is cleared there by a
+    # fraction-free step, and the solve reduces them among themselves.
+    ones = dict.fromkeys(c_keys, 1) | dict.fromkeys(anchored, f.m)
+    top = min(ones)
+    spanning = []
     for k in kernel.values():
         row = {last - i: x for i, x in k.items()}
         for j, first in anchors:
             if level := sum(x * first[i] for i, x in k.items()):
                 row[nv - j] = level
+        if h := row.pop(top, 0):
+            row = {c: y for c, x in ones.items() if c != top
+                   if (y := ones[top] * row.get(c, 0) - h * x)}
         spanning.append(row)
-    columns = anchored.union(c_keys)
+    columns = anchored.union(c_keys) - {top}
     nulls, delta = linalg.null_vectors(spanning, columns)
     pivots = [p for p in columns if p not in nulls]
-    shared = {delta: _ONE}  # x -> x / delta, each made once
+    scale = ones[top] * delta  # every vector below is scaled by it
+    shared = {scale: _ONE}  # x -> x / scale, each made once
 
     def entry(x: int) -> Fraction:
         if x not in shared:
-            shared[x] = Fraction(x, delta)
+            shared[x] = Fraction(x, scale)
         return shared[x]
 
     # One vector per free column: the pivots, C and each zero b_j.
     vectors: dict[int, list[Fraction]] = {}
-    for k in pivots + [k for k in range(nv + 1) if k not in anchored]:
+    for k in [top, *pivots, *(k for k in range(nv + 1) if k not in anchored)]:
         vectors[last - k] = v = [_ZERO] * (last + 1)
         v[last - k] = _ONE
+    unit = vectors[last - top]  # 1's, cleared on the other pivots
     cleared = vectors[last]  # C's, cleared on the pivots at anchored b_j
     for g, y in nulls.items():
-        x = delta if g in anchored else 0
+        u = delta * ones[g]
+        x = scale if g in anchored else 0
         for p in pivots:
             if p in y:
-                vectors[last - p][last - g] = entry(-y[p])
+                vectors[last - p][last - g] = entry(-ones[top] * y[p])
+                u += ones[p] * y[p]
                 if p in anchored:
-                    x += y[p]
+                    x += ones[top] * y[p]
+        if u:
+            unit[last - g] = entry(u)
+        if top in anchored:
+            x -= u
         if x:
             cleared[last - g] = entry(-x)
     basis = tuple(StabilizerSolution(tuple(v[:nv]), tuple(v[nv:last]), v[last])
