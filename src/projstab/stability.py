@@ -213,10 +213,10 @@ def stabilizer_space(f: ProjectiveMap) -> StabilizerSpace:
 
     # One vector per free column: the pivots, C and each zero b_j.
     vectors: dict[int, list[Fraction]] = {}
-    for k in [top, *pivots, *(k for k in range(nv + 1) if k not in anchored)]:
+    for k in [top, *pivots, *(b for b in range(nv + 1) if b not in anchored)]:
         vectors[last - k] = v = [_ZERO] * (last + 1)
         v[last - k] = _ONE
-    unit = vectors[last - top]  # 1's, cleared on the other pivots
+    reduced_ones = vectors[last - top]  # cleared on the other pivots
     cleared = vectors[last]  # C's, cleared on the pivots at anchored b_j
     for g, y in nulls.items():
         u = delta * ones[g]
@@ -228,7 +228,7 @@ def stabilizer_space(f: ProjectiveMap) -> StabilizerSpace:
                 if p in anchored:
                     x += ones[top] * y[p]
         if u:
-            unit[last - g] = entry(u)
+            reduced_ones[last - g] = entry(u)
         if top in anchored:
             x -= u
         if x:
