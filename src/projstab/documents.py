@@ -22,23 +22,59 @@ serialize -> parse is the identity and serialized bytes are stable.
 Report serialization follows the same rules: every exact quantity is a
 string or integer, sets become sorted lists, and the only nondeterministic
 fields live in the explicitly labeled "timing" block.
+
+A rational is written exactly whatever its size: str() refuses an int past
+the interpreter's digit limit (sys.get_int_max_str_digits, 4300 digits by
+default and never below 640), so format_fraction writes one that str()
+refuses from decimal pieces below 2**2048.  An integer field is written by
+json.dumps, which meets that limit too; a limit map's K past it is refused
+with SizeLimit.
 """
 
 from __future__ import annotations
 
 import json
+import sys
 from fractions import Fraction
 from typing import Any
 
-from .errors import ParseError
+from .errors import ParseError, SizeLimit
 from .poly import ProjectiveMap, make_map, parse_fraction, shown
 from .stability import ClassificationReport
 from .decompose import DecompositionTree
 from . import errors as _errors
 
 
+def _decimal(k: int) -> str:
+    """str(k), from str() of pieces below 2**2048 (617 digits)."""
+    if k < 0:
+        return "-" + _decimal(-k)
+    if k.bit_length() <= 2048:
+        return str(k)
+    half = k.bit_length() * 3 // 20  # just under half of its digits
+    high, low = divmod(k, 10 ** half)
+    return _decimal(high) + _decimal(low).zfill(half)
+
+
 def format_fraction(x: Fraction) -> str:
-    return str(x)
+    """str(x), "p" or "p/q", for a rational of any size."""
+    try:
+        return str(x)
+    except ValueError:  # a part past the interpreter's digit limit
+        pass
+    text = _decimal(x.numerator)
+    return text if x.denominator == 1 else f"{text}/{_decimal(x.denominator)}"
+
+
+def _json_int(k: int, what: str) -> int:
+    """k, when json.dumps can write it; SizeLimit past the digit limit."""
+    # 0 is no limit, as on Python 3.10 before 3.10.7, which has no such call
+    limit = (sys.get_int_max_str_digits()
+             if hasattr(sys, "get_int_max_str_digits") else 0)
+    if k.bit_length() > 2048 and limit and abs(k) >= 10 ** limit:
+        raise SizeLimit(f"{what} is {shown(k)}, past the {limit}-digit limit "
+                        f"on writing an integer")
+    return k
 
 
 def map_to_document(f: ProjectiveMap) -> dict:
@@ -145,7 +181,7 @@ def block_to_dict(block) -> dict:
 def limit_to_dict(lim) -> dict:
     return {
         "map": map_to_document(lim.limit),
-        "K": lim.K,
+        "K": _json_int(lim.K, "K"),
         "dropped_terms": lim.dropped_terms,
         "support_shrank": lim.support_shrank,
         "limit_is_morphism": lim.limit_is_morphism,

@@ -137,10 +137,15 @@ def monomials_of_degree(num_vars: int, degree: int) -> tuple[MultiIndex, ...]:
     combinations_with_replacement lists the multisets of `degree` variable
     indices in lexicographic order, which is descending lex on their
     exponent tuples.  There is no recursion, so num_vars is bounded only
-    by the callers' size checks.  A negative degree has no monomials.
+    by the callers' size checks.  A negative degree has no monomials.  One
+    variable has the one monomial x^degree: check_matrix_size passes every
+    degree at n = 0, and a multiset of `degree` indices would not fit in
+    memory for a large one.
     """
     if degree < 0:
         return ()
+    if num_vars == 1:
+        return ((degree,),)
     out = []
     for chosen in combinations_with_replacement(range(num_vars), degree):
         e = [0] * num_vars

@@ -1,8 +1,12 @@
 """Law-verification suites over enumerated or sampled coefficient boxes.
 
 A box is: dimension n, degree m, a finite coefficient set.  Candidates
-assign one coefficient to every monomial slot of every component.  The
-suite filters candidates to morphisms and asserts, instance by instance:
+assign one coefficient to every monomial slot of every component.  A box
+is read once, by _read_box, at the call of any entry point here: every
+check on n, m, the coefficients (and a sample size) is made there, and
+each candidate is then built from the read box without being checked
+again.  The suite filters candidates to morphisms and asserts, instance
+by instance:
 
   vertex_coverage   every simplex vertex carries a pure power
   multiset_lemma    hyperplane levels match vertex levels (all basis
@@ -22,15 +26,17 @@ from __future__ import annotations
 import time
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import product
+from fractions import Fraction
+from itertools import count, product
+from math import comb
 from random import Random
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .decompose import split_once
-from .documents import map_to_document
-from .errors import BudgetExceeded, InvalidBox, ZeroMap
-from .poly import (ProjectiveMap, make_map, parse_fraction, require_ints,
-                   shown)
+from .documents import format_fraction, map_to_document
+from .errors import BudgetExceeded, InvalidBox, ParseError
+from .poly import (ProjectiveMap, _map_from_dicts, parse_fraction,
+                   require_ints, shown)
 from .resultant import check_matrix_size, is_morphism, monomials_of_degree
 from .stability import (detect_blocks, block_to_1ps, hyperplane_partition,
                         limit_map, stabilizer_space)
@@ -43,46 +49,110 @@ DEFAULT_BUDGET = 10 ** 7
 _MAX_RECORDED_FAILURES = 10
 
 
-def count_candidates(n: int, m: int, coeffs: Sequence) -> int:
-    slots = (n + 1) * len(monomials_of_degree(n + 1, m))
-    return len(coeffs) ** slots
+@dataclass(frozen=True)
+class _Box:
+    """A box as _read_box returns it: every value checked and read."""
+
+    n: int
+    m: int
+    coeffs: tuple[Fraction, ...]  # distinct, at least one nonzero
+    slots: int                    # (n+1) * the monomials of degree m
+
+    @property
+    def candidates(self) -> int:
+        return len(self.coeffs) ** self.slots
 
 
-def _build(n: int, m: int, monos, flat: Sequence) -> ProjectiveMap | None:
-    per = len(monos)
-    comps = []
-    for j in range(n + 1):
-        chunk = flat[j * per:(j + 1) * per]
-        comps.append([(e, c) for e, c in zip(monos, chunk) if c])
-    try:
-        return make_map(n, m, comps)
-    except ZeroMap:
+def _read_box(n: int, m: int, coeffs: Sequence,
+              sample: int | None = None) -> _Box:
+    """The one reader of a box (and of a sample size, when one is given).
+
+    Raises DegreeMismatch first unless n, m and a given sample size are
+    ints (poly.require_ints).  Raises ParseError unless coeffs is a list or
+    a tuple, and for a coefficient that poly.parse_fraction refuses, so
+    that what follows sees values, not spellings.  Raises InvalidBox, in
+    this order, for n < 0, m < 1, a negative sample size, a coefficient
+    set with no nonzero entry (every candidate would be the zero map, and
+    sampling would redraw forever), or one that names a value twice
+    (every map would be counted more than once).  Raises SizeLimit last,
+    before any monomial is listed, when (n, m) is past
+    resultant.MATRIX_SIZE_LIMIT, where is_morphism would refuse every map.
+    """
+    require_ints("n, m or sample size",
+                 (n, m) if sample is None else (n, m, sample))
+    if not isinstance(coeffs, (list, tuple)):
+        raise ParseError(f"coeffs: expected a list of rationals, got "
+                         f"{type(coeffs).__name__}")
+    values = tuple(parse_fraction(c, "coeffs") for c in coeffs)
+    if n < 0:
+        raise InvalidBox(f"n must be >= 0, got {shown(n)}")
+    if m < 1:
+        raise InvalidBox(f"degree must be >= 1, got {shown(m)}")
+    if sample is not None and sample < 0:
+        raise InvalidBox(f"sample size must be >= 0, got {shown(sample)}")
+    if not any(values):
+        raise InvalidBox("the coefficient set needs a nonzero entry")
+    twice = [c for c, k in Counter(values).items() if k > 1]
+    if twice:
+        raise InvalidBox(f"the coefficient set names {shown(twice[0])} twice")
+    check_matrix_size(n, m)
+    return _Box(n, m, values, (n + 1) * comb(n + m, n))
+
+
+def _build(box: _Box, monos, flat: Sequence[Fraction]
+           ) -> ProjectiveMap | None:
+    """The candidate that gives flat[j * len(monos) + i] to the i-th
+    monomial of component j, or None for the all-zero assignment."""
+    if not any(flat):
         return None
+    per = len(monos)
+    return _map_from_dicts(box.n, box.m, [
+        {e: c for e, c in zip(monos, flat[j * per:(j + 1) * per]) if c}
+        for j in range(box.n + 1)])
+
+
+def _candidates(box: _Box, assignments: Iterable[Sequence[Fraction]]
+                ) -> Iterator[ProjectiveMap]:
+    monos = monomials_of_degree(box.n + 1, box.m)
+    for flat in assignments:
+        built = _build(box, monos, flat)
+        if built is not None:
+            yield built
+
+
+def _enumerated(box: _Box) -> Iterator[ProjectiveMap]:
+    return _candidates(box, product(box.coeffs, repeat=box.slots))
+
+
+def _sampled(box: _Box, k: int, seed) -> Iterator[ProjectiveMap]:
+    rng = Random(seed)
+    draws = (tuple(rng.choice(box.coeffs) for _ in range(box.slots))
+             for _ in count())
+    maps = _candidates(box, draws)
+    for _ in range(k):  # not islice, which refuses a k past sys.maxsize
+        yield next(maps)
+
+
+def count_candidates(n: int, m: int, coeffs: Sequence) -> int:
+    """The number of coefficient assignments over the box, the all-zero
+    one included.  Raises as _read_box does."""
+    return _read_box(n, m, coeffs).candidates
 
 
 def enumerate_maps(n: int, m: int, coeffs: Sequence) -> Iterator[ProjectiveMap]:
-    """Every coefficient assignment over the box, in product order."""
-    monos = monomials_of_degree(n + 1, m)
-    slots = (n + 1) * len(monos)
-    for flat in product(coeffs, repeat=slots):
-        built = _build(n, m, monos, flat)
-        if built is not None:
-            yield built
+    """Every coefficient assignment over the box but the all-zero one, in
+    product order.  The box is read, and refused as _read_box refuses it,
+    at the call."""
+    return _enumerated(_read_box(n, m, coeffs))
 
 
 def sample_maps(n: int, m: int, coeffs: Sequence, k: int, seed: int
                 ) -> Iterator[ProjectiveMap]:
-    """k seeded draws from the box (all-zero draws are redrawn)."""
-    monos = monomials_of_degree(n + 1, m)
-    slots = (n + 1) * len(monos)
-    rng = Random(seed)
-    produced = 0
-    while produced < k:
-        flat = tuple(rng.choice(coeffs) for _ in range(slots))
-        built = _build(n, m, monos, flat)
-        if built is not None:
-            produced += 1
-            yield built
+    """k seeded draws from the box (all-zero draws are redrawn).  The box
+    and k are read, and refused as _read_box refuses them, at the call;
+    a k of None, the suite's exhaustive mode, is refused first."""
+    require_ints("n, m or sample size", (n, m, k))
+    return _sampled(_read_box(n, m, coeffs, k), k, seed)
 
 
 @dataclass
@@ -106,7 +176,7 @@ class VerificationReport:
     def to_dict(self) -> dict:
         return {
             "box": {"n": self.n, "m": self.m,
-                    "coeffs": [str(c) for c in self.coeffs]},
+                    "coeffs": [format_fraction(c) for c in self.coeffs]},
             "mode": self.mode,
             "seed": self.seed,
             "candidates": self.candidates,
@@ -167,46 +237,27 @@ def run_verification_suite(n: int, m: int, coeffs: Sequence,
                            seed: int = 0) -> VerificationReport:
     """Enumerate (or sample) the box and check every law on every morphism.
 
-    Raises DegreeMismatch first unless n, m and a given sample size are
-    ints (poly.require_ints).  Raises ParseError for a coefficient that
-    poly.parse_fraction refuses, so that what follows sees values, not
-    spellings.  Raises InvalidBox, before
-    anything is counted or drawn, for n < 0, m < 1, a negative sample size,
-    a coefficient set with no nonzero entry (every candidate would be the
-    zero map, and sampling would redraw forever), or one that names a value
-    twice (every map would be counted more than once).  Raises SizeLimit
-    just as early when (n, m) is past resultant.MATRIX_SIZE_LIMIT, where
-    is_morphism would refuse every map, and BudgetExceeded when the box
-    (without a sample size) or the sample size is above DEFAULT_BUDGET.
+    The box and a given sample size are read by _read_box, and refused as
+    it refuses them, before anything is counted or drawn.  Then raises
+    BudgetExceeded when the box (without a sample size) or the sample size
+    is above DEFAULT_BUDGET.
     """
-    require_ints("n, m or sample size",
-                 (n, m) if sample is None else (n, m, sample))
-    coeffs = tuple(parse_fraction(c, "coeffs") for c in coeffs)
-    if n < 0:
-        raise InvalidBox(f"n must be >= 0, got {shown(n)}")
-    if m < 1:
-        raise InvalidBox(f"degree must be >= 1, got {shown(m)}")
-    if sample is not None and sample < 0:
-        raise InvalidBox(f"sample size must be >= 0, got {shown(sample)}")
-    if not any(coeffs):
-        raise InvalidBox("the coefficient set needs a nonzero entry")
-    twice = [c for c, k in Counter(coeffs).items() if k > 1]
-    if twice:
-        raise InvalidBox(f"the coefficient set names {shown(twice[0])} twice")
-    check_matrix_size(n, m)
-    total = count_candidates(n, m, coeffs)
-    if sample is None and total > DEFAULT_BUDGET:
-        raise BudgetExceeded(
-            f"box holds {shown(total)} candidates, above the budget of "
-            f"{DEFAULT_BUDGET}; pass a sample size")
-    if sample is not None and sample > DEFAULT_BUDGET:
-        raise BudgetExceeded(f"sample size {shown(sample)} is above the "
-                             f"budget of {DEFAULT_BUDGET}")
-    mode = "exhaustive" if sample is None else "sample"
-    report = VerificationReport(n, m, coeffs, mode, seed,
-                                total if sample is None else sample)
-    maps = (enumerate_maps(n, m, coeffs) if sample is None
-            else sample_maps(n, m, coeffs, sample, seed))
+    box = _read_box(n, m, coeffs, sample)
+    if sample is None:
+        total = box.candidates
+        if total > DEFAULT_BUDGET:
+            raise BudgetExceeded(
+                f"box holds {shown(total)} candidates, above the budget of "
+                f"{DEFAULT_BUDGET}; pass a sample size")
+        report = VerificationReport(n, m, box.coeffs, "exhaustive", seed,
+                                    total)
+        maps = _enumerated(box)
+    else:
+        if sample > DEFAULT_BUDGET:
+            raise BudgetExceeded(f"sample size {shown(sample)} is above the "
+                                 f"budget of {DEFAULT_BUDGET}")
+        report = VerificationReport(n, m, box.coeffs, "sample", seed, sample)
+        maps = _sampled(box, sample, seed)
     start = time.monotonic()
     for f in maps:
         report.maps_checked += 1

@@ -1,7 +1,7 @@
 """Shared seeded generators for the test suite."""
 
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations, count, product
 from math import lcm
 from random import Random
 
@@ -25,6 +25,35 @@ def random_map(rng: Random, n: int, m: int, coeffs=DEFAULT_COEFFS):
             return make_map(n, m, comps)
         except ZeroMap:
             continue
+
+
+def reference_box_maps(n: int, m: int, coeffs, sample=None, seed=0):
+    """The candidates of a valid box, each built and checked by make_map.
+
+    The reference for verify's generators, which build from the box once
+    read: every coefficient assignment in product order (sample None), or
+    `sample` draws from Random(seed), one rng.choice per slot; the zero
+    map is skipped, and a zero draw redrawn.
+    """
+    monos = monomials_of_degree(n + 1, m)
+    slots = (n + 1) * len(monos)
+    if sample is None:
+        assignments = product(coeffs, repeat=slots)
+    else:
+        rng = Random(seed)
+        assignments = (tuple(rng.choice(coeffs) for _ in range(slots))
+                       for _ in count())
+    maps = []
+    for flat in assignments:
+        if len(maps) == sample:
+            break
+        comps = [list(zip(monos, flat[j * len(monos):(j + 1) * len(monos)]))
+                 for j in range(n + 1)]
+        try:
+            maps.append(make_map(n, m, comps))
+        except ZeroMap:
+            continue
+    return maps
 
 
 def random_triangular_map(rng: Random, n: int, m: int, coeffs=DEFAULT_COEFFS):

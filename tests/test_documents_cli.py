@@ -22,6 +22,7 @@ import goldens
 
 CUBE = make_map(1, 3, [[((3, 0), 1)], [((0, 3), 1)]])
 TRI = make_map(1, 3, [[((3, 0), 1)], [((0, 3), 1), ((1, 2), 1)]])
+SQX = make_map(1, 2, [[((2, 0), 1)], [((0, 2), 1), ((1, 1), 1)]])
 # JSON true/false in integer fields; Python reads them as 1/0.
 BOOLEAN_FIELDS = ("n", "m", "exp", "n-and-exp")
 BOOLEAN_DOCS = (
@@ -154,6 +155,11 @@ INPUT_ERRORS = {
         "parse error: --c"),
     "limit-fraction-weight": (["limit", "{sq}", "--c", "1/2,0", "--b", "0,0"],
                               "parse error: --c: '1/2' is not an integer"),
+    # K = 2 * (10**4300 - 1) has 4301 digits, one past what json.dumps
+    # writes of an int.
+    "limit-4301-digit-K": (
+        ["limit", "{sqx}", "--c", ",".join(["9" * 4300] * 2), "--b", "0,0"],
+        "error: K is a number of 14286 bits, past the 4300-digit limit"),
     # values starting with '-' need the --flag=value form
     "verify-budget": (["verify", "--n", "2", "--m", "3", "--coeffs=-1,0,1"],
                       "error: box holds 205891132094649 candidates"),
@@ -211,6 +217,13 @@ class TestFractions:
         assert format_fraction(F(3)) == "3"
         assert format_fraction(F(-2, 7)) == "-2/7"
         assert format_fraction(F(2, 4)) == "1/2"
+
+    def test_format_past_the_digit_limit(self):
+        # 10**5000 + 7 has 5001 digits, past the 4300 that str() writes.
+        big = 10 ** 5000 + 7
+        assert format_fraction(F(-big, 3)) == "-1" + "0" * 4999 + "7/3"
+        assert format_fraction(F(3, big)) == "3/1" + "0" * 4999 + "7"
+        assert format_fraction(F(big)) == "1" + "0" * 4999 + "7"
 
     def test_parse(self):
         assert parse_fraction("-2/7") == F(-2, 7)
@@ -387,6 +400,29 @@ class TestCLI:
         assert cli.main(["limit", path, "--c", c, "--b", b]) == 0
         assert capsys.readouterr().out == plain
 
+    def test_limit_writes_K_up_to_the_digit_limit(self, tmp_path, capsys):
+        # K = 2 * (10**4300 - 1) / 9 has 4300 digits: written in full.
+        path = write_doc(tmp_path, SQX)
+        assert cli.main(["limit", path, "--c", ",".join(["1" * 4300] * 2),
+                         "--b", "0,0"]) == 0
+        assert capsys.readouterr().out.startswith(
+            '{\n  "K": ' + "2" * 4300 + ",\n")
+
+    def test_analyze_writes_a_resultant_past_the_digit_limit(self, capsys):
+        # The golden map with 400-digit coefficients on x_j^2 and 1 on the
+        # cross terms: its resultant has 4799 digits, in both views.
+        doc = goldens.DATA / "analyze" / "n2-400-digit-powers.map.json"
+        report = doc.with_name("n2-400-digit-powers.report.json")
+        resultant = json.loads(report.read_text(encoding="utf-8"))[
+            "resultant"]
+        assert len(resultant) == 4799
+        assert cli.main(["analyze", str(doc)]) == 0
+        captured = capsys.readouterr()
+        assert f"resultant: {resultant}\n" in captured.out
+        assert captured.err == ""
+        assert cli.main(["analyze", str(doc), "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["resultant"] == resultant
+
     def test_limit_dimension_error(self, tmp_path):
         path = write_doc(tmp_path, TRI)
         assert cli.main(["limit", path, "--c", "0,1,2", "--b", "0,0"]) == 1
@@ -462,6 +498,7 @@ class TestCLI:
                  "tri": write_doc(tmp_path, TRI, "tri.json"),
                  "n2": write_doc(tmp_path, n2, "n2.json"),
                  "sq": write_doc(tmp_path, sq, "sq.json"),
+                 "sqx": write_doc(tmp_path, SQX, "sqx.json"),
                  "bigden": write_doc(tmp_path, bigden, "bigden.json"),
                  "third": write_doc(tmp_path, third, "third.json"),
                  "out": str(tmp_path / "fig.json"),
@@ -581,7 +618,9 @@ def test_analyze_json_matches_golden(case, capsys):
     # canonical report fails here.  The analyze maps: n = 1 with rational
     # coefficients; (2,2) with and without a zero pure power; a (2,3) map
     # with a singular Macaulay block; two (3,3) maps whose pure powers need
-    # a matching; a non-morphism; a triangular map with blocks.  Each probe
+    # a matching; a non-morphism; a triangular map with blocks; a (2,2) map
+    # with 400-digit pure-power coefficients, whose resultant has 4799
+    # digits, past the 4300 that str() writes of an int.  Each probe
     # list holds a prime at which the probe finds zeros.  The decompose
     # maps, with --all-blocks: that triangular map, and (x0^2, x1^2,
     # x2^2 + x0*x2), whose blocks {0}, {1}, {0,1}, {0,2} hold incomparable

@@ -488,6 +488,15 @@ class TestMonomials:
                             for j in range(n + 1)])
         assert is_morphism(f)
 
+    def test_one_variable_at_any_degree(self):
+        # check_matrix_size passes every degree at n = 0; x0^m is not
+        # listed as m indices, which at m = 10**9 filled memory.
+        m = 10 ** 9
+        assert monomials_of_degree(1, m) == ((m,),)
+        f = make_map(0, m, [[((m,), 3)]])
+        assert is_morphism(f)
+        assert macaulay_resultant(f).value == 3
+
 
 class TestIsMorphism:
     def test_examples(self):
