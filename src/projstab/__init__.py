@@ -17,9 +17,8 @@ from .poly import (HomogeneousPoly, LinearChange, MultiIndex, ProjectiveMap,
                    make_linear_change, make_map)
 from .weights import (OnePS, WeightProfile, vertex_coverage, weight,
                       weight_profile)
-from .resultant import (ProbeReport, ResultantValue, default_probe_primes,
-                        ff_zero_probe, is_morphism, macaulay_resultant,
-                        sylvester_resultant)
+from .resultant import (ProbeReport, default_probe_primes, ff_zero_probe,
+                        is_morphism, macaulay_resultant, sylvester_resultant)
 from .stability import (BlockAnalysis, BlockStructure, ClassificationReport,
                         HyperplanePartition, LimitResult, MorphismObstruction,
                         StabilizerSolution, StabilizerSpace,

@@ -206,7 +206,7 @@ def classification_to_dict(report: ClassificationReport) -> dict:
     return {
         "classification": report.label,
         "is_morphism": report.is_morphism,
-        "resultant": format_fraction(report.resultant.value),
+        "resultant": format_fraction(report.resultant),
         "resultant_normalization": "1 on coordinate power maps",
         "m_gt_n_plus_1": report.m_gt_n_plus_1,
         "torus_rank": report.torus_rank,

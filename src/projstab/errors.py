@@ -14,8 +14,8 @@ class ProjstabError(Exception):
 
 
 class DegreeMismatch(ProjstabError):
-    """A count, exponent or weight is not an int, an exponent does not sum
-    to the degree, or a degree or iteration count is below 1."""
+    """A count, exponent, weight or seed is not an int, an exponent does
+    not sum to the degree, or a degree or iteration count is below 1."""
 
 
 class DimensionMismatch(ProjstabError):
@@ -55,7 +55,7 @@ class NotAMorphism(ProjstabError):
 
 
 class ParseError(ProjstabError):
-    """A map document failed to parse or validate."""
+    """A map document or a value given to the Python API is malformed."""
 
     def __init__(self, message: str, lineno: int | None = None,
                  colno: int | None = None):

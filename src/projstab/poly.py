@@ -74,7 +74,12 @@ def _pieces(value: Any) -> Iterator[str]:
         ends = ("()" if isinstance(value, tuple) else
                 "[]" if isinstance(value, list) else "{}")
         yield ends[0]
-        for k, x in enumerate(sorted(value) if ends == "{}" else value):
+        if ends == "{}":
+            try:
+                value = sorted(value)
+            except TypeError:  # entries that do not compare, as 0 and 'a'
+                value = sorted(value, key=shown)
+        for k, x in enumerate(value):
             if k:
                 yield ", "
             yield from _pieces(x)
@@ -114,6 +119,13 @@ def require_ints(what: str, values: Iterable) -> None:
         if type(x) is not int:
             raise DegreeMismatch(f"{what} {type(x).__name__} "
                                  f"{shown(x)} is not an integer")
+
+
+def require_lists(what: str, values: Iterable) -> None:
+    """ParseError unless every value is a list or a tuple."""
+    for x in values:
+        if not isinstance(x, (list, tuple)):
+            raise ParseError(f"{what}: expected a list, got {shown(x)}")
 
 
 def _sorted_terms(d: TermDict) -> tuple[tuple[MultiIndex, Fraction], ...]:
@@ -156,14 +168,22 @@ class HomogeneousPoly:
         """Build from (exponent, coefficient) pairs.
 
         Duplicate exponents are summed; zero results are dropped.  Raises
+        ParseError unless each term is a pair (exponent tuple, coefficient),
         DimensionMismatch / DegreeMismatch unless every exponent has
         num_vars int entries, none negative, summing to degree, and
         ParseError for a coefficient that parse_fraction refuses.
         """
         pairs = terms.items() if isinstance(terms, Mapping) else terms
+        if not isinstance(pairs, Iterable):
+            raise ParseError(f"terms: expected pairs, got {shown(terms)}")
         acc: TermDict = {}
-        for exp, coeff in pairs:
-            e = tuple(exp)
+        for term in pairs:
+            try:
+                exp, coeff = term
+                e = tuple(exp)
+            except (TypeError, ValueError):
+                raise ParseError(f"term {shown(term)} is not (exponent tuple, "
+                                 "coefficient)") from None
             require_ints("exponent entry", e)
             if len(e) != num_vars:
                 raise DimensionMismatch(
@@ -247,8 +267,11 @@ class LinearChange:
 def make_linear_change(source: Sequence[Sequence[CoeffLike]],
                        target: Sequence[Sequence[CoeffLike]]) -> LinearChange:
     """Validate and freeze a coordinate-change pair; raises SingularMatrix,
-    and ParseError for an entry that parse_fraction refuses."""
+    DimensionMismatch unless square, and ParseError unless each matrix is
+    a list of lists (require_lists) of entries that parse_fraction reads."""
     def freeze(mat, name):
+        require_lists(f"{name} matrix", (mat,))
+        require_lists(f"{name} row", mat)
         rows = tuple(tuple(parse_fraction(x, name) for x in r) for r in mat)
         size = len(rows)
         if any(len(r) != size for r in rows):
@@ -269,15 +292,17 @@ def make_map(n: int, m: int,
     n may be 0 (a single form in one variable); this is what the leaves of
     a recursive splitting look like.  Requires m >= 1, exactly n+1
     component term lists, and at least one nonzero component after
-    cancellation (ZeroMap otherwise), n and m ints (DegreeMismatch), and
-    terms that from_terms accepts.  Individual zero components are allowed;
-    they simply make the map a non-morphism later.
+    cancellation (ZeroMap otherwise), n and m ints (DegreeMismatch), the
+    components in a list (require_lists), and terms that from_terms
+    accepts.  Individual zero components are allowed; they simply make the
+    map a non-morphism later.
     """
     require_ints("n or m", (n, m))
     if n < 0:
         raise DimensionMismatch(f"n must be >= 0, got {shown(n)}")
     if m < 1:
         raise DegreeMismatch(f"degree must be >= 1, got {shown(m)}")
+    require_lists("components", (coeffs,))
     if len(coeffs) != n + 1:
         raise DimensionMismatch(
             f"expected {shown(n + 1)} components, got {len(coeffs)}")
@@ -296,7 +321,9 @@ def _map_from_dicts(n: int, m: int, dicts: Sequence[TermDict]) -> ProjectiveMap:
 
 def evaluate(f: ProjectiveMap, point: Sequence[CoeffLike]) -> tuple[Fraction, ...]:
     """Exact value (f_0(p), ..., f_n(p)); point should not be all-zero.
-    Raises ParseError for a coordinate that parse_fraction refuses."""
+    Raises ParseError unless point is a list (require_lists) of
+    coordinates that parse_fraction reads."""
+    require_lists("point", (point,))
     if len(point) != f.num_vars:
         raise DimensionMismatch(
             f"point has {len(point)} coordinates, expected {f.num_vars}")

@@ -19,22 +19,18 @@ Multidimensional Determinants, 1994, ch. 3 and appendix A).
   rank modulo one word-size prime (linalg.rank_mod_p) implies full rank
   over Q; otherwise _level_one_pivots, the exact level-1 elimination that
   macaulay_resultant starts with, decides.
-* macaulay_resultant computes the determinant.  Bottom up, each level k
-  picks rows R_k whose square block A_k on the columns that level k-1 left
-  unpicked is nonsingular.  Level 1 tries Macaulay's rows first: for each
-  degree-t monomial u, (u / x_j^m) * f_lead[j] with j the least index
-  where u_j >= m.  lead is the first permutation, in lexicographic order,
-  that gives each x_j a component f_lead[j] with a nonzero x_j^m term;
-  it is the identity when none does, and at m = 1, where level 1 has n+1
-  rows on n+1 columns, all of them Macaulay's whatever the lead.
-  check_matrix_size allows n <= 6 once m >= 2, so at most 7! = 5040
-  permutations are tried.  With a matching, each of Macaulay's rows has
-  a nonzero pure-power coefficient on its own column, and their block
-  (Macaulay's matrix of the matched forms) is singular far less often
-  than with the identity when some f_j lacks x_j^m.  Every level
-  eliminates its first rows and, when they are singular, completes
-  them from the others through linalg.pivot_rows's reduced system.  The
-  value is
+* macaulay_resultant computes the determinant and returns it as an exact
+  Fraction, 0 exactly when the forms share a zero, so a morphism verdict
+  is read off it as value != 0.  Bottom up, each level k picks rows R_k
+  whose square block A_k on the columns that level k-1 left unpicked is
+  nonsingular.  Level 1 tries Macaulay's rows first (_level_one_order),
+  for a matching of the components to pure powers x_j^m that they carry
+  (_pure_power_matching): each row then has a nonzero coefficient on its
+  own column, and their block (Macaulay's matrix of the matched forms) is
+  singular far less often than with the identity when some f_j lacks
+  x_j^m.  Every level eliminates its first rows and, when they are
+  singular, completes them from the others through linalg.pivot_rows's
+  reduced system.  The value is
 
       eps(n, m) * prod_k sigma_k * det(A_1) * det(A_2)^-1 * det(A_3) ...
 
@@ -47,25 +43,17 @@ Multidimensional Determinants, 1994, ch. 3 and appendix A).
   is 0.
 * sylvester_resultant is the classical 2m x 2m determinant for n = 1.
 
-Both entry points reach the complex through one step, _koszul_input.  It
-checks the size first, and answers at once when a common zero is explicit
-in the support: a zero component, or an uncovered simplex vertex.
-Otherwise it scales each component to integers by the lcm of its
-denominators, each coefficient becoming numerator * (lcm // denominator),
-and builds the level-1 rows once.  is_morphism reads only those rows;
-macaulay_resultant hands them to the Koszul determinant and alone divides
-by the correction prod(lcms) ** (m ** n).  Each level's offsets,
-positions and boundary column shifts are one cached table, _koszul_level.
+Both entry points reach the complex through one step, _koszul_input,
+which answers at once for a common zero explicit in the support and
+otherwise builds the level-1 rows of the integer-scaled components once.
+Each level's offsets, positions and boundary column shifts are one cached
+table, _koszul_level.
 
-Every Koszul row has the one row format of linalg's elimination kernel,
-from _koszul_rows to linalg.pivot_rows: a {column: value} dict of its
-nonzeros, at most 20 of them in a level-1 row of 220 at (3, 3).  A later
-level is restricted to its live columns by key, and no row is laid out
-dense; only linalg.rank_mod_p, the modular fast accept of is_morphism,
-does that.  When Macaulay's rows are singular, pivot_rows maps the other
-level-1 rows to the reduced system on the free columns, one short dot
-product per row and free column, instead of reducing them one by one
-against the pivot rows of Macaulay's block.
+Every Koszul row has the one row format of linalg's elimination kernel: a
+{column: value} dict of its nonzeros, at most 20 of them in a level-1 row
+of 220 at (3, 3).  A later level is restricted to its live columns by key,
+and only linalg.rank_mod_p, the modular fast accept of is_morphism, lays a
+row out dense.
 
 ff_zero_probe is the independent cross-check: an exhaustive scan for
 common zeros over a small prime field (ffield.common_zeros_mod_p, which
@@ -87,8 +75,7 @@ from math import comb, lcm, prod
 
 from . import ffield, linalg
 from .errors import DimensionMismatch, SizeLimit, WrongDimension
-from .poly import (Fraction as _F, MultiIndex, ProjectiveMap, require_ints,
-                   shown)
+from .poly import MultiIndex, ProjectiveMap, require_ints, shown
 from .weights import vertex_coverage
 
 # The default probe uses up to three of the largest primes up to this bound
@@ -101,25 +88,6 @@ _CERTIFICATE_PRIME = 1000003
 
 # Bound on the column count of the critical-degree matrices.
 MATRIX_SIZE_LIMIT = 5000
-
-
-@dataclass(frozen=True)
-class ResultantValue:
-    """The exact resultant of a map, from macaulay_resultant.
-
-    value is always a Fraction: Cayley's determinant of the Koszul complex
-    at the critical degree (Gelfand-Kapranov-Zelevinsky 1994), with each
-    level's sign sigma_k as in the module docstring and the overall sign
-    fixed so that coordinate power maps give exactly 1.  It is exact in
-    every frame, and 0 exactly when the components share a zero.
-    """
-
-    value: Fraction
-
-    @property
-    def is_indeterminate(self) -> bool:
-        """Always False: the Koszul determinant is exact in every frame."""
-        return False
 
 
 @dataclass(frozen=True)
@@ -155,26 +123,21 @@ def monomials_of_degree(num_vars: int, degree: int) -> tuple[MultiIndex, ...]:
     return tuple(out)
 
 
-def sylvester_matrix(f: ProjectiveMap) -> list[list[Fraction]]:
+def sylvester_resultant(f: ProjectiveMap) -> Fraction:
+    """Resultant of two binary degree-m forms; 0 iff a shared projective root.
+
+    Row k < m of the 2m x 2m Sylvester matrix holds the coefficients of
+    x0^m, x0^(m-1)*x1, ..., x1^m of f_0 from column k on; row m + k those
+    of f_1.
+    """
     if f.n != 1:
         raise WrongDimension(f"Sylvester matrix needs n = 1, got n = {f.n}")
-    m = f.m
-    coeff_rows = []
-    for comp in f.components:
-        d = comp.as_dict()
-        coeff_rows.append([d.get((m - i, i), _F(0)) for i in range(m + 1)])
-    size = 2 * m
-    mat = [[_F(0)] * size for _ in range(size)]
-    for k in range(m):
-        for i in range(m + 1):
-            mat[k][k + i] = coeff_rows[0][i]
-            mat[m + k][k + i] = coeff_rows[1][i]
-    return mat
-
-
-def sylvester_resultant(f: ProjectiveMap) -> Fraction:
-    """Resultant of two binary degree-m forms; 0 iff a shared projective root."""
-    return linalg.det_rational(sylvester_matrix(f))
+    m, zero = f.m, Fraction(0)
+    coeffs = [[comp.as_dict().get((m - i, i), zero) for i in range(m + 1)]
+              for comp in f.components]
+    return linalg.det_rational([
+        [coeffs[r // m][c - r % m] if 0 <= c - r % m <= m else zero
+         for c in range(2 * m)] for r in range(2 * m)])
 
 
 def check_matrix_size(n: int, m: int) -> None:
@@ -320,11 +283,9 @@ def _koszul_determinant(int_dicts: list[dict[MultiIndex, int]], n: int,
     rows R_k whose block A_k on the columns left over by level k-1 is
     nonsingular: level 1 by _level_one_pivots, every later level by
     linalg.pivot_rows on its rows restricted to those columns, which keep
-    their keys.  The value is the product of
-    sigma_k * det(A_k)^((-1)^(k+1)), where A_k has its rows and columns in
-    ascending basis order and sigma_k is the sign that lists level k as
-    (unpicked rows, R_k).  It is 0 when some level finds too few pivots,
-    i.e. when the complex is not exact.
+    their keys.  The value is the product of the module docstring without
+    eps(n, m), and 0 when some level finds too few pivots, i.e. when the
+    complex is not exact.
     """
     value = Fraction(1)
     picked, det = _level_one_pivots(int_dicts, n, m, rows)
@@ -377,24 +338,25 @@ def _koszul_input(f: ProjectiveMap) -> tuple[
     return int_dicts, lcms, _koszul_rows(int_dicts, f.n, f.m, 1)
 
 
-def macaulay_resultant(f: ProjectiveMap) -> ResultantValue:
+def macaulay_resultant(f: ProjectiveMap) -> Fraction:
     """Exact resultant of the n+1 components, in the given frame.
 
-    _koszul_input gives 0 at once for a common zero explicit in the
-    support.  Otherwise the value is the Koszul-complex determinant of the
-    integer components, times the sign that makes the power map give 1,
-    divided by the correction prod(lcms) ** (m ** n): scaling a component
-    by lambda scales the resultant by lambda ** (m ** n).  Raises
-    SizeLimit before building a matrix with more than MATRIX_SIZE_LIMIT
-    columns.
+    Returns a Fraction, 0 exactly when the components share a zero in
+    P^n, so the morphism verdict is the value != 0.  _koszul_input gives
+    0 at once for a common zero explicit in the support.  Otherwise the
+    value is the Koszul-complex determinant of the integer components,
+    times the sign that makes the power map give 1, divided by the
+    correction prod(lcms) ** (m ** n): scaling a component by lambda
+    scales the resultant by lambda ** (m ** n).  Raises SizeLimit before
+    building a matrix with more than MATRIX_SIZE_LIMIT columns.
     """
     n, m = f.n, f.m
     entry = _koszul_input(f)
     if entry is None:
-        return ResultantValue(Fraction(0))
+        return Fraction(0)
     int_dicts, lcms, rows = entry
     value = _koszul_determinant(int_dicts, n, m, rows) * _power_map_sign(n, m)
-    return ResultantValue(value / prod(lcms) ** m ** n)
+    return value / prod(lcms) ** m ** n
 
 
 def is_morphism(f: ProjectiveMap) -> bool:
@@ -403,12 +365,9 @@ def is_morphism(f: ProjectiveMap) -> bool:
     The certificate is surjectivity at the critical degree: every form of
     degree t = (n+1)(m-1)+1 is a polynomial combination of the components
     exactly when the level-1 Koszul matrix of all products
-    (monomial of degree t-m) * f_i has full column rank.  It reads those
-    rows from _koszul_input, as macaulay_resultant does, which gives False
-    at once for a common zero explicit in the support.  Full rank modulo
-    one prime gives True; otherwise the exact level-1 elimination of
-    macaulay_resultant, _level_one_pivots, decides.  Raises SizeLimit
-    before building a matrix with more than MATRIX_SIZE_LIMIT columns.
+    (monomial of degree t-m) * f_i has full column rank, decided as the
+    module docstring sets out.  Raises SizeLimit before building a matrix
+    with more than MATRIX_SIZE_LIMIT columns.
     """
     n, m = f.n, f.m
     entry = _koszul_input(f)

@@ -66,8 +66,8 @@ from operator import itemgetter, mul, sub
 from . import linalg
 from .errors import DimensionMismatch, InvalidBlock, NotASolution, SizeLimit
 from .poly import (HomogeneousPoly, MultiIndex, ProjectiveMap, _map_from_dicts,
-                   parse_fraction, require_ints, shown)
-from .resultant import ResultantValue, is_morphism, macaulay_resultant
+                   parse_fraction, require_ints, require_lists, shown)
+from .resultant import is_morphism, macaulay_resultant
 from .weights import OnePS, weight, weight_profile
 
 # Bound on the 2^(n+1) variable subsets of one block scan.
@@ -246,12 +246,13 @@ def _integer_solution(f: ProjectiveMap, sol: StabilizerSolution
     Each entry is read by the one rational rule, poly.parse_fraction; a
     Fraction or an int is taken as it is.  scale is the lcm of every
     denominator of (c, b, C), c' = scale * c and level'_j = scale *
-    (b_j + C), all integers.  Raises DimensionMismatch unless c and b have
-    one entry per variable, ParseError for an entry that rule refuses (a
-    bool, a float, None, a str that is not 'p' or 'p/q'), and NotASolution
-    when a supported term fails <c',I> = level'_j.
+    (b_j + C), all integers.  Raises ParseError unless c and b are lists,
+    DimensionMismatch unless they have one entry per variable, ParseError
+    for an entry that rule refuses (a bool, a float, None, 'x'), and
+    NotASolution when a supported term fails <c',I> = level'_j.
     """
     nv = f.num_vars
+    require_lists("stabilizer solution c or b", (sol.c, sol.b))
     if len(sol.c) != nv or len(sol.b) != nv:
         raise DimensionMismatch(
             f"solution has {len(sol.c)} source and {len(sol.b)} target "
@@ -351,12 +352,16 @@ def block_from_stabilizer(f: ProjectiveMap, sol: StabilizerSolution
 
 
 def validate_block(f: ProjectiveMap, block: BlockStructure) -> None:
-    """InvalidBlock unless V' is proper and nonempty, |H'| = |V'|, every
-    index is in range and vars(f_j) lies in V' for each j in H' (the least
-    j that fails is named).  DegreeMismatch, before the range test, for an
-    index that is not an int; the one named is least by type name, then
-    by how it is shown, so it does not depend on the hash seed."""
+    """InvalidBlock unless V' and H' are sets, V' is proper and nonempty,
+    |H'| = |V'|, every index is in range and vars(f_j) lies in V' for each
+    j in H' (the least j that fails is named).  DegreeMismatch, before the
+    range test, for an index that is not an int; the one named is least by
+    type name, then as shown, so it does not depend on the hash seed."""
     nv = f.num_vars
+    if {type(block.variables), type(block.components)} - {set, frozenset}:
+        raise InvalidBlock(f"V' and H' must be sets, got "
+                           f"{shown(block.variables)} and "
+                           f"{shown(block.components)}")
     if not block.variables or len(block.variables) >= nv:
         raise InvalidBlock(f"V' = {shown(block.variables)} is not a proper "
                            f"nonempty subset of 0..{nv - 1}")
@@ -426,15 +431,20 @@ class BlockAnalysis:
 
 @dataclass(frozen=True)
 class ClassificationReport:
+    """classify's answer: is_morphism is read off the exact resultant."""
+
     label: str  # NotAMorphism / InfiniteStabilizer / BlockUnstable / NoDiagonalDegeneration
-    is_morphism: bool
-    resultant: ResultantValue
+    resultant: Fraction
     m_gt_n_plus_1: bool
     torus_rank: int
     stabilizer: StabilizerSpace
     blocks: tuple[BlockAnalysis, ...]
     obstructions: tuple[MorphismObstruction, ...]
     coordinate_note: str
+
+    @property
+    def is_morphism(self) -> bool:
+        return self.resultant != 0
 
 
 NOT_A_MORPHISM = "NotAMorphism"
@@ -453,12 +463,12 @@ def classify(f: ProjectiveMap) -> ClassificationReport:
     nontrivial stabilizer torus (InfiniteStabilizer); then a block with no
     torus (BlockUnstable); otherwise NoDiagonalDegeneration, a verdict
     explicitly relative to the given coordinates.  The resultant is
-    macaulay_resultant's Koszul-complex determinant, normalized to 1 on
-    power maps and exact in every frame, so the morphism verdict is its
-    being nonzero.
+    macaulay_resultant's exact Fraction, the Koszul-complex determinant
+    normalized to 1 on power maps, and the morphism verdict is read off it
+    as res != 0.
     """
     res = macaulay_resultant(f)
-    morphism = res.value != 0
+    morphism = res != 0
     stab = stabilizer_space(f)
     blocks, obstructions = _scan_blocks(f)
     if morphism and stab.torus_rank >= 1:
@@ -484,6 +494,6 @@ def classify(f: ProjectiveMap) -> ClassificationReport:
         label = BLOCK_UNSTABLE
     else:
         label = NO_DIAGONAL_DEGENERATION
-    return ClassificationReport(label, morphism, res, f.m > f.n + 1,
+    return ClassificationReport(label, res, f.m > f.n + 1,
                                 stab.torus_rank, stab, tuple(analyses),
                                 tuple(obstructions), _COORDINATE_NOTE)

@@ -34,9 +34,9 @@ from typing import Iterable, Iterator, Sequence
 
 from .decompose import split_once
 from .documents import format_fraction, map_to_document
-from .errors import BudgetExceeded, InvalidBox, ParseError
+from .errors import BudgetExceeded, InvalidBox
 from .poly import (ProjectiveMap, _map_from_dicts, parse_fraction,
-                   require_ints, shown)
+                   require_ints, require_lists, shown)
 from .resultant import check_matrix_size, is_morphism, monomials_of_degree
 from .stability import (detect_blocks, block_to_1ps, hyperplane_partition,
                         limit_map, stabilizer_space)
@@ -68,21 +68,19 @@ def _read_box(n: int, m: int, coeffs: Sequence,
     """The one reader of a box (and of a sample size, when one is given).
 
     Raises DegreeMismatch first unless n, m and a given sample size are
-    ints (poly.require_ints).  Raises ParseError unless coeffs is a list or
-    a tuple, and for a coefficient that poly.parse_fraction refuses, so
-    that what follows sees values, not spellings.  Raises InvalidBox, in
-    this order, for n < 0, m < 1, a negative sample size, a coefficient
-    set with no nonzero entry (every candidate would be the zero map, and
-    sampling would redraw forever), or one that names a value twice
-    (every map would be counted more than once).  Raises SizeLimit last,
-    before any monomial is listed, when (n, m) is past
+    ints (poly.require_ints).  Raises ParseError unless coeffs is a list
+    (poly.require_lists), and for a coefficient that parse_fraction
+    refuses, so that what follows sees values, not spellings.  Raises
+    InvalidBox, in this order, for n < 0, m < 1, a negative sample size, a
+    coefficient set with no nonzero entry (every candidate would be the
+    zero map, and sampling would redraw forever), or one that names a
+    value twice (every map would be counted more than once).  Raises
+    SizeLimit last, before any monomial is listed, when (n, m) is past
     resultant.MATRIX_SIZE_LIMIT, where is_morphism would refuse every map.
     """
     require_ints("n, m or sample size",
                  (n, m) if sample is None else (n, m, sample))
-    if not isinstance(coeffs, (list, tuple)):
-        raise ParseError(f"coeffs: expected a list of rationals, got "
-                         f"{type(coeffs).__name__}")
+    require_lists("coeffs", (coeffs,))
     values = tuple(parse_fraction(c, "coeffs") for c in coeffs)
     if n < 0:
         raise InvalidBox(f"n must be >= 0, got {shown(n)}")
@@ -150,9 +148,12 @@ def sample_maps(n: int, m: int, coeffs: Sequence, k: int, seed: int
                 ) -> Iterator[ProjectiveMap]:
     """k seeded draws from the box (all-zero draws are redrawn).  The box
     and k are read, and refused as _read_box refuses them, at the call;
-    a k of None, the suite's exhaustive mode, is refused first."""
+    a k of None, the suite's exhaustive mode, is refused first, and then a
+    seed that is not an int (poly.require_ints)."""
     require_ints("n, m or sample size", (n, m, k))
-    return _sampled(_read_box(n, m, coeffs, k), k, seed)
+    box = _read_box(n, m, coeffs, k)
+    require_ints("seed", (seed,))
+    return _sampled(box, k, seed)
 
 
 @dataclass
@@ -238,11 +239,12 @@ def run_verification_suite(n: int, m: int, coeffs: Sequence,
     """Enumerate (or sample) the box and check every law on every morphism.
 
     The box and a given sample size are read by _read_box, and refused as
-    it refuses them, before anything is counted or drawn.  Then raises
-    BudgetExceeded when the box (without a sample size) or the sample size
-    is above DEFAULT_BUDGET.
+    it refuses them, and then a seed that is not an int, in both modes, as
+    the report shows it.  Then raises BudgetExceeded when the box (without
+    a sample size) or the sample size is above DEFAULT_BUDGET.
     """
     box = _read_box(n, m, coeffs, sample)
+    require_ints("seed", (seed,))
     if sample is None:
         total = box.candidates
         if total > DEFAULT_BUDGET:

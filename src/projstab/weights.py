@@ -14,19 +14,20 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import DimensionMismatch
-from .poly import MultiIndex, ProjectiveMap, require_ints
+from .poly import MultiIndex, ProjectiveMap, require_ints, require_lists
 
 
 @dataclass(frozen=True)
 class OnePS:
     """Integer weight pair (c for the source, b for the target); raises
-    DegreeMismatch for a weight that is not an int, DimensionMismatch for
-    unequal lengths."""
+    ParseError unless both are lists (poly.require_lists), DegreeMismatch
+    for a non-int weight, DimensionMismatch for unequal lengths."""
 
     c: tuple[int, ...]
     b: tuple[int, ...]
 
     def __post_init__(self):
+        require_lists("weights", (self.c, self.b))
         require_ints("weight", (*self.c, *self.b))
         if len(self.c) != len(self.b):
             raise DimensionMismatch(

@@ -12,6 +12,13 @@ from projstab.stability import SUBSET_SCAN_LIMIT
 
 DEFAULT_COEFFS = tuple(Fraction(k) for k in (-2, -1, 0, 1, 2))
 
+# Values a caller might pass by mistake, for the fuzz properties of the
+# error contract.  10**700 is past the 2048 bits that poly.shown writes in
+# digits, and still has a repr for hypothesis to print.
+ODD_VALUES = (None, 2.0, 0.5, float("nan"), True, False, "1", "x", "", [1],
+              (), {}, b"1", Fraction(1, 2), -1, -(10 ** 9), 10 ** 9, 2 ** 64,
+              10 ** 700, -(10 ** 700))
+
 
 def random_map(rng: Random, n: int, m: int, coeffs=DEFAULT_COEFFS):
     """One map with every monomial slot drawn from coeffs (never all-zero)."""
@@ -330,6 +337,60 @@ def reference_koszul_determinant(int_dicts, n, m):
         value = value * det if k % 2 else value / det
         k += 1
     return value
+
+
+def _dense_det(rows):
+    """Determinant of a square integer matrix by dense fraction-free
+    (Bareiss) elimination, swapping in the first row with a nonzero entry
+    where a pivot is 0.  Every division is exact."""
+    a = [list(row) for row in rows]
+    sign, prev = 1, 1
+    for k in range(len(a)):
+        p = next((i for i in range(k, len(a)) if a[i][k]), None)
+        if p is None:
+            return 0
+        if p != k:
+            a[k], a[p] = a[p], a[k]
+            sign = -sign
+        top = a[k]
+        for row in a[k + 1:]:
+            x = row[k]
+            row[k + 1:] = [(y * top[k] - x * z) // prev
+                           for y, z in zip(row[k + 1:], top[k + 1:])]
+        prev = top[k]
+    return sign * prev
+
+
+def macaulay_ratio(f):
+    """det M / det M' for Macaulay's matrices of a map with integer
+    coefficients, built from the definition, or None when det M' = 0
+    (Macaulay, Proc. London Math. Soc. 35, 1902; Cox, Little and O'Shea,
+    Using Algebraic Geometry, ch. 3 section 4).
+
+    Rows and columns of M are indexed alike by the monomials u of degree
+    t = (n+1)(m-1)+1; the row of u holds the coefficients of
+    (u / x_j^m) * f_j, with j the least index where u_j >= m.  M' is the
+    submatrix of M on the monomials that are not reduced: those with at
+    least two exponents >= m.  When det M' != 0, det M / det M' is the
+    resultant normalized to 1 on the power map.  det M' is computed
+    first, and det M only when it is not 0.  Nothing here calls linalg or
+    resultant.
+    """
+    n, m = f.n, f.m
+    monos = _descending_monomials(n + 1, (n + 1) * (m - 1) + 1)
+    column = {u: i for i, u in enumerate(monos)}
+    rows = []
+    for u in monos:
+        j = next(i for i, x in enumerate(u) if x >= m)
+        row = [0] * len(monos)
+        for e, c in f.components[j].terms:
+            assert c.denominator == 1, "integer coefficients only"
+            row[column[tuple(x + y - m * (i == j) for i, (x, y)
+                             in enumerate(zip(u, e)))]] = int(c)
+        rows.append(row)
+    kept = [i for i, u in enumerate(monos) if sum(x >= m for x in u) > 1]
+    det_sub = _dense_det([[rows[i][c] for c in kept] for i in kept])
+    return Fraction(_dense_det(rows), det_sub) if det_sub else None
 
 
 def random_invertible(rng: Random, size: int, lo: int = -3, hi: int = 3):

@@ -315,7 +315,7 @@ class TestReductionFormula:
     @settings(max_examples=400)
     @given(_maps_with_a_block())
     def test_pieces_decide_the_morphism_and_the_resultant(self, f):
-        whole = macaulay_resultant(f).value
+        whole = macaulay_resultant(f)
         morphism = is_morphism(f)
         assert morphism == (whole != 0)
         for block in detect_blocks(f):
@@ -329,6 +329,6 @@ class TestReductionFormula:
                                        + pair.restriction_components))
             assert whole == (
                 sign ** (f.m ** f.n)
-                * macaulay_resultant(pair.quotient).value
+                * macaulay_resultant(pair.quotient)
                 ** (f.m ** (f.n + 1 - k))
-                * macaulay_resultant(pair.restriction).value ** (f.m ** k))
+                * macaulay_resultant(pair.restriction) ** (f.m ** k))

@@ -38,7 +38,6 @@ ALLOWED = {
     "evaluate": "TestChartScanOracle",
     "iterate": "criterion 8",
     "sylvester_resultant": "criterion 5",
-    "is_indeterminate": "criteria 5 and 6",
     # run_verification_suite reads its box once and builds from that, so
     # the box generators' callers are outside the package.
     "count_candidates": "criteria 2 and 3",

@@ -25,7 +25,7 @@ from projstab.resultant import (_koszul_input, _koszul_level, _koszul_rows,
 from projstab.weights import vertex_coverage
 from helpers import (_descending_monomials, _reference_boundary,
                      check_pivot_rows_contract, integer_components,
-                     random_map, reference_koszul_determinant)
+                     macaulay_ratio, random_map, reference_koszul_determinant)
 
 
 def _power_map(n, m):
@@ -97,30 +97,30 @@ class TestMacaulay:
     @pytest.mark.parametrize("n,m", [(0, 3), (1, 2), (1, 3), (2, 2), (2, 3),
                                      (3, 2), (4, 2)])
     def test_power_map_normalization(self, n, m):
-        assert macaulay_resultant(_power_map(n, m)).value == 1
+        assert macaulay_resultant(_power_map(n, m)) == 1
 
     def test_permuted_power_map(self):
         # Macaulay's square matrix is singular here, so level 1 of the
         # Koszul complex has to pick other rows.
         f = make_map(2, 2, [[((0, 2, 0), 1)], [((2, 0, 0), 1)], [((0, 0, 2), 1)]])
-        assert macaulay_resultant(f).value == 1
+        assert macaulay_resultant(f) == 1
 
     def test_zero_component_short_circuit(self):
         f = make_map(1, 2, [[((2, 0), 1), ((2, 0), -1)], [((0, 2), 1)]])
         res = macaulay_resultant(f)
-        assert res.value == 0
+        assert res == 0
 
     def test_uncovered_vertex_short_circuit(self):
         f = make_map(2, 2, [[((2, 0, 0), 1)], [((1, 1, 0), 1)], [((1, 0, 1), 1)]])
         res = macaulay_resultant(f)
-        assert res.value == 0
+        assert res == 0
 
     def test_n2_morphism_example(self):
         f = make_map(2, 2, [[((2, 0, 0), 1)],
                             [((1, 1, 0), 1), ((0, 2, 0), 1)],
                             [((0, 0, 2), 1), ((1, 0, 1), 1)]])
         res = macaulay_resultant(f)
-        assert res.value != 0
+        assert res != 0
 
     def test_agrees_with_sylvester(self):
         rng = Random(101)
@@ -128,7 +128,7 @@ class TestMacaulay:
             m = rng.choice((2, 3, 4))
             f = random_map(rng, 1, m)
             res = macaulay_resultant(f)
-            assert res.value == sylvester_resultant(f)
+            assert res == sylvester_resultant(f)
 
     def test_size_limit(self):
         with pytest.raises(SizeLimit):
@@ -175,7 +175,7 @@ class TestMacaulay:
                         [F(x) for x in forms[0][a]],
                         [F(x) for x in forms[1][b]],
                         [F(x) for x in forms[2][c]]])
-                assert res.value == expected
+                assert res == expected
                 checked += 1
 
     def test_linearly_dependent_components(self):
@@ -185,14 +185,14 @@ class TestMacaulay:
                             [((1, 1, 0), -1), ((0, 2, 0), -1), ((0, 1, 1), -1)],
                             [((2, 0, 0), -1), ((1, 0, 1), 1), ((0, 2, 0), -1),
                              ((0, 0, 2), -1)]])
-        assert macaulay_resultant(f).value == 0
+        assert macaulay_resultant(f) == 0
         assert not is_morphism(f)
 
     def test_rational_common_zero_forces_zero(self):
         # every component divisible by x0 - 2x1: zero at (2 : 1)
         f = make_map(1, 2, [[((2, 0), 1), ((1, 1), -2)],
                             [((1, 1), 1), ((0, 2), -2)]])
-        assert macaulay_resultant(f).value == 0
+        assert macaulay_resultant(f) == 0
 
     def test_source_covariance(self):
         # Res(f . g) = det(g)^(m^(n+1)) Res(f)
@@ -211,7 +211,7 @@ class TestMacaulay:
             moved = apply_linear_change(f, make_linear_change(g, eye))
             r1 = macaulay_resultant(f)
             r2 = macaulay_resultant(moved)
-            assert r2.value == r1.value * d ** (m ** (n + 1))
+            assert r2 == r1 * d ** (m ** (n + 1))
             checked += 1
 
     def test_component_scaling_degree(self):
@@ -226,8 +226,8 @@ class TestMacaulay:
             comps = [list(comp.terms) for comp in f.components]
             comps[0] = [(e, c * u) for e, c in comps[0]]
             r2 = macaulay_resultant(make_map(n, m, comps))
-            assert r2.value == r1.value * u ** (m ** n)
-            nonzero += r1.value != 0
+            assert r2 == r1 * u ** (m ** n)
+            nonzero += r1 != 0
         assert nonzero >= 8
 
     @settings(max_examples=60, deadline=None, derandomize=True,
@@ -254,9 +254,9 @@ class TestMacaulay:
         except ZeroMap:
             assume(False)
         moved = apply_linear_change(f, make_linear_change(g, h))
-        assert (macaulay_resultant(moved).value
+        assert (macaulay_resultant(moved)
                 == dg ** (m ** 3) * dh ** (-m ** 2)
-                * macaulay_resultant(f).value)
+                * macaulay_resultant(f))
 
     @pytest.mark.parametrize("n,m", [(2, 2), (2, 3), (3, 2)])
     def test_nonzero_exactly_for_morphisms(self, n, m):
@@ -267,7 +267,7 @@ class TestMacaulay:
                                  (F(0), F(0), F(0), F(1))))
             f = random_map(rng, n, m, coeffs)
             verdict = is_morphism(f)
-            assert (macaulay_resultant(f).value != 0) == verdict
+            assert (macaulay_resultant(f) != 0) == verdict
             seen.add(verdict)
         assert seen == {True, False}
 
@@ -296,7 +296,7 @@ class TestMacaulay:
             return calls[-1][2]
 
         monkeypatch.setattr(linalg, "pivot_rows", recording)
-        assert macaulay_resultant(f).value != 0
+        assert macaulay_resultant(f) != 0
         assert [(len(rows), need) for rows, need, _ in calls[:n]] == shapes
         for rows, need, out in calls:
             # The value is nonzero, so every live column holds a nonzero.
@@ -324,7 +324,7 @@ class TestMacaulay:
                  for j in range(n + 1)]
         expected = (reference_koszul_determinant(int_dicts, n, m)
                     * reference_koszul_determinant(power, n, m) / correction)
-        assert macaulay_resultant(f).value == expected
+        assert macaulay_resultant(f) == expected
 
     def test_level_one_order_cache_is_bounded(self):
         # Component j = x_perm[j]^2 holds the only pure power x_perm[j]^2,
@@ -404,7 +404,7 @@ class TestMacaulay:
                                 for v in perm])
             assert _pure_power_matching(_koszul_input(f)[0],
                                         4, 1) == tuple(range(5))
-            assert macaulay_resultant(f).value == permutation_sign(perm)
+            assert macaulay_resultant(f) == permutation_sign(perm)
 
     @settings(max_examples=300, deadline=None, derandomize=True,
               database=None)
@@ -435,6 +435,35 @@ class TestMacaulay:
             assert lead == identity
 
 
+class TestMacaulayRatio:
+    """Res = det M / det M' (Macaulay, 1902), with M and M' built from the
+    definition by tests/helpers.macaulay_ratio and its own dense
+    determinant: an oracle at n >= 2 that shares no code with linalg or
+    resultant.  A draw with det M' = 0 is discarded."""
+
+    @settings(max_examples=80)
+    @given(size=st.sampled_from([(2, 2), (2, 3), (3, 2)]),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_ratio_formula(self, size, seed):
+        f = random_map(Random(seed), *size)
+        ratio = macaulay_ratio(f)
+        assume(ratio is not None)
+        assert macaulay_resultant(f) == ratio
+
+    def test_ratio_formula_where_the_power_map_sign_is_minus_one(self):
+        # The sign that makes the power map give 1 is +1 at every size
+        # above, so only a size where it is -1, as at (4, 2), shows that
+        # it is applied.  M is 210 x 210 there: one draw, the first with
+        # det M' != 0.
+        for seed in range(20):
+            f = random_map(Random(seed), 4, 2)
+            ratio = macaulay_ratio(f)
+            if ratio is not None:
+                break
+        assert ratio not in (None, 0)
+        assert macaulay_resultant(f) == ratio
+
+
 class TestCompositionLaw:
     """Res(F . G) = Res(F)^(e^n) * Res(G)^(d^(n+1)) for F of degree d and
     G of degree e on P^n (Jouanolou, Adv. Math. 90, 1991).
@@ -452,10 +481,10 @@ class TestCompositionLaw:
         e = data.draw(st.integers(1, 2 if n < 3 or d == 1 else 1))
         rng = Random(data.draw(st.integers(0, 2 ** 32 - 1)))
         outer, inner = random_map(rng, n, d), random_map(rng, n, e)
-        r_outer = macaulay_resultant(outer).value
-        r_inner = macaulay_resultant(inner).value
+        r_outer = macaulay_resultant(outer)
+        r_inner = macaulay_resultant(inner)
         assume(abs(r_outer) not in (0, 1) and abs(r_inner) not in (0, 1))
-        assert (macaulay_resultant(compose(outer, inner)).value
+        assert (macaulay_resultant(compose(outer, inner))
                 == r_outer ** (e ** n) * r_inner ** (d ** (n + 1)))
 
     @pytest.mark.parametrize("n,m", [(1, 2), (1, 3), (2, 2)])
@@ -465,10 +494,10 @@ class TestCompositionLaw:
         checked = 0
         while checked < 4:
             f = random_map(rng, n, m)
-            r = macaulay_resultant(f).value
+            r = macaulay_resultant(f)
             if abs(r) in (0, 1):
                 continue
-            assert (macaulay_resultant(iterate(f, 2)).value
+            assert (macaulay_resultant(iterate(f, 2))
                     == r ** (m ** n + m ** (n + 1)))
             checked += 1
 
@@ -495,7 +524,7 @@ class TestMonomials:
         assert monomials_of_degree(1, m) == ((m,),)
         f = make_map(0, m, [[((m,), 3)]])
         assert is_morphism(f)
-        assert macaulay_resultant(f).value == 3
+        assert macaulay_resultant(f) == 3
 
 
 class TestIsMorphism:
@@ -574,7 +603,7 @@ class TestProbe:
                             [((2, 0), -4), ((0, 2), 1)]])
         report = ff_zero_probe(f, 5)
         assert report.zeros_found == ((1, 2), (1, 3))
-        res = macaulay_resultant(f).value
+        res = macaulay_resultant(f)
         assert res == 25 and res % 5 == 0
 
     def test_bad_prime(self):
@@ -646,8 +675,8 @@ class TestProbe:
             for p in (101, 103):
                 if ff_zero_probe(f, p).zeros_found:
                     hits += 1
-                    num = res.value.numerator
-                    den = res.value.denominator
+                    num = res.numerator
+                    den = res.denominator
                     assert den % p != 0 and num % p == 0
         # the law must have been exercised at least once on this seed
         assert hits >= 1

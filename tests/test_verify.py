@@ -7,14 +7,14 @@ from time import perf_counter
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import projstab.verify as verify
 from projstab import (DegreeMismatch, InvalidBox, ParseError, ProjstabError,
                       SizeLimit)
 from projstab.verify import (count_candidates, enumerate_maps,
                              run_verification_suite, sample_maps)
-from helpers import reference_box_maps
+from helpers import ODD_VALUES, reference_box_maps
 
 # Each entry point on a box (n, m, coeffs); the samplers draw 3 maps.  A
 # generator reads its box at the call, so none of these needs a next().
@@ -35,7 +35,7 @@ BAD_BOXES = {
     "1/0": ((1, 1, ["1/0", 1]), ParseError, "coeffs: bad rational '1/0'"),
     "x": ((1, 1, ["x"]), ParseError, "coeffs: bad rational 'x'"),
     "str-coeffs": ((1, 1, "01"), ParseError,
-                   "coeffs: expected a list of rationals, got str"),
+                   "coeffs: expected a list, got '01'"),
     "1-and-1/1": ((1, 1, [1, "1/1"]), InvalidBox,
                   "the coefficient set names 1 twice"),
     "zero-box": ((1, 1, [0]), InvalidBox,
@@ -83,6 +83,20 @@ class TestBoxReader:
         with pytest.raises(error, match="sample size"):
             sample_maps(1, 1, [0, 1], k, 0)
 
+    # A seed that is not an int used to raise a bare TypeError from
+    # random.Random ([1], {}), to draw a sample that cannot be drawn again
+    # (None), or to be taken as given and reach the report ('7').
+    @pytest.mark.parametrize("seed", [[1], {}, None, True, 1.5, "7"],
+                             ids=["list", "dict", "None", "bool", "float",
+                                  "str"])
+    def test_seed_is_read_at_the_call(self, seed):
+        for call in (lambda: sample_maps(1, 1, [0, 1], 2, seed),
+                     lambda: run_verification_suite(1, 1, [0, 1], sample=2,
+                                                    seed=seed),
+                     lambda: run_verification_suite(1, 1, [0, 1], seed=seed)):
+            with pytest.raises(DegreeMismatch, match="^seed "):
+                call()
+
     def test_huge_n_is_refused_without_a_monomial_table(self, monkeypatch):
         def no_listing(num_vars, degree):
             raise AssertionError("monomials listed for an oversized box")
@@ -121,13 +135,9 @@ class TestBoxReader:
         assert report.maps_checked == 2 and report.zero_failures
 
 
-# Values a caller might pass by mistake.  Huge ints are far past every
-# bound, so that no valid box is large: valid sizes are small.  10**700 is
-# past the 2048 bits that poly.shown writes in digits, and still has a
-# repr for hypothesis to print.
-_ODD = st.sampled_from([None, 2.0, 0.5, float("nan"), True, False, "1", "x",
-                        "", [1], (), {}, b"1", F(1, 2), -1, -(10 ** 9),
-                        10 ** 9, 2 ** 64, 10 ** 700, -(10 ** 700)])
+# Huge ints are far past every bound, so that no valid box is large:
+# valid sizes are small.
+_ODD = st.sampled_from(ODD_VALUES)
 _COEFFS = st.lists(st.integers(-2, 2) | st.sampled_from(
     ["0", "1", "-1/2", "2/4", F(2, 3), 10 ** 700, F(1, 10 ** 700)])
     | st.sampled_from(["1/0", " 1", "1e3", "x", "", "7" * 5000, 0.5, True,
@@ -135,19 +145,22 @@ _COEFFS = st.lists(st.integers(-2, 2) | st.sampled_from(
 
 
 @settings(max_examples=500)
+# A seed that random.Random refuses with a bare TypeError.
+@example(n=1, m=1, coeffs=[0, 1], k=2, seed=0, odd=("s", [1]))
+@example(n=1, m=1, coeffs=[0, 1], k=None, seed=0, odd=("s", {}))
 @given(n=st.integers(0, 2), m=st.integers(1, 3), coeffs=_COEFFS,
        k=st.none() | st.integers(0, 3), seed=st.integers(0, 3),
-       odd=st.none() | st.tuples(st.sampled_from("nmck"), _ODD))
+       odd=st.none() | st.tuples(st.sampled_from("nmcks"), _ODD))
 def test_every_entry_point_returns_or_raises_its_own_error(n, m, coeffs, k,
                                                            seed, odd):
-    # One of n, m, the coefficient set or k may be replaced by an odd
-    # value.  The budget is cut to 100 candidates, so that a valid box runs
+    # One of n, m, the coefficient set, k or the seed may be replaced by an
+    # odd value.  The budget is cut to 100 candidates, so that a valid box runs
     # at most 100 maps; a box past it is refused with BudgetExceeded.  A
     # sampler is read to at most 4 maps, and must end after k.
     if odd is not None:
         field, value = odd
-        n, m, coeffs, k = (value if field == f else x for f, x in
-                           zip("nmck", (n, m, coeffs, k)))
+        n, m, coeffs, k, seed = (value if field == f else x for f, x in
+                                 zip("nmcks", (n, m, coeffs, k, seed)))
 
     def sampled():
         assert len(list(islice(sample_maps(n, m, coeffs, k, seed), 4))) \
