@@ -13,8 +13,7 @@ from .errors import (BadPrime, BudgetExceeded, DegreeMismatch,
                      NotAMorphism, NotASolution, ParseError, ProjstabError,
                      SingularMatrix, SizeLimit, WrongDimension, ZeroMap)
 from .poly import (HomogeneousPoly, LinearChange, MultiIndex, ProjectiveMap,
-                   apply_linear_change, compose, evaluate, iterate,
-                   make_linear_change, make_map)
+                   apply_linear_change, compose, evaluate, iterate, make_map)
 from .weights import (OnePS, WeightProfile, vertex_coverage, weight,
                       weight_profile)
 from .resultant import (ProbeReport, default_probe_primes, ff_zero_probe,

@@ -119,7 +119,7 @@ def cmd_limit(args) -> int:
     f = documents.load_map_file(args.file)
     c = _int_list(args.c, "--c")
     b = _int_list(args.b, "--b")
-    result = limit_map(f, OnePS(tuple(c), tuple(b)))
+    result = limit_map(f, OnePS(c, b))
     sys.stdout.write(documents.dumps_canonical(documents.limit_to_dict(result)))
     return EXIT_OK
 

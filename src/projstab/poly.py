@@ -18,7 +18,9 @@ be shared freely across threads.
 Every number a caller gives is read here, once, where it enters, and never
 rounded.  A rational is a Fraction, an int or "p" / "p/q" in ASCII digits
 (parse_fraction; ParseError on a bool, a float, "1e3", " 2 " or "1/0"); an
-exponent entry or a weight is an int, not a bool (require_ints).
+exponent entry or a weight is an int, not a bool (require_ints).  A value
+class, such as LinearChange, reads its fields in __post_init__ and stores
+them in canonical form, so equal values compare and hash equal.
 
 Every value that an error line shows goes through shown(): a rational
 past 2048 bits by its size, below any digit limit of str(); a str by its
@@ -96,6 +98,8 @@ def shown(value: Any) -> str:
 
 def parse_fraction(value: Any, where: str = "coeff") -> Fraction:
     """The one reader of rationals; a Fraction is returned as it is."""
+    if isinstance(value, Fraction):  # first: most values are read already
+        return value
     if isinstance(value, str):
         match = _RATIONAL.fullmatch(value)
         reason = "expected 'p' or 'p/q' in decimal digits"
@@ -107,8 +111,6 @@ def parse_fraction(value: Any, where: str = "coeff") -> Fraction:
         raise ParseError(f"{where}: bad rational {shown(value)}: {reason}")
     if isinstance(value, int) and not isinstance(value, bool):
         return Fraction(value)
-    if isinstance(value, Fraction):
-        return value
     raise ParseError(f"{where}: expected an integer or 'p/q' string, "
                      f"got {type(value).__name__}")
 
@@ -168,10 +170,12 @@ class HomogeneousPoly:
         """Build from (exponent, coefficient) pairs.
 
         Duplicate exponents are summed; zero results are dropped.  Raises
-        ParseError unless each term is a pair (exponent tuple, coefficient),
-        DimensionMismatch / DegreeMismatch unless every exponent has
-        num_vars int entries, none negative, summing to degree, and
-        ParseError for a coefficient that parse_fraction refuses.
+        ParseError unless each term is a pair (exponent tuple, coefficient)
+        whose exponent is a list or a tuple (tuple() would read bytes by
+        their values and a mapping by its keys), DimensionMismatch /
+        DegreeMismatch unless every exponent has num_vars int entries,
+        none negative, summing to degree, and ParseError for a coefficient
+        that parse_fraction refuses.
         """
         pairs = terms.items() if isinstance(terms, Mapping) else terms
         if not isinstance(pairs, Iterable):
@@ -180,10 +184,12 @@ class HomogeneousPoly:
         for term in pairs:
             try:
                 exp, coeff = term
-                e = tuple(exp)
             except (TypeError, ValueError):
+                exp = None
+            if not isinstance(exp, (list, tuple)):
                 raise ParseError(f"term {shown(term)} is not (exponent tuple, "
-                                 "coefficient)") from None
+                                 "coefficient)")
+            e = tuple(exp)
             require_ints("exponent entry", e)
             if len(e) != num_vars:
                 raise DimensionMismatch(
@@ -258,29 +264,30 @@ class ProjectiveMap:
 
 @dataclass(frozen=True)
 class LinearChange:
-    """A pair (g, h) of invertible matrices acting by f -> h^-1 . f . g."""
+    """A pair (g, h) of invertible matrices acting by f -> h^-1 . f . g.
+
+    Read once, when built: raises ParseError unless each matrix is a list
+    of lists (require_lists) of entries that parse_fraction reads,
+    DimensionMismatch unless it is square, and SingularMatrix.  The
+    entries are stored as tuples of Fractions, so equal pairs compare and
+    hash equal whatever spelling built them.
+    """
 
     source_matrix: tuple[tuple[Fraction, ...], ...]
     target_matrix: tuple[tuple[Fraction, ...], ...]
 
-
-def make_linear_change(source: Sequence[Sequence[CoeffLike]],
-                       target: Sequence[Sequence[CoeffLike]]) -> LinearChange:
-    """Validate and freeze a coordinate-change pair; raises SingularMatrix,
-    DimensionMismatch unless square, and ParseError unless each matrix is
-    a list of lists (require_lists) of entries that parse_fraction reads."""
-    def freeze(mat, name):
-        require_lists(f"{name} matrix", (mat,))
-        require_lists(f"{name} row", mat)
-        rows = tuple(tuple(parse_fraction(x, name) for x in r) for r in mat)
-        size = len(rows)
-        if any(len(r) != size for r in rows):
-            raise DimensionMismatch(f"{name} matrix is not square")
-        if linalg.det_rational([list(r) for r in rows]) == 0:
-            raise SingularMatrix(f"{name} matrix is singular")
-        return rows
-
-    return LinearChange(freeze(source, "source"), freeze(target, "target"))
+    def __post_init__(self):
+        for name in ("source", "target"):
+            mat = getattr(self, f"{name}_matrix")
+            require_lists(f"{name} matrix", (mat,))
+            require_lists(f"{name} row", mat)
+            rows = tuple(tuple(parse_fraction(x, name) for x in r)
+                         for r in mat)
+            if any(len(r) != len(rows) for r in rows):
+                raise DimensionMismatch(f"{name} matrix is not square")
+            if linalg.det_rational([list(r) for r in rows]) == 0:
+                raise SingularMatrix(f"{name} matrix is singular")
+            object.__setattr__(self, f"{name}_matrix", rows)
 
 
 def make_map(n: int, m: int,

@@ -41,9 +41,11 @@ row echelon form whose null space that span is, and entry g of the reduced
 vector of pivot f is -y_g[f] / delta.  The vector of 1 and the C vector
 are then cleared on the pivots it finds.
 
-The law checks read a solution once as integers: scaled by the lcm of all
-its denominators, c becomes c' and each level b_j + C becomes an integer
-level', and every term condition is <c', I> = level'_j.
+A StabilizerSolution reads its entries once, when it is built, by the one
+rational rule, and holds them as Fractions.  The law checks scale it once
+to integers: by the lcm of all its denominators, c becomes c' and each
+level b_j + C becomes an integer level', and every term condition is
+<c', I> = level'_j.
 
 Block structure is the combinatorial shadow of invariant subspaces: a pair
 (V', H') with |V'| = |H'| such that vars(f_j), the variables some term of
@@ -73,20 +75,33 @@ from .weights import OnePS, weight, weight_profile
 # Bound on the 2^(n+1) variable subsets of one block scan.
 SUBSET_SCAN_LIMIT = 2 ** 16
 
-# Solution entries that _integer_solution takes as they are; a bool is not
-# one of them, as type() tells it from int.
-_READ_AS_IS = frozenset({Fraction, int})
-
 _ZERO, _ONE = Fraction(0), Fraction(1)
 
 
 @dataclass(frozen=True)
 class StabilizerSolution:
-    """One rational solution (c, b, C) of the stabilizer system."""
+    """One rational solution (c, b, C) of the stabilizer system.
+
+    Read once, when built: raises ParseError unless c and b are lists
+    (poly.require_lists), and for an entry that poly.parse_fraction, the
+    one rational rule, refuses (a bool, a float, None, 'x').  c and b are
+    stored as tuples of Fractions and C as a Fraction, so equal solutions
+    compare and hash equal whatever spelling built them.  Their lengths
+    are checked against a map where one is used (_integer_solution).
+    """
 
     c: tuple[Fraction, ...]
     b: tuple[Fraction, ...]
     C: Fraction
+
+    def __post_init__(self):
+        require_lists("stabilizer solution c or b", (self.c, self.b))
+        where = "stabilizer solution entry"
+        object.__setattr__(self, "c", tuple([parse_fraction(x, where)
+                                             for x in self.c]))
+        object.__setattr__(self, "b", tuple([parse_fraction(x, where)
+                                             for x in self.b]))
+        object.__setattr__(self, "C", parse_fraction(self.C, where))
 
 
 @dataclass(frozen=True)
@@ -119,11 +134,24 @@ class HyperplanePartition:
 
 @dataclass(frozen=True)
 class BlockStructure:
-    """Index pair certifying block-triangular shape."""
+    """Index pair certifying block-triangular shape.
+
+    Built, raises InvalidBlock unless V' and H' are sets, and stores them
+    as frozensets, so equal blocks compare and hash equal whether sets or
+    frozensets built them.  The index checks, and those that need a map,
+    are validate_block's.
+    """
 
     variables: frozenset[int]   # V'
     components: frozenset[int]  # H'
     certified_by: str           # "SupportCombinatorics" or "InfiniteStabilizer"
+
+    def __post_init__(self):
+        if {type(self.variables), type(self.components)} - {set, frozenset}:
+            raise InvalidBlock("V' and H' must be sets, got " + " and ".join(
+                map(shown, (self.variables, self.components))))
+        object.__setattr__(self, "variables", frozenset(self.variables))
+        object.__setattr__(self, "components", frozenset(self.components))
 
 
 @dataclass(frozen=True)
@@ -233,7 +261,7 @@ def stabilizer_space(f: ProjectiveMap) -> StabilizerSpace:
             x -= u
         if x:
             cleared[last - g] = entry(-x)
-    basis = tuple(StabilizerSolution(tuple(v[:nv]), tuple(v[nv:last]), v[last])
+    basis = tuple(StabilizerSolution(v[:nv], v[nv:last], v[last])
                   for _, v in sorted(vectors.items()))
     dim = len(basis)
     return StabilizerSpace(basis, dim, dim - 2, f.m <= f.n + 1)
@@ -243,31 +271,21 @@ def _integer_solution(f: ProjectiveMap, sol: StabilizerSolution
                       ) -> tuple[list[int], list[int], int]:
     """(c', levels', scale) for a solution of the stabilizer system of f.
 
-    Each entry is read by the one rational rule, poly.parse_fraction; a
-    Fraction or an int is taken as it is.  scale is the lcm of every
-    denominator of (c, b, C), c' = scale * c and level'_j = scale *
-    (b_j + C), all integers.  Raises ParseError unless c and b are lists,
-    DimensionMismatch unless they have one entry per variable, ParseError
-    for an entry that rule refuses (a bool, a float, None, 'x'), and
-    NotASolution when a supported term fails <c',I> = level'_j.
+    The entries were read when the solution was built.  scale is the lcm
+    of every denominator of (c, b, C), c' = scale * c and level'_j =
+    scale * (b_j + C), all integers.  Raises DimensionMismatch unless c
+    and b have one entry per variable, and NotASolution when a supported
+    term fails <c',I> = level'_j.
     """
     nv = f.num_vars
-    require_lists("stabilizer solution c or b", (sol.c, sol.b))
     if len(sol.c) != nv or len(sol.b) != nv:
         raise DimensionMismatch(
             f"solution has {len(sol.c)} source and {len(sol.b)} target "
             f"weights, map needs {nv} of each")
-    entries = (*sol.c, *sol.b, sol.C)
-    if not _READ_AS_IS.issuperset(map(type, entries)):
-        entries = [x if type(x) in _READ_AS_IS
-                   else parse_fraction(x, "stabilizer solution entry")
-                   for x in entries]
-    scale = lcm(*(x.denominator for x in entries))
-    c = [x.numerator * (scale // x.denominator) for x in entries[:nv]]
-    C = entries[-1]
-    shift = C.numerator * (scale // C.denominator)
-    levels = [x.numerator * (scale // x.denominator) + shift
-              for x in entries[nv:-1]]
+    scale = lcm(*(x.denominator for x in (*sol.c, *sol.b, sol.C)))
+    c = [x.numerator * (scale // x.denominator) for x in sol.c]
+    shift = sol.C.numerator * (scale // sol.C.denominator)
+    levels = [x.numerator * (scale // x.denominator) + shift for x in sol.b]
     if any(sum(map(mul, c, e)) != level for comp, level
            in zip(f.components, levels) for e, _ in comp.terms):
         raise NotASolution("vector violates a support constraint of the map")
@@ -281,8 +299,8 @@ def hyperplane_partition(f: ProjectiveMap, sol: StabilizerSolution
     Works on the one integer scaling of the solution (_integer_solution):
     the classes are grouped and the multisets compared on the scaled
     levels, and Fractions are made only for the class keys it returns.
-    Raises DimensionMismatch, ParseError or NotASolution, as
-    _integer_solution does.
+    Raises DimensionMismatch or NotASolution, as _integer_solution does;
+    a solution's ParseError comes from its constructor.
     """
     c, levels, scale = _integer_solution(f, sol)
     classes: dict[int, list[int]] = {}
@@ -338,8 +356,8 @@ def block_from_stabilizer(f: ProjectiveMap, sol: StabilizerSolution
     Takes the maximum M' of the vertex weights m*c_i; the components on the
     hyperplane b_j + C = M' are supported on the face spanned by the
     maximizing vertices.  Returns None for a trivial (constant-c) solution.
-    Raises DimensionMismatch, ParseError or NotASolution, as
-    _integer_solution does.
+    Raises DimensionMismatch or NotASolution, as _integer_solution does;
+    a solution's ParseError comes from its constructor.
     """
     c, levels, _ = _integer_solution(f, sol)
     if len(set(c)) <= 1:
@@ -352,16 +370,13 @@ def block_from_stabilizer(f: ProjectiveMap, sol: StabilizerSolution
 
 
 def validate_block(f: ProjectiveMap, block: BlockStructure) -> None:
-    """InvalidBlock unless V' and H' are sets, V' is proper and nonempty,
-    |H'| = |V'|, every index is in range and vars(f_j) lies in V' for each
-    j in H' (the least j that fails is named).  DegreeMismatch, before the
-    range test, for an index that is not an int; the one named is least by
-    type name, then as shown, so it does not depend on the hash seed."""
+    """InvalidBlock unless V' is proper and nonempty, |H'| = |V'|, every
+    index is in range and vars(f_j) lies in V' for each j in H' (the least
+    j that fails is named).  DegreeMismatch, before the range test, for an
+    index that is not an int; the one named is least by type name, then as
+    shown, so it does not depend on the hash seed.  That V' and H' are
+    sets is checked when the block is built."""
     nv = f.num_vars
-    if {type(block.variables), type(block.components)} - {set, frozenset}:
-        raise InvalidBlock(f"V' and H' must be sets, got "
-                           f"{shown(block.variables)} and "
-                           f"{shown(block.components)}")
     if not block.variables or len(block.variables) >= nv:
         raise InvalidBlock(f"V' = {shown(block.variables)} is not a proper "
                            f"nonempty subset of 0..{nv - 1}")
@@ -387,14 +402,10 @@ def block_to_1ps(block: BlockStructure, f: ProjectiveMap) -> OnePS:
     """
     validate_block(f, block)
     c = tuple(0 if i in block.variables else -1 for i in range(f.num_vars))
-    b = []
-    for j, comp in enumerate(f.components):
-        if j in block.components:
-            b.append(0)
-        else:
-            mins = [weight(c, e) for e, _ in comp.terms]
-            b.append(min(mins) if mins else 0)
-    return OnePS(c, tuple(b))
+    b = [0 if j in block.components
+         else min((weight(c, e) for e, _ in comp.terms), default=0)
+         for j, comp in enumerate(f.components)]
+    return OnePS(c, b)
 
 
 def limit_map(f: ProjectiveMap, ops: OnePS) -> LimitResult:
@@ -475,11 +486,9 @@ def classify(f: ProjectiveMap) -> ClassificationReport:
         # Every component of a morphism is nonzero, so the constant-c
         # solutions are just the two-dimensional trivial family; a basis of
         # a larger space has a nonconstant-c vector, and its block is one
-        # of the scanned ones.
+        # of the scanned ones, which the derived block replaces.
         derived = block_from_stabilizer(f, stab.nontrivial_solution())
-        blocks = [BlockStructure(bl.variables, bl.components,
-                                 derived.certified_by)
-                  if (bl.variables, bl.components) ==
+        blocks = [derived if (bl.variables, bl.components) ==
                   (derived.variables, derived.components) else bl
                   for bl in blocks]
     analyses = []

@@ -19,9 +19,13 @@ from .poly import MultiIndex, ProjectiveMap, require_ints, require_lists
 
 @dataclass(frozen=True)
 class OnePS:
-    """Integer weight pair (c for the source, b for the target); raises
-    ParseError unless both are lists (poly.require_lists), DegreeMismatch
-    for a non-int weight, DimensionMismatch for unequal lengths."""
+    """Integer weight pair (c for the source, b for the target).
+
+    Read once, when built: raises ParseError unless both are lists
+    (poly.require_lists), DegreeMismatch for a non-int weight,
+    DimensionMismatch for unequal lengths.  c and b are stored as tuples,
+    so equal pairs compare and hash equal whatever spelling built them.
+    """
 
     c: tuple[int, ...]
     b: tuple[int, ...]
@@ -32,6 +36,8 @@ class OnePS:
         if len(self.c) != len(self.b):
             raise DimensionMismatch(
                 f"weight vectors have lengths {len(self.c)} and {len(self.b)}")
+        object.__setattr__(self, "c", tuple(self.c))
+        object.__setattr__(self, "b", tuple(self.b))
 
 
 @dataclass(frozen=True)

@@ -13,10 +13,11 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from projstab import (BlockStructure, InvalidBlock, OnePS, ParseError,
-                      ProjstabError, StabilizerSolution, evaluate,
+from projstab import (BlockStructure, InvalidBlock, LinearChange, OnePS,
+                      ParseError, ProjstabError, SingularMatrix,
+                      StabilizerSolution, apply_linear_change, evaluate,
                       ff_zero_probe, hyperplane_partition, limit_map,
-                      make_linear_change, make_map)
+                      make_map)
 from projstab.stability import validate_block
 from helpers import ODD_VALUES
 
@@ -29,6 +30,7 @@ MAPS = (make_map(1, 2, [[((2, 0), 1)], [((0, 2), 1)]]),
         make_map(2, 2, [[((2, 0, 0), 1)], [((1, 1, 0), 1), ((0, 2, 0), 1)],
                         [((0, 0, 2), -1), ((1, 0, 1), 1)]]))
 F1 = MAPS[0]
+I2 = ((1, 0), (0, 1))
 
 _odd = st.sampled_from(ODD_VALUES)
 _int = st.integers(-1, 3)
@@ -51,7 +53,7 @@ _prime = st.sampled_from([2, 3, 5, 7, 101, 2 ** 61 - 1]) | _scalar
 ENTRY_POINTS = {
     "make_map": (make_map, st.tuples(
         _scalar, _scalar, st.lists(_terms, max_size=3) | _odd)),
-    "make_linear_change": (make_linear_change, st.tuples(_matrix, _matrix)),
+    "LinearChange": (LinearChange, st.tuples(_matrix, _matrix)),
     "OnePS": (OnePS, st.tuples(_vector, _vector)),
     "ff_zero_probe": (ff_zero_probe, st.tuples(_map, _prime)),
     "limit_map": (lambda f, c, b: limit_map(f, OnePS(c, b)),
@@ -77,8 +79,8 @@ def test_every_api_entry_point_returns_or_raises_its_own_error(name, data):
         assert len(str(exc)) < LINE_LIMIT
 
 
-# Each call that raised a bare TypeError, with the error class and the
-# start of the message it raises now.
+# Each call that raised a bare TypeError or returned a wrong value, with
+# the error class and the start of the message it raises now.
 MENDED = {
     "map-none": (lambda: make_map(1, 2, None), ParseError,
                  "components: expected a list, got None"),
@@ -88,12 +90,28 @@ MENDED = {
                             "term 5 is not (exponent tuple, coefficient)"),
     "map-int-exponent": (lambda: make_map(1, 2, [[(2, 1)], []]), ParseError,
                          "term (2, 1) is not (exponent tuple, coefficient)"),
+    # Read by tuple(), bytes gave (2, 0) and a dict its keys (0, 2).
+    "map-bytes-exponent": (lambda: make_map(1, 2, [[(b"\x02\x00", 1)], []]),
+                           ParseError, "term (b'\\x02\\x00', 1) is not "
+                           "(exponent tuple, coefficient)"),
+    "map-dict-exponent": (lambda: make_map(1, 2, [[({0: "a", 2: "b"}, 1)],
+                                                  []]), ParseError,
+                          "term ({0: 'a', 2: 'b'}, 1) is not (exponent tuple, "
+                          "coefficient)"),
     "one-ps-none": (lambda: OnePS(None, None), ParseError,
                     "weights: expected a list, got None"),
-    "change-int": (lambda: make_linear_change(5, [[1]]), ParseError,
+    "change-int": (lambda: LinearChange(5, [[1]]), ParseError,
                    "source matrix: expected a list, got 5"),
-    "change-flat": (lambda: make_linear_change([1, 2], [[1]]), ParseError,
+    "change-flat": (lambda: LinearChange([1, 2], [[1]]), ParseError,
                     "source row: expected a list, got 1"),
+    # Built directly, a change was not checked: the zero matrix gave an
+    # all-zero map, and 'x' a TypeError inside the composition.
+    "change-singular": (lambda: apply_linear_change(
+        F1, LinearChange(((0, 0), (0, 0)), I2)), SingularMatrix,
+        "source matrix is singular"),
+    "change-str-entry": (lambda: apply_linear_change(
+        F1, LinearChange([[1, 0], [0, "x"]], I2)), ParseError,
+        "source: bad rational 'x'"),
     "block-lists": (lambda: validate_block(F1, BlockStructure([0], [0], "x")),
                     InvalidBlock, "V' and H' must be sets, got [0] and [0]"),
     # poly.shown sorted a set, and 0 and 'a' do not compare.

@@ -33,7 +33,6 @@ ALLOWED = {
     "verify_preimage": "criterion 7 and the decompose-tri benchmark workload",
     "splitting_types_all_blocks": "the decompose-tri benchmark workload and "
                                   "TestDecomposeFully",
-    "make_linear_change": "TestMacaulay::test_group_action_oracle",
     "apply_linear_change": "TestMacaulay::test_group_action_oracle",
     "evaluate": "TestChartScanOracle",
     "iterate": "criterion 8",

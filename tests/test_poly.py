@@ -7,11 +7,11 @@ from time import perf_counter
 import pytest
 
 from projstab import (BlockStructure, BudgetExceeded, DegreeMismatch,
-                      DimensionMismatch, InvalidBlock, InvalidBox, ParseError,
-                      SingularMatrix, SizeLimit, ZeroMap, apply_linear_change,
-                      compose, default_probe_primes, evaluate, iterate,
-                      loads_map, make_linear_change, make_map,
-                      run_verification_suite)
+                      DimensionMismatch, InvalidBlock, InvalidBox,
+                      LinearChange, ParseError, SingularMatrix, SizeLimit,
+                      ZeroMap, apply_linear_change, compose,
+                      default_probe_primes, evaluate, iterate, loads_map,
+                      make_map, run_verification_suite)
 from projstab.poly import COMPOSE_TERM_LIMIT
 from projstab.resultant import check_matrix_size
 from projstab.stability import validate_block
@@ -19,7 +19,7 @@ from projstab.linalg import mat_inverse
 from helpers import mat_mul, mat_vec, random_invertible, random_map
 
 POWER2 = make_map(1, 2, [[((2, 0), 1)], [((0, 2), 1)]])
-IDENTITY2 = make_linear_change([[1, 0], [0, 1]], [[1, 0], [0, 1]])
+IDENTITY2 = LinearChange([[1, 0], [0, 1]], [[1, 0], [0, 1]])
 
 
 class TestMakeMap:
@@ -107,17 +107,17 @@ class TestLinearChange:
         assert apply_linear_change(POWER2, IDENTITY2) == POWER2
 
     def test_swap(self):
-        ch = make_linear_change([[0, 1], [1, 0]], [[1, 0], [0, 1]])
+        ch = LinearChange([[0, 1], [1, 0]], [[1, 0], [0, 1]])
         g = apply_linear_change(POWER2, ch)
         assert g == make_map(1, 2, [[((0, 2), 1)], [((2, 0), 1)]])
 
     def test_stabilizer_pair(self):
-        ch = make_linear_change([[2, 0], [0, 1]], [[4, 0], [0, 1]])
+        ch = LinearChange([[2, 0], [0, 1]], [[4, 0], [0, 1]])
         assert apply_linear_change(POWER2, ch) == POWER2
 
     def test_singular_matrix_rejected(self):
         with pytest.raises(SingularMatrix):
-            make_linear_change([[1, 1], [1, 1]], [[1, 0], [0, 1]])
+            LinearChange([[1, 1], [1, 1]], [[1, 0], [0, 1]])
 
     def test_right_action_composition(self):
         rng = Random(11)
@@ -127,10 +127,10 @@ class TestLinearChange:
             g1, h1 = random_invertible(rng, n + 1), random_invertible(rng, n + 1)
             g2, h2 = random_invertible(rng, n + 1), random_invertible(rng, n + 1)
             lhs = apply_linear_change(
-                apply_linear_change(f, make_linear_change(g1, h1)),
-                make_linear_change(g2, h2))
+                apply_linear_change(f, LinearChange(g1, h1)),
+                LinearChange(g2, h2))
             rhs = apply_linear_change(
-                f, make_linear_change(mat_mul(g1, g2), mat_mul(h1, h2)))
+                f, LinearChange(mat_mul(g1, g2), mat_mul(h1, h2)))
             assert lhs == rhs
 
     def test_evaluation_compatibility(self):
@@ -139,7 +139,7 @@ class TestLinearChange:
             n = rng.choice((1, 2))
             f = random_map(rng, n, rng.choice((2, 3)))
             g, h = random_invertible(rng, n + 1), random_invertible(rng, n + 1)
-            moved = apply_linear_change(f, make_linear_change(g, h))
+            moved = apply_linear_change(f, LinearChange(g, h))
             pt = [F(rng.randint(-4, 4)) for _ in range(n + 1)]
             h_inv = mat_inverse([row[:] for row in h])
             expected = tuple(mat_vec(h_inv, list(evaluate(f, mat_vec(g, pt)))))

@@ -9,11 +9,11 @@ import pytest
 import sympy
 from hypothesis import assume, given, settings, strategies as st
 
-from projstab import (BadPrime, DegreeMismatch, DimensionMismatch, SizeLimit,
-                      WrongDimension, ZeroMap, apply_linear_change, compose,
-                      default_probe_primes, detect_blocks, evaluate,
-                      ff_zero_probe, is_morphism, iterate, verify_preimage,
-                      macaulay_resultant, make_linear_change, make_map,
+from projstab import (BadPrime, DegreeMismatch, DimensionMismatch,
+                      LinearChange, SizeLimit, WrongDimension, ZeroMap,
+                      apply_linear_change, compose, default_probe_primes,
+                      detect_blocks, evaluate, ff_zero_probe, is_morphism,
+                      iterate, verify_preimage, macaulay_resultant, make_map,
                       sylvester_resultant)
 from projstab import ffield, linalg
 from projstab.ffield import PRIMALITY_BOUND, is_prime, reduce_map_mod_p
@@ -208,7 +208,7 @@ class TestMacaulay:
             if d == 0:
                 continue
             eye = [[F(int(i == j)) for j in range(n + 1)] for i in range(n + 1)]
-            moved = apply_linear_change(f, make_linear_change(g, eye))
+            moved = apply_linear_change(f, LinearChange(g, eye))
             r1 = macaulay_resultant(f)
             r2 = macaulay_resultant(moved)
             assert r2 == r1 * d ** (m ** (n + 1))
@@ -253,7 +253,7 @@ class TestMacaulay:
             f = make_map(2, m, comps)
         except ZeroMap:
             assume(False)
-        moved = apply_linear_change(f, make_linear_change(g, h))
+        moved = apply_linear_change(f, LinearChange(g, h))
         assert (macaulay_resultant(moved)
                 == dg ** (m ** 3) * dh ** (-m ** 2)
                 * macaulay_resultant(f))

@@ -172,13 +172,10 @@ class TestHyperplanePartition:
     def test_entry_outside_the_rational_rule_rejected(self, entry):
         # Read unchecked, a float, str or None entry failed by
         # AttributeError, and True passed as 1: (True, 0), (3, 0), 0 solved
-        # the cube.
-        for sol in (StabilizerSolution((entry, F(0)), (F(3), F(0)), F(0)),
-                    StabilizerSolution((F(1), F(0)), (F(3), F(0)), entry)):
+        # the cube.  The solution refuses such an entry when it is built.
+        for c, C in (((entry, F(0)), F(0)), ((F(1), F(0)), entry)):
             with pytest.raises(ParseError):
-                hyperplane_partition(CUBE, sol)
-            with pytest.raises(ParseError):
-                block_from_stabilizer(CUBE, sol)
+                StabilizerSolution(c, (F(3), F(0)), C)
 
     def test_entries_read_as_rationals(self):
         # An int is taken as it is, and a str by the document rule.
