@@ -163,7 +163,7 @@ def cmd_figure(args) -> int:
     data = figures.build_figure_data(f)
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write(documents.dumps_canonical(data))
-    print(f"figure data written to {args.out}", file=sys.stderr)
+    print(f"figure data written to {shown(args.out)}", file=sys.stderr)
     return EXIT_OK
 
 

@@ -13,24 +13,26 @@ A component with no reduced term left on the chart (each term has a factor
 x_i with i < lead or a coefficient that is 0 mod p) vanishes on all of it
 and is dropped; with none left, the whole chart is zero.  A line fixes the
 first k-1 free coordinates to q, and each component left restricts to a
-polynomial of degree at most m in the last coordinate t.  The first two
-restrictions a and b, their coefficients on all p^(k-1) lines read from the
-power table one comprehension a term, decide which lines can hold a zero:
-where a and b share a root their resultant in t vanishes (Cox, Little and
-O'Shea, Ideals, Varieties, and Algorithms, ch. 3).  So, on a chart with
-more than one line, a division-free elimination of the Bezout matrix of a
-and b, entry by entry over all lines at once, keeps only the lines where a
-multiple of that resultant is 0.  On a kept line the zeros are the roots of
-the gcd of a and b, by Euclid's algorithm over F_p (von zur Gathen and
-Gerhard, Modern Computer Algebra, ch. 3): none for a nonzero constant, the
-whole line for the zero polynomial, -g_0/g_1 for degree 1, none for a
-quadratic whose discriminant is not a square (Euler's criterion, p odd),
-else the monic gcd evaluated on F_p from the power table.  Each other
-component, built on the kept lines only, removes the roots where it does
-not vanish.  A chart costs O(m^3) vector operations on two components,
-plus O(terms + m^2) on each kept line and an evaluation over F_p where the
-gcd has degree 2 or more.  Few lines are kept unless the first two
-components share a factor mod p, and then every line is.
+polynomial of degree at most m in the last coordinate t.  Only the first
+two restrictions a and b are built, their coefficients on all p^(k-1)
+lines read from the power table one comprehension a term, and they decide
+which lines can hold a zero: where a and b share a root their resultant in
+t vanishes (Cox, Little and O'Shea, Ideals, Varieties, and Algorithms,
+ch. 3).  So, on a chart with more than one line, a division-free
+elimination of the Bezout matrix of a and b, entry by entry over all lines
+at once, keeps only the lines where a multiple of that resultant is 0.  On
+a kept line the candidate zeros are the roots of the gcd of a and b, by
+Euclid's algorithm over F_p (von zur Gathen and Gerhard, Modern Computer
+Algebra, ch. 3): none for a nonzero constant, the whole line for the zero
+polynomial, -g_0/g_1 for degree 1, none for a quadratic whose discriminant
+is not a square (Euler's criterion, p odd), else the monic gcd evaluated on
+F_p from the power table.  A candidate is a zero where every other
+component, as its terms on the chart, vanishes at the point.  A chart costs
+O(m^3) vector operations on two components, plus O(m^2) on each kept line,
+an evaluation over F_p where the gcd has degree 2 or more, and one
+evaluation of each other component at each candidate.  Few lines are kept
+unless the first two components share a factor mod p, and then every line
+is.
 Every modulus is first proven prime by a deterministic Miller-Rabin test,
 so every nonzero residue has an inverse.
 """
@@ -38,6 +40,7 @@ so every nonzero residue has an inverse.
 from __future__ import annotations
 
 from itertools import compress, product
+from math import prod
 
 from .errors import BadPrime, SizeLimit
 from .poly import MultiIndex, ProjectiveMap, shown
@@ -129,14 +132,14 @@ def _power_table(p: int, max_exp: int) -> list[list[int]]:
     return table
 
 
-def _line_coefficients(terms, k: int, p: int, table, monomials,
-                       kept=None) -> list[list[int]]:
+def _line_coefficients(terms, k: int, p: int, table,
+                       monomials) -> list[list[int]]:
     """coeffs[d][i]: coefficient of t^d on line i of F_p^k, k >= 1, with t
-    the last coordinate and the lines in itertools.product order, or on
-    line kept[i] if kept is given; left unreduced mod p.  Each term adds a
-    times its monomial in the other k-1 coordinates, whose values on all
-    lines are built once per exponent from rows of table and shared through
-    monomials by the components of a chart."""
+    the last coordinate and the lines in itertools.product order; left
+    unreduced mod p.  Each term adds a times its monomial in the other k-1
+    coordinates, whose values on all lines are built once per exponent from
+    rows of table and shared through monomials by the first two components
+    of a chart."""
     coeffs = [None] * (1 + max(e[-1] for e, _ in terms))
     for e, a in terms:
         head = e[:-1]
@@ -146,13 +149,10 @@ def _line_coefficients(terms, k: int, p: int, table, monomials,
                 vals = [u * x % p for u in vals for x in table[d]]
             monomials[head] = vals
         vals = monomials[head]
-        if kept is not None:
-            vals = [vals[i] for i in kept]
         row = coeffs[e[-1]]
         coeffs[e[-1]] = ([a * v for v in vals] if row is None else
                          [u + a * v for u, v in zip(row, vals)])
-    width = p ** (k - 1) if kept is None else len(kept)
-    return [[0] * width if row is None else row for row in coeffs]
+    return [[0] * p ** (k - 1) if row is None else row for row in coeffs]
 
 
 def _bezout_matrix(a: list[list[int]], b: list[list[int]],
@@ -253,53 +253,44 @@ def _roots(g: list[int], p: int, table) -> list[int]:
 
 
 def _line_zeros(polys, p: int, table) -> list[int] | range:
-    """Common roots in F_p, ascending, of one line's restrictions, given by
-    coefficients not yet reduced mod p (all of F_p if they are all zero).
-
-    The roots of the gcd of the first two nonzero restrictions are found
-    once; each later one only removes the roots where it does not vanish,
-    and none is looked at once no root is left.
-    """
-    g = roots = None
+    """Roots in F_p, ascending, of the gcd of one line's restrictions, at
+    most two, given by coefficients not yet reduced mod p: the roots of the
+    one nonzero restriction if the other is zero, and all of F_p if both
+    are."""
+    g = None
     for poly in polys:
         h = [c % p for c in poly]
         while h and not h[-1]:
             h.pop()
-        if not h:
-            continue
-        if g is None:
-            g = h
-            continue
-        if roots is None:
-            roots = _roots(_gcd(g, h, p), p, table)
-        else:
-            roots = [x for x in roots
-                     if not sum(c * x ** d for d, c in enumerate(h)) % p]
-        if not roots:
-            return []
-    if g is None:
-        return range(p)
-    return _roots(g, p, table) if roots is None else roots
+        if h:
+            g = h if g is None else _gcd(g, h, p)
+    return range(p) if g is None else _roots(g, p, table)
+
+
+def _vanishes(terms, point: tuple[int, ...], p: int) -> bool:
+    """Whether the chart terms (exponent, a) sum to 0 mod p at point."""
+    return not sum(a * prod(map(pow, point, e)) for e, a in terms) % p
 
 
 def common_zeros_mod_p(f: ProjectiveMap, p: int) -> list[tuple[int, ...]]:
     """All points of P^n(F_p) where every component vanishes, in canonical
-    order, found line by line as the common roots of the restrictions.
+    order, found line by line.
 
-    On a chart with k >= 2 free coordinates and two or more live
-    components, a Bezout determinant of the first two, computed for all
-    p^(k-1) lines at once, drops the lines where they share no root; the
-    others go to _line_zeros, as every line does on the other charts.  The
-    kept lines' coefficients are copied out only when some line is dropped,
-    so a shared factor with roots on every line costs no copy.  The
-    cost is O(m^3) vector operations on two components per chart, plus, on
-    the lines kept, a gcd of two restrictions, the other components built
-    on those lines only and evaluated at the gcd's roots, and an evaluation
-    over F_p when the gcd has degree 2 or more (unless it is a quadratic
-    with no root by Euler's criterion), as on every line when the first two
-    components share such a factor mod p.  Raises SizeLimit
-    before scanning more than POINT_LIMIT points.  The power table is built
-    up front only for n >= 2, where a scan has more than one line.
+    Only the first two live components of a chart are restricted to its
+    lines.  On a chart with k >= 2 free coordinates, a Bezout determinant
+    of the two, computed for all p^(k-1) lines at once, drops the lines
+    where they share no root.  On every line left, the roots of their gcd
+    (of the one live component, if there is only one) are the candidate
+    zeros, and a candidate is kept only where every other live component
+    vanishes at that point.  The cost is O(m^3) vector operations on two
+    components per chart, plus, on the lines kept, a gcd of two
+    restrictions and an evaluation over F_p when the gcd has degree 2 or
+    more (unless it is a quadratic with no root by Euler's criterion), as
+    on every line when the first two components share such a factor mod p,
+    and one evaluation of each other component at each candidate.  Raises
+    SizeLimit before scanning more than POINT_LIMIT points.  The power
+    table is built up front only for n >= 2, where a scan has more than one
+    line.
     """
     reduced = reduce_map_mod_p(f, p)
     check_point_count(f.n, p)
@@ -320,19 +311,14 @@ def common_zeros_mod_p(f: ProjectiveMap, p: int) -> list[tuple[int, ...]]:
         monomials: dict[MultiIndex, list[int]] = {}
         vectors = [_line_coefficients(terms, k, p, table, monomials)
                    for terms in live[:2]]
-        points = product(range(p), repeat=k - 1)
-        kept = None
+        lines = zip(product(range(p), repeat=k - 1),
+                    *(zip(*v) for v in vectors))
         if k >= 2 and len(vectors) == 2:
-            keep = _may_share_root(*vectors, p)
-            if not all(keep):  # a filter that drops nothing copies nothing
-                kept = list(compress(range(len(keep)), keep))
-                vectors = [[[row[i] for i in kept] for row in v]
-                           for v in vectors]
-                points = compress(points, keep)
-        vectors += [_line_coefficients(terms, k, p, table, monomials, kept)
-                    for terms in live[2:]]
-        for q, *polys in zip(points, *(zip(*v) for v in vectors)):
-            roots = _line_zeros(polys, p, table)
-            if roots:
-                zeros.extend(prefix + q + (t,) for t in roots)
+            lines = compress(lines, _may_share_root(*vectors, p))
+        rest = live[2:]
+        for q, *polys in lines:
+            for t in _line_zeros(polys, p, table):
+                point = q + (t,)
+                if all(_vanishes(terms, point, p) for terms in rest):
+                    zeros.append(prefix + point)
     return zeros

@@ -170,15 +170,17 @@ class HomogeneousPoly:
         """Build from (exponent, coefficient) pairs.
 
         Duplicate exponents are summed; zero results are dropped.  Raises
-        ParseError unless each term is a pair (exponent tuple, coefficient)
-        whose exponent is a list or a tuple (tuple() would read bytes by
-        their values and a mapping by its keys), DimensionMismatch /
-        DegreeMismatch unless every exponent has num_vars int entries,
-        none negative, summing to degree, and ParseError for a coefficient
-        that parse_fraction refuses.
+        ParseError unless terms is a mapping or an iterable other than a
+        str or bytes (an empty one would read as the zero form), and unless
+        each term is a pair (exponent tuple, coefficient) whose exponent is
+        a list or a tuple (tuple() would read bytes by their values and a
+        mapping by its keys), DimensionMismatch / DegreeMismatch unless
+        every exponent has num_vars int entries, none negative, summing to
+        degree, and ParseError for a coefficient that parse_fraction
+        refuses.
         """
         pairs = terms.items() if isinstance(terms, Mapping) else terms
-        if not isinstance(pairs, Iterable):
+        if isinstance(pairs, (str, bytes)) or not isinstance(pairs, Iterable):
             raise ParseError(f"terms: expected pairs, got {shown(terms)}")
         acc: TermDict = {}
         for term in pairs:

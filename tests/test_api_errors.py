@@ -86,6 +86,13 @@ MENDED = {
                  "components: expected a list, got None"),
     "map-int-components": (lambda: make_map(1, 2, [5, 6]), ParseError,
                            "terms: expected pairs, got 5"),
+    # Read as no terms, an empty str or bytes gave a zero component.
+    "map-empty-str-component": (
+        lambda: make_map(1, 1, ["", [((0, 1), 1)]]), ParseError,
+        "terms: expected pairs, got ''"),
+    "map-empty-bytes-component": (
+        lambda: make_map(1, 1, [b"", [((0, 1), 1)]]), ParseError,
+        "terms: expected pairs, got b''"),
     "map-term-not-a-pair": (lambda: make_map(1, 2, [[5], []]), ParseError,
                             "term 5 is not (exponent tuple, coefficient)"),
     "map-int-exponent": (lambda: make_map(1, 2, [[(2, 1)], []]), ParseError,

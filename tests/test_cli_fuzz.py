@@ -2,9 +2,10 @@
 
 cli.main is called with argv drawn from each subcommand's option shapes,
 with odd option values, odd file names and drawn document bytes.  Each call
-exits with a code that the cli module documents for its subcommand, and a
-refusal (exit 1) prints exactly one 'error:' or 'parse error:' line, under
-LINE_LIMIT characters, and nothing else; no other exit prints such a line.
+exits with a code that the cli module documents for its subcommand, every
+line it writes to standard error is under LINE_LIMIT characters, and a
+refusal (exit 1) prints exactly one 'error:' or 'parse error:' line and
+nothing else; no other exit prints such a line.
 Argparse's own syntax errors (exit 2 with a usage text) are outside the
 contract; every option value is given with '=', and the int options get
 decimal integers, so none is drawn.
@@ -142,7 +143,8 @@ def _argv(draw, doc: str, tmp: Path, n: int):
     else:
         out = st.sampled_from([str(tmp / "figure.json")] * 3 + [str(tmp), "",
                                str(tmp / "missing" / "figure.json"),
-                               str(tmp / ("x" * 300))])
+                               str(tmp / ("x" * 300)),
+                               str(tmp / ("y" * 250))])
         argv.append("--out=" + draw(out))
     return argv
 
@@ -170,11 +172,11 @@ def test_every_cli_call_exits_with_a_documented_code(workdir, data):
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = cli.main(argv)
     assert code in EXIT_CODES[argv[0]]
-    errors = [line for line in err.getvalue().splitlines()
-              if line.startswith(ERROR_PREFIXES)]
+    lines = err.getvalue().splitlines()
+    assert all(len(line) < LINE_LIMIT for line in lines)
+    errors = [line for line in lines if line.startswith(ERROR_PREFIXES)]
     if code == cli.EXIT_PARSE:
         assert err.getvalue() == errors[0] + "\n" and len(errors) == 1
-        assert len(errors[0]) < LINE_LIMIT
         assert out.getvalue() == ""
     else:
         assert errors == []

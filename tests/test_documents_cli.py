@@ -18,6 +18,7 @@ from projstab.documents import (DOCUMENT_BYTE_LIMIT, classification_to_dict,
                                 document_to_map, dumps_canonical,
                                 format_fraction, load_map_file, loads_map,
                                 map_to_document, parse_fraction, tree_to_dict)
+from projstab.poly import shown
 import goldens
 
 CUBE = make_map(1, 3, [[((3, 0), 1)], [((0, 3), 1)]])
@@ -585,6 +586,22 @@ class TestCLI:
         assert data["simplex_vertices"] == [[2, 0, 0], [0, 2, 0], [0, 0, 2]]
         assert data["supports"][0] == [[2, 0, 0]]
         assert len(data["hyperplanes"]["classes"]) >= 1
+
+    def test_figure_long_out_path_is_shown_cut(self, tmp_path, monkeypatch,
+                                               capsys):
+        # The whole path made a 450-character diagnostic line.
+        f = make_map(2, 2, [[((2, 0, 0), 1)], [((0, 2, 0), 1)],
+                            [((0, 0, 2), 1)]])
+        path = write_doc(tmp_path, f, "n2.json")
+        monkeypatch.chdir(tmp_path)
+        Path("d" * 200).mkdir()
+        out = "d" * 200 + "/" + "f" * 226
+        assert len(out) == 427
+        assert cli.main(["figure", path, "--out", out]) == 0
+        assert json.loads(Path(out).read_text(encoding="utf-8"))[
+            "simplex_vertices"] == [[2, 0, 0], [0, 2, 0], [0, 0, 2]]
+        err = capsys.readouterr().err
+        assert err == f"figure data written to {shown(out)}\n"
 
     def test_figure_wrong_dimension(self, tmp_path):
         path = write_doc(tmp_path, CUBE)

@@ -13,7 +13,9 @@ bare name or an import cannot reach it.
 References in __init__.py are re-exports, not calls, and do not count; nor
 do docstrings and comments.  Dunder methods are called by the language and
 are skipped.  A public name that only a caller outside the package needs
-is on ALLOWED, which names that caller.
+is on ALLOWED, which names that caller; each such name must occur in a
+Python file under tests/ or bench/ other than this one, so an entry whose
+outside caller is gone fails the gate.
 
 The gate still matches by name, so a member escapes it while another one
 of the same name is read (HomogeneousPoly and ProjectiveMap both had a
@@ -21,11 +23,13 @@ num_vars).
 """
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "projstab"
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "projstab"
 
 # Public names whose callers live outside src/projstab, with those callers.
 # The criteria are those of tests/test_acceptance.py.
@@ -141,6 +145,24 @@ def test_allowlist_names_exist():
     defined = {name for text in _package_sources().values()
                for name, _, _ in _definitions(ast.parse(text))}
     assert set(ALLOWED) <= defined
+
+
+def _without_outside_caller(names) -> list[str]:
+    """The names that occur in no Python file under tests/ or bench/ but
+    this one."""
+    texts = [path.read_text(encoding="utf-8")
+             for folder in ("tests", "bench")
+             for path in sorted((ROOT / folder).rglob("*.py"))
+             if path.resolve() != Path(__file__).resolve()]
+    return [name for name in names
+            if not any(re.search(rf"\b{name}\b", text) for text in texts)]
+
+
+def test_allowlist_names_have_an_outside_caller():
+    assert _without_outside_caller(ALLOWED) == []
+    # Named only here, as an entry whose caller was deleted would be.
+    assert _without_outside_caller(["gone_outside_caller"]) == [
+        "gone_outside_caller"]
 
 
 _GATE_CASES = {

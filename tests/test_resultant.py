@@ -817,10 +817,10 @@ class TestChartScanOracle:
             assert _canonical_points(n, p) == brute
 
     # The scan drops the components with no term left on a chart, restricts
-    # the others to each line in the chart's last coordinate, keeps the
-    # lines where a Bezout resultant of the first two vanishes and takes
-    # the roots of their gcd at which the others vanish; these maps reach
-    # each branch of that scan.
+    # the first two left to each line in the chart's last coordinate, keeps
+    # the lines where a Bezout resultant of the two vanishes and takes the
+    # roots of their gcd at which the others vanish as points; these maps
+    # reach each branch of that scan.
     @pytest.mark.parametrize("f, p, count", [
         # 3x0^2 + 6x1x2 is 0 mod 3, so it is dropped on every chart.
         (make_map(2, 2, [[((2, 0, 0), 3), ((0, 1, 1), 6)],
@@ -899,6 +899,30 @@ class TestChartScanOracle:
         (make_map(2, 2, [[((0, 2, 0), 1), ((2, 0, 0), -1)],
                          [((1, 1, 0), 1), ((2, 0, 0), -1)],
                          [((0, 0, 2), 1), ((2, 0, 0), -1)]]), 7, 2),
+        # x0x1 vanishes on the line x1 = 0 of chart 0, where the candidates
+        # are the roots t = 1, 6 of x2^2 - x0^2 alone and x0x2 - x0^2 keeps
+        # t = 1; (0, 1, 0) is the other zero.
+        (make_map(2, 2, [[((1, 1, 0), 1)], [((0, 0, 2), 1), ((2, 0, 0), -1)],
+                         [((1, 0, 1), 1), ((2, 0, 0), -1)]]), 7, 2),
+        # x1x2 and x1(x2 - x0) both vanish on the line x1 = 0, so every t is
+        # a candidate there, and x2^2 - 2x0^2 keeps t = 3, 4; plus (0, 1, 0).
+        (make_map(2, 2, [[((0, 1, 1), 1)], [((0, 1, 1), 1), ((1, 1, 0), -1)],
+                         [((0, 0, 2), 1), ((2, 0, 0), -2)]]), 7, 3),
+        # x1x2 and x1x3 vanish on the lines x1 = 0 of chart 0, where two
+        # other components, x2^2 - x3^2 and x2x3 - x0^2, keep x3 = x2 = +-1
+        # and x3 = -x2 = +-3 (-1 = 2^2 mod 5); plus (0, 1, 0, 0).
+        (make_map(3, 2, [[((0, 1, 1, 0), 1)], [((0, 1, 0, 1), 1)],
+                         [((0, 0, 2, 0), 1), ((0, 0, 0, 2), -1)],
+                         [((0, 0, 1, 1), 1), ((2, 0, 0, 0), -1)]]), 5, 5),
+        # Three multiples of x1^2 - x2^2 mod 101: the filter keeps every
+        # line, and the zeros are the lines x1 = +-x2, 2p + 1 points.
+        (make_map(2, 2, [[((0, 2, 0), 1), ((0, 0, 2), -1)],
+                         [((0, 2, 0), 2), ((0, 0, 2), -2)],
+                         [((0, 2, 0), 1), ((0, 0, 2), -1), ((1, 1, 0), 101)]]),
+         101, 203),
+        # (x0 + x1 + x2 + x3)x_j^2 for j = 0..3: the plane, p^2 + p + 1 points.
+        (make_map(3, 3, [[(tuple((i == k) + 2 * (i == j) for i in range(4)), 1)
+                          for k in range(4)] for j in range(4)]), 31, 993),
     ], ids=["first-component-zero-mod-p", "form-vanishing-everywhere",
             "chart-with-no-live-component", "p0-zero", "p0-nonzero",
             "n3-p31", "linear-factor-shared-mod-p",
@@ -907,7 +931,10 @@ class TestChartScanOracle:
             "m-at-least-p", "first-two-of-different-degree-in-t",
             "leading-coefficient-vanishes-on-one-line",
             "one-live-component-on-a-plane-chart", "first-two-share-a-factor",
-            "first-two-constant-in-t"])
+            "first-two-constant-in-t", "first-vanishes-on-a-line",
+            "first-two-vanish-on-a-line-third-does-not",
+            "two-other-components-checked-at-the-point",
+            "shared-conic-p101", "shared-plane-p31"])
     def test_sieve_edge_cases(self, f, p, count):
         zeros = ff_zero_probe(f, p).zeros_found
         assert zeros == _pointwise_zeros(f, p)
